@@ -2,7 +2,7 @@
 
 Subpackages:
     channel     fading primitives, cascaded-channel moments, Gamma moment match
-    system      system/policy configuration, energy harvesting, uplink SNRs
+    system      system configuration, policies, the scheme table, uplink SNRs, SIC
     analytics   closed-form outage, throughput, success probability, average AoI
     montecarlo  simulation oracle for every closed form
     optimizer   genetic-algorithm resource allocation under an AoI constraint

@@ -44,13 +44,9 @@ from .channel import GammaApprox, QuadratureRule, gamma_fit, gauss_hermite_rule,
 
 __all__ = [
     "QuadratureError",
-    "SchemeConstants",
     "PerfReport",
     "clamp_stats",
-    "scheme_constants",
-    "outage_tep",
-    "outage_eep",
-    "outage_tdma",
+    "outage",
     "success_prob",
     "sum_throughput",
     "user_throughput",
@@ -82,18 +78,6 @@ clamp_stats = ClampStats()
 
 
 @dataclass(frozen=True)
-class SchemeConstants:
-    """Per-user SNR coefficients: uplink SNR of user x equals coef_x * G_x^4."""
-
-    coef_t: float
-    coef_r: float
-
-    def __post_init__(self):
-        if not (self.coef_t > 0 and self.coef_r > 0):
-            raise ValueError("SNR coefficients must be strictly positive")
-
-
-@dataclass(frozen=True)
 class PerfReport:
     """One scheme's full performance summary at a single operating point."""
 
@@ -102,11 +86,6 @@ class PerfReport:
     sum_throughput: float
     success_prob: float
     avg_aoi: float
-
-
-def scheme_constants(scheme: str, config: system.SystemConfig, policy) -> SchemeConstants:
-    c_t, c_r = system.snr_coefficients(scheme, policy, config)
-    return SchemeConstants(coef_t=c_t, coef_r=c_r)
 
 
 def fit_for_user(config: system.SystemConfig, user: str) -> GammaApprox:
@@ -341,87 +320,63 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule, npanel=64):
 # ----------------------------------------------------------------------
 
 
-def outage_tep(config: system.SystemConfig, policy: system.TepPolicy, quad: QuadratureRule):
-    """Per-user outage probabilities of the time-switching NOMA scheme."""
-    c_t, c_r = system.snr_coefficients("tep", policy, config)
-    p_t, p_r, _ = _noma_checked(
-        fit_for_user(config, "t"), fit_for_user(config, "r"), c_t, c_r, config.snr_threshold, quad
-    )
-    return p_t, p_r
+def _scheme_metrics(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule):
+    """Checked (p_out_t, p_out_r, phi) of one scheme at one operating point.
 
-
-def outage_eep(config: system.SystemConfig, policy: system.EepPolicy, quad: QuadratureRule):
-    """Per-user outage probabilities of the energy-splitting NOMA scheme."""
-    c_t, c_r = system.snr_coefficients("eep", policy, config)
-    p_t, p_r, _ = _noma_checked(
-        fit_for_user(config, "t"), fit_for_user(config, "r"), c_t, c_r, config.snr_threshold, quad
-    )
-    return p_t, p_r
-
-
-def outage_tdma(config: system.SystemConfig, policy: system.TdmaPolicy):
-    """Per-user outage of the orthogonal baseline: direct CDF evaluation."""
-    c_t, c_r = system.snr_coefficients("tdma", policy, config)
+    NOMA schemes integrate the SIC outage decomposition and the two
+    ordered-decoding success events (minus their overlap below threshold
+    one); an orthogonal scheme's users fail independently, so its outages
+    are per-user CDFs and its success probability their product of
+    survivals.  quad=None means a 30-node Gauss-Hermite rule.
+    """
+    c_t, c_r = system.snr_coefficients(scheme, policy, config)
+    fit_t, fit_r = fit_for_user(config, "t"), fit_for_user(config, "r")
     g = config.snr_threshold
-    p_t = _cdf_int(fit_for_user(config, "t"), g / c_t)
-    p_r = _cdf_int(fit_for_user(config, "r"), g / c_r)
-    vals = _clamp_probs(np.array([float(p_t), float(p_r)]), "tdma closed form")
-    return float(vals[0]), float(vals[1])
+    if system.scheme_spec(scheme).noma:
+        if quad is None:
+            quad = gauss_hermite_rule(30)
+        return _noma_checked(fit_t, fit_r, c_t, c_r, g, quad)
+    p_t = _cdf_int(fit_t, g / c_t)
+    p_r = _cdf_int(fit_r, g / c_r)
+    phi = _surv_int(fit_t, g / c_t) * _surv_int(fit_r, g / c_r)
+    vals = _clamp_probs(np.array([float(p_t), float(p_r), float(phi)]), "orthogonal closed form")
+    return float(vals[0]), float(vals[1]), float(vals[2])
+
+
+def outage(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None):
+    """Per-user outage probabilities (p_out_t, p_out_r) of one scheme."""
+    p_t, p_r, _ = _scheme_metrics(scheme, config, policy, quad)
+    return p_t, p_r
 
 
 def success_prob(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> float:
-    """Probability that both users are decoded in one block.
-
-    NOMA schemes integrate the two ordered-decoding success events (minus
-    their overlap below threshold one); the orthogonal baseline factorizes
-    into a product of per-user survivals, evaluated in closed form.
-    """
-    s = scheme.lower()
-    if s == "tdma":
-        c_t, c_r = system.snr_coefficients("tdma", policy, config)
-        g = config.snr_threshold
-        phi = _surv_int(fit_for_user(config, "t"), g / c_t) * _surv_int(
-            fit_for_user(config, "r"), g / c_r
-        )
-        return float(_clamp_probs(np.array([float(phi)]), "tdma success")[0])
-    if quad is None:
-        raise ValueError("NOMA success probability requires a quadrature rule")
-    c_t, c_r = system.snr_coefficients(s, policy, config)
-    _, _, phi = _noma_checked(
-        fit_for_user(config, "t"), fit_for_user(config, "r"), c_t, c_r, config.snr_threshold, quad
-    )
-    return phi
+    """Probability that both users are decoded in one block."""
+    return _scheme_metrics(scheme, config, policy, quad)[2]
 
 
 def sum_throughput(scheme: str, outage_pair, rate: float, policy) -> float:
-    """Block-normalized sum throughput from a per-user outage pair."""
+    """Block-normalized sum throughput from a per-user outage pair.
+
+    NOMA users share one uplink slot; orthogonal users each send in their
+    own.  The outages (and the policy fields) may be equal-shape arrays.
+    """
     p_t, p_r = outage_pair
     for p in (p_t, p_r):
-        if not (0.0 <= p <= 1.0):
+        if not np.all((0.0 <= p) & (p <= 1.0)):
             raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
-    s = scheme.lower()
-    if s == "tep":
-        return rate * policy.alpha_ap * (2.0 - p_t - p_r)
-    if s == "eep":
-        return rate * policy.alpha_it * (2.0 - p_t - p_r)
-    if s == "tdma":
-        return rate * (policy.alpha_ap_t * (1.0 - p_t) + policy.alpha_ap_r * (1.0 - p_r))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    spec = system.scheme_spec(scheme)
+    s_t, s_r = spec.shares(policy)
+    if spec.noma:
+        return rate * s_t * (2.0 - p_t - p_r)
+    return rate * (s_t * (1.0 - p_t) + s_r * (1.0 - p_r))
 
 
 def user_throughput(scheme: str, user: str, p_out: float, rate: float, policy) -> float:
     """One user's throughput contribution (its share of sum_throughput)."""
-    s = scheme.lower()
     if user not in ("t", "r"):
         raise ValueError(f"user must be 't' or 'r', got {user!r}")
-    if s == "tep":
-        return rate * policy.alpha_ap * (1.0 - p_out)
-    if s == "eep":
-        return rate * policy.alpha_it * (1.0 - p_out)
-    if s == "tdma":
-        frac = policy.alpha_ap_t if user == "t" else policy.alpha_ap_r
-        return rate * frac * (1.0 - p_out)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    share = system.scheme_spec(scheme).shares(policy)["tr".index(user)]
+    return rate * share * (1.0 - p_out)
 
 
 def average_aoi(phi: float) -> float:
@@ -464,27 +419,11 @@ def residual_integral(integrand, upper: float, rel_tol: float = 1e-10) -> float:
 
 def perf_report(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> PerfReport:
     """All closed-form metrics of one scheme at one operating point."""
-    s = scheme.lower()
-    if s == "tdma":
-        pair = outage_tdma(config, policy)
-        phi = success_prob("tdma", config, policy)
-    else:
-        if quad is None:
-            quad = gauss_hermite_rule(30)
-        c_t, c_r = system.snr_coefficients(s, policy, config)
-        p_t, p_r, phi = _noma_checked(
-            fit_for_user(config, "t"),
-            fit_for_user(config, "r"),
-            c_t,
-            c_r,
-            config.snr_threshold,
-            quad,
-        )
-        pair = (p_t, p_r)
+    p_t, p_r, phi = _scheme_metrics(scheme, config, policy, quad)
     return PerfReport(
-        p_out_t=pair[0],
-        p_out_r=pair[1],
-        sum_throughput=sum_throughput(s, pair, config.rate, policy),
+        p_out_t=p_t,
+        p_out_r=p_r,
+        sum_throughput=sum_throughput(scheme, (p_t, p_r), config.rate, policy),
         success_prob=phi,
         avg_aoi=average_aoi(phi),
     )

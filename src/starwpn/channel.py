@@ -39,14 +39,11 @@ class GammaApprox:
     k           shape of the single-term fit (> 0)
     theta       rate of the fit, i.e. the density is ~ x^(k-1) e^(-theta x)
     n_elements  number of surface elements N; the co-phased sum has shape N*k
-    nk_int      max(1, round(N*k)), the shape rounded to an integer; only the
-                finite-series CDF reads it, every closed form uses sum_shape
     """
 
     k: float
     theta: float
     n_elements: int
-    nk_int: int
 
     def __post_init__(self):
         if not (self.k > 0 and np.isfinite(self.k)):
@@ -55,8 +52,6 @@ class GammaApprox:
             raise ValueError(f"fitted rate theta must be positive and finite, got {self.theta}")
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.nk_int < 1:
-            raise ValueError(f"nk_int must be >= 1, got {self.nk_int}")
 
     @property
     def sum_shape(self) -> float:
@@ -71,19 +66,6 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-
-
-def nakagami_sample(params: NakagamiParams, count: int, seed: int) -> np.ndarray:
-    """Draw `count` iid Nakagami-m envelopes, deterministically in `seed`.
-
-    The square of a Nakagami-m envelope is Gamma(m, omega/m), so we draw the
-    power and take the square root.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    power = rng.gamma(shape=params.m, scale=params.omega / params.m, size=count)
-    return np.sqrt(power)
 
 
 def cascade_moment(n: float, link1: NakagamiParams, link2: NakagamiParams) -> float:
@@ -119,8 +101,7 @@ def gamma_fit(link1: NakagamiParams, link2: NakagamiParams, n_elements: int) -> 
         raise ValueError("cascade has nonpositive variance, moment match impossible")
     k = mu1 * mu1 / var
     theta = mu1 / var
-    nk_int = max(1, int(round(n_elements * k)))
-    return GammaApprox(k=k, theta=theta, n_elements=n_elements, nk_int=nk_int)
+    return GammaApprox(k=k, theta=theta, n_elements=n_elements)
 
 
 def quartic_gain_cdf(fit: GammaApprox, x) -> np.ndarray:
@@ -132,27 +113,6 @@ def quartic_gain_cdf(fit: GammaApprox, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     z = fit.theta * np.power(np.maximum(x, 0.0), 0.25)
     return special.gammainc(fit.sum_shape, z)
-
-
-def quartic_gain_cdf_series(fit: GammaApprox, x) -> np.ndarray:
-    """CDF of G^4 evaluated through the finite series at integer shape nk_int.
-
-    Pr[G^4 <= x] = 1 - e^(-z) * sum_{j=0}^{nk-1} z^j / j!  with
-    z = theta * x^(1/4).  The sum is done with logsumexp so large z (deep
-    right tail) cannot overflow.  This is the Gamma CDF at the rounded shape,
-    not the model: it differs from quartic_gain_cdf by the rounding of N*k
-    (3.56 -> 4 at N = 1), and no closed form downstream is built on it.
-    """
-    x = np.asarray(x, dtype=float)
-    z = fit.theta * np.power(np.maximum(x, 0.0), 0.25)
-    nk = fit.nk_int
-    j = np.arange(nk, dtype=float)
-    # log of z^j / j!, broadcast to (points, nk); guard log(0) for z == 0
-    with np.errstate(divide="ignore"):
-        log_z = np.where(z > 0, np.log(np.maximum(z, 1e-300)), -np.inf)
-    log_terms = j * log_z[..., None] - special.gammaln(j + 1.0)
-    tail = np.exp(special.logsumexp(log_terms, axis=-1) - z)
-    return np.clip(1.0 - tail, 0.0, 1.0)
 
 
 def quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence,
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -104,8 +105,6 @@ EXTRA_KEYS = {"ga": {"delta_th"}}
 SWEEP_VARS = ("snr_db", "n_elements", "rate", "alpha", "beta_r")
 METRICS = ("outage_t", "outage_r", "throughput_t", "throughput_r", "sum_throughput", "phi", "aoi")
 ENGINES = ("analytic", "montecarlo", "both")
-# metrics whose Monte Carlo estimate carries a standard-error column
-SE_METRICS = METRICS
 
 
 def _known_presets():
@@ -194,33 +193,26 @@ def build_system(cfg: dict) -> system.SystemConfig:
 
 
 def build_policy(cfg: dict, scheme: str):
+    """The scheme's policy from the [policy] keys {scheme}_{field}."""
+    spec = system.SCHEMES.get(scheme)
+    if spec is None:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     p = cfg["policy"]
     try:
-        if scheme == "tep":
-            return system.TepPolicy(
-                alpha_t=float(p["tep_alpha_t"]),
-                alpha_r=float(p["tep_alpha_r"]),
-                alpha_ap=float(p["tep_alpha_ap"]),
-                beta_t=float(p["tep_beta_t"]),
-                beta_r=float(p["tep_beta_r"]),
-            )
-        if scheme == "eep":
-            return system.EepPolicy(
-                alpha_et=float(p["eep_alpha_et"]),
-                alpha_it=float(p["eep_alpha_it"]),
-                beta_t=float(p["eep_beta_t"]),
-                beta_r=float(p["eep_beta_r"]),
-            )
-        if scheme == "tdma":
-            return system.TdmaPolicy(
-                alpha_t=float(p["tdma_alpha_t"]),
-                alpha_r=float(p["tdma_alpha_r"]),
-                alpha_ap_t=float(p["tdma_alpha_ap_t"]),
-                alpha_ap_r=float(p["tdma_alpha_ap_r"]),
-            )
+        return spec.policy(**{name: float(p[f"{scheme}_{name}"]) for name in _field_names(spec.policy)})
     except ValueError as exc:
         raise ConfigError(f"invalid {scheme} policy: {exc}")
-    raise ConfigError(f"unknown scheme {scheme!r}")
+
+
+def _field_names(policy_cls) -> list:
+    return [f.name for f in dataclasses.fields(policy_cls)]
+
+
+def _quad_rule(cfg: dict):
+    try:
+        return gauss_hermite_rule(_get_int(cfg, "quadrature", "gh_order"))
+    except ValueError as exc:
+        raise ConfigError(f"quadrature.gh_order: {exc}")
 
 
 def parse_grid(text: str, as_int: bool = False):
@@ -230,8 +222,11 @@ def parse_grid(text: str, as_int: bool = False):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
-        if step <= 0 or stop < start:
+        try:
+            start, stop, step = (float(x) for x in parts)
+        except ValueError:
+            raise ConfigError(f"range grid values must be numbers, got {text!r}")
+        if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
             raise ConfigError(f"bad grid range {text!r}")
         count = int(round((stop - start) / step))
         values = [start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-9]
@@ -240,6 +235,8 @@ def parse_grid(text: str, as_int: bool = False):
             values = [float(x) for x in text.split(",") if x.strip()]
         except ValueError:
             raise ConfigError(f"grid values must be numbers, got {text!r}")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"grid values must be finite, got {text!r}")
     if not values:
         raise ConfigError("sweep grid is empty")
     if as_int:
@@ -259,8 +256,7 @@ def _apply_sweep(cfg: dict, var: str, value, schemes) -> dict:
     elif var == "rate":
         out["system"]["rate_bps_hz"] = repr(float(value))
     elif var == "alpha":
-        if "tdma" in schemes:
-            raise ConfigError("the alpha sweep applies to tep/eep only")
+        _check_sweep_schemes(var, schemes, lambda spec: spec.noma)
         v = float(value)
         remainder = (1.0 - v) / 2.0
         out["policy"]["tep_alpha_ap"] = repr(v)
@@ -269,10 +265,9 @@ def _apply_sweep(cfg: dict, var: str, value, schemes) -> dict:
         out["policy"]["eep_alpha_it"] = repr(v)
         out["policy"]["eep_alpha_et"] = repr(1.0 - v)
     elif var == "beta_r":
-        if "tdma" in schemes:
-            raise ConfigError("the beta_r sweep applies to tep/eep only")
+        _check_sweep_schemes(var, schemes, lambda spec: "beta_r" in _field_names(spec.policy))
         v = float(value)
-        for scheme in ("tep", "eep"):
+        for scheme in schemes:
             out["policy"][f"{scheme}_beta_r"] = repr(v)
             out["policy"][f"{scheme}_beta_t"] = repr(1.0 - v)
     else:
@@ -280,25 +275,27 @@ def _apply_sweep(cfg: dict, var: str, value, schemes) -> dict:
     return out
 
 
+def _check_sweep_schemes(var: str, schemes, accepts) -> None:
+    """alpha sets the one shared uplink share of NOMA; beta_r, the surface split."""
+    for scheme in schemes:
+        if not accepts(system.SCHEMES[scheme]):
+            raise ConfigError(f"the {var} sweep does not apply to scheme {scheme!r}")
+
+
 def _csv_num(value) -> str:
     return format(float(value), ".17g")
 
 
 def _analytic_metrics(scheme, config, policy, quad) -> dict:
-    if scheme == "tdma":
-        pair = analytics.outage_tdma(config, policy)
-        phi = analytics.success_prob("tdma", config, policy)
-    else:
-        rep = analytics.perf_report(scheme, config, policy, quad)
-        pair, phi = (rep.p_out_t, rep.p_out_r), rep.success_prob
+    rep = analytics.perf_report(scheme, config, policy, quad)
     return {
-        "outage_t": pair[0],
-        "outage_r": pair[1],
-        "throughput_t": analytics.user_throughput(scheme, "t", pair[0], config.rate, policy),
-        "throughput_r": analytics.user_throughput(scheme, "r", pair[1], config.rate, policy),
-        "sum_throughput": analytics.sum_throughput(scheme, pair, config.rate, policy),
-        "phi": phi,
-        "aoi": analytics.average_aoi(phi),
+        "outage_t": rep.p_out_t,
+        "outage_r": rep.p_out_r,
+        "throughput_t": analytics.user_throughput(scheme, "t", rep.p_out_t, config.rate, policy),
+        "throughput_r": analytics.user_throughput(scheme, "r", rep.p_out_r, config.rate, policy),
+        "sum_throughput": rep.sum_throughput,
+        "phi": rep.success_prob,
+        "aoi": rep.avg_aoi,
     }
 
 
@@ -341,7 +338,7 @@ def cmd_run(cfg: dict) -> dict:
     exp = cfg["experiment"]
     schemes = [s.strip() for s in exp["schemes"].split(",") if s.strip()]
     if not schemes or any(s not in system.SCHEMES for s in schemes):
-        raise ConfigError(f"schemes must be a non-empty subset of {system.SCHEMES}")
+        raise ConfigError(f"schemes must be a non-empty subset of {tuple(system.SCHEMES)}")
     metrics = [m.strip() for m in exp["metrics"].split(",") if m.strip()]
     if not metrics:
         raise ConfigError("metrics list is empty")
@@ -358,7 +355,7 @@ def cmd_run(cfg: dict) -> dict:
     threads = _get_int(cfg, "experiment", "threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    quad = gauss_hermite_rule(_get_int(cfg, "quadrature", "gh_order"))
+    quad = _quad_rule(cfg)
 
     mc_cfg = None
     gains_cache = {}
@@ -421,6 +418,8 @@ def cmd_optimize(cfg: dict) -> dict:
     if "delta_th" not in ga_sec:
         raise ConfigError("ga.delta_th is required for optimize (age threshold, slots)")
     delta_th = _get_float(cfg, "ga", "delta_th")
+    if not delta_th > 1.0:
+        raise ConfigError(f"ga.delta_th must exceed 1 (an average age in slots), got {delta_th}")
     problems = [p.strip().lower() for p in ga_sec["problems"].split(",") if p.strip()]
     if not problems:
         raise ConfigError("ga.problems is empty")
@@ -442,7 +441,7 @@ def cmd_optimize(cfg: dict) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid GA configuration: {exc}")
-    quad = gauss_hermite_rule(_get_int(cfg, "quadrature", "gh_order"))
+    quad = _quad_rule(cfg)
 
     header = [
         "n_elements",

@@ -94,9 +94,9 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
 def _decode_events(scheme: str, config: system.SystemConfig, policy, gains):
     gamma_t, gamma_r = system.uplink_snrs(scheme, policy, config, *gains)
     g = config.snr_threshold
-    if scheme.lower() == "tdma":
-        return gamma_t >= g, gamma_r >= g
-    return system.sic_outcome(gamma_t, gamma_r, g)
+    if system.scheme_spec(scheme).noma:
+        return system.sic_outcome(gamma_t, gamma_r, g)
+    return gamma_t >= g, gamma_r >= g
 
 
 def _rate_and_se(events: np.ndarray):

@@ -31,8 +31,17 @@ VAR_LO = 0.01
 VAR_HI = 0.99
 
 _AOI_CAP = 1e12  # age assigned when the success probability underflows
+_CHUNK = 4096  # rows per kernel call in evaluate_batch
 
 PROBLEM_SCHEME = {"p1": "tep", "p2": "eep"}
+
+# GA variables (alpha, beta_r) -> policy fields, for scalars or arrays
+_POLICY_FIELDS = {
+    "tep": lambda a, b: dict(
+        alpha_t=(1.0 - a) / 2.0, alpha_r=(1.0 - a) / 2.0, alpha_ap=a, beta_t=1.0 - b, beta_r=b
+    ),
+    "eep": lambda a, b: dict(alpha_et=a, alpha_it=1.0 - a, beta_t=1.0 - b, beta_r=b),
+}
 
 
 @dataclass(frozen=True)
@@ -74,18 +83,15 @@ class Allocation:
 
     alpha is the uplink fraction alpha_ap for the time-switching scheme and
     the charging fraction alpha_et for the energy-splitting scheme.  The
-    remaining protocol fractions follow from the equality constraints; the
-    extended four-variable mode may override the tied charging fractions.
+    remaining protocol fractions follow from the equality constraints.
     """
 
     scheme: str
     alpha: float
     beta_r: float
-    alpha_t: float = None
-    alpha_r: float = None
 
     def __post_init__(self):
-        if self.scheme not in ("tep", "eep"):
+        if self.scheme not in _POLICY_FIELDS:
             raise ValueError(f"scheme must be 'tep' or 'eep', got {self.scheme!r}")
         for name in ("alpha", "beta_r"):
             v = getattr(self, name)
@@ -93,22 +99,8 @@ class Allocation:
                 raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
 
     def policy(self):
-        if self.scheme == "tep":
-            alpha_t = (1.0 - self.alpha) / 2.0 if self.alpha_t is None else self.alpha_t
-            alpha_r = (1.0 - self.alpha) / 2.0 if self.alpha_r is None else self.alpha_r
-            return system.TepPolicy(
-                alpha_t=alpha_t,
-                alpha_r=alpha_r,
-                alpha_ap=self.alpha,
-                beta_t=1.0 - self.beta_r,
-                beta_r=self.beta_r,
-            )
-        return system.EepPolicy(
-            alpha_et=self.alpha,
-            alpha_it=1.0 - self.alpha,
-            beta_t=1.0 - self.beta_r,
-            beta_r=self.beta_r,
-        )
+        fields = _POLICY_FIELDS[self.scheme](self.alpha, self.beta_r)
+        return system.SCHEMES[self.scheme].policy(**fields)
 
 
 @dataclass(frozen=True)
@@ -160,35 +152,6 @@ def decode(bits: np.ndarray, scheme: str, bits_per_var: int = 16) -> Allocation:
     return Allocation(scheme=scheme, alpha=float(alpha), beta_r=float(beta_r))
 
 
-def _batch_policies(scheme: str, values: np.ndarray, extended: bool):
-    """Vectorized policy views (plain namespaces) for coefficient formulas."""
-    if scheme == "tep":
-        if extended:
-            raw = values[:, :3]
-            share = raw / raw.sum(axis=1, keepdims=True)
-            alpha_t, alpha_r, alpha_ap = share[:, 0], share[:, 1], share[:, 2]
-            beta_r = values[:, 3]
-        else:
-            alpha_ap = values[:, 0]
-            alpha_t = alpha_r = (1.0 - alpha_ap) / 2.0
-            beta_r = values[:, 1]
-        return SimpleNamespace(
-            alpha_t=alpha_t,
-            alpha_r=alpha_r,
-            alpha_ap=alpha_ap,
-            beta_t=1.0 - beta_r,
-            beta_r=beta_r,
-        )
-    alpha_et = values[:, 0]
-    beta_r = values[:, 1]
-    return SimpleNamespace(
-        alpha_et=alpha_et,
-        alpha_it=1.0 - alpha_et,
-        beta_t=1.0 - beta_r,
-        beta_r=beta_r,
-    )
-
-
 def evaluate_batch(
     scheme: str,
     config: system.SystemConfig,
@@ -196,25 +159,22 @@ def evaluate_batch(
     delta_th: float,
     quad: QuadratureRule,
     penalty_coef: float,
-    extended: bool = False,
-    chunk: int = 4096,
 ):
-    """Penalized fitness, raw throughput, and age for rows of variables."""
+    """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     fit_t = analytics.fit_for_user(config, "t")
     fit_r = analytics.fit_for_user(config, "r")
     fitness = np.empty(values.shape[0])
     throughput = np.empty(values.shape[0])
     aoi = np.empty(values.shape[0])
-    for start in range(0, values.shape[0], chunk):
-        rows = values[start : start + chunk]
-        pol = _batch_policies(scheme, rows, extended)
+    for start in range(0, values.shape[0], _CHUNK):
+        rows = values[start : start + _CHUNK]
+        pol = SimpleNamespace(**_POLICY_FIELDS[scheme](rows[:, 0], rows[:, 1]))
         c_t, c_r = system.snr_coefficients(scheme, pol, config)
         p_t, p_r, phi = analytics.noma_metrics_batch(
             fit_t, fit_r, c_t, c_r, config.snr_threshold, quad
         )
-        duration = pol.alpha_ap if scheme == "tep" else pol.alpha_it
-        tput = config.rate * duration * (2.0 - p_t - p_r)
+        tput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, pol)
         age = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
         sl = slice(start, start + rows.shape[0])
         throughput[sl] = tput
@@ -233,15 +193,8 @@ def penalized_fitness(
     """Throughput minus the linear age-violation penalty for one allocation."""
     if not (delta_th > 1.0):
         raise ValueError(f"delta_th must exceed 1, got {delta_th}")
-    extended = alloc.scheme == "tep" and alloc.alpha_t is not None
-    if extended:
-        pol = alloc.policy()
-        values = np.array([[pol.alpha_t, pol.alpha_r, pol.alpha_ap, pol.beta_r]])
-    else:
-        values = np.array([[alloc.alpha, alloc.beta_r]])
-    fitness, _, _ = evaluate_batch(
-        alloc.scheme, config, values, delta_th, quad, penalty_coef, extended=extended
-    )
+    values = np.array([[alloc.alpha, alloc.beta_r]])
+    fitness, _, _ = evaluate_batch(alloc.scheme, config, values, delta_th, quad, penalty_coef)
     return float(fitness[0])
 
 
@@ -282,7 +235,6 @@ def ga_run(
     delta_th: float,
     ga: GaConfig,
     quad: QuadratureRule = None,
-    extended: bool = False,
 ) -> GaResult:
     """Run the GA and return the best allocation with its audit trail.
 
@@ -292,12 +244,9 @@ def ga_run(
     if not (delta_th > 1.0):
         raise ValueError(f"delta_th must exceed 1, got {delta_th}")
     scheme = _problem_scheme(problem)
-    if extended and scheme != "tep":
-        raise ValueError("the four-variable extended mode applies to P1 only")
     if quad is None:
         quad = gauss_hermite_rule(30)
-    nvar = 4 if extended else 2
-    width = nvar * ga.bits_per_var
+    width = 2 * ga.bits_per_var
     rng = np.random.default_rng(np.random.SeedSequence(ga.seed))
     pop = rng.integers(0, 2, size=(ga.population, width), dtype=np.uint8)
 
@@ -316,9 +265,7 @@ def ga_run(
         fresh = [i for i, k in enumerate(keys) if k not in memo]
         if fresh:
             values = _bits_to_unit(rows[fresh], ga.bits_per_var)
-            fit, tput, age = evaluate_batch(
-                scheme, config, values, delta_th, quad, ga.penalty_coef, extended=extended
-            )
+            fit, tput, age = evaluate_batch(scheme, config, values, delta_th, quad, ga.penalty_coef)
             for j, i in enumerate(fresh):
                 memo[keys[i]] = (float(fit[j]), float(tput[j]), float(age[j]))
         return np.array([memo[k][0] for k in keys])
@@ -373,20 +320,8 @@ def ga_run(
         chosen = least_bits.tobytes() if least_bits is not None else best_bits.tobytes()
         feasible = False
     fit_val, tput_val, age_val = memo[chosen]
-    values = _bits_to_unit(np.frombuffer(chosen, dtype=np.uint8)[None, :], ga.bits_per_var)[0]
-    if extended:
-        raw = values[:3] / values[:3].sum()
-        alloc = Allocation(
-            scheme=scheme,
-            alpha=float(raw[2]),
-            beta_r=float(values[3]),
-            alpha_t=float(raw[0]),
-            alpha_r=float(raw[1]),
-        )
-    else:
-        alloc = Allocation(scheme=scheme, alpha=float(values[0]), beta_r=float(values[1]))
     return GaResult(
-        best=alloc,
+        best=decode(np.frombuffer(chosen, dtype=np.uint8), scheme, ga.bits_per_var),
         best_fitness=fit_val,
         best_throughput=tput_val,
         feasible=feasible,

@@ -1,4 +1,4 @@
-"""System model: geometry, protocol policies, harvested energy, uplink SNRs, SIC.
+"""System model: geometry, protocol policies, the scheme table, uplink SNRs, SIC.
 
 Two energy-constrained users (tagged "t" for the transmitted-side user and
 "r" for the reflected-side user) harvest downlink power through a surface
@@ -11,16 +11,17 @@ protocols are modeled:
 
 All block times are normalized to 1.  The combined channel of user x is the
 co-phased magnitude sum G_x = sum_i h_i g_{x,i}; harvested energy scales with
-G_x**2 and the uplink SNR with G_x**4.
+G_x**2 and the uplink SNR with G_x**4.  The schemes differ only in what the
+scheme table `SCHEMES` records for each of them.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channel import NakagamiParams
 
-SCHEMES = ("tep", "eep", "tdma")
 _SUM_TOL = 1e-9
 
 
@@ -141,15 +142,6 @@ class TdmaPolicy:
             raise ValueError("alpha_ap_t + alpha_ap_r must equal 1 - alpha_t - alpha_r")
 
 
-@dataclass(frozen=True)
-class DecodeOrder:
-    """SIC decode order: which user is decoded first, and whether the rule's
-    catch-all branch fired (neither or both cross-SINR conditions held)."""
-
-    first: str  # "t" or "r"
-    ambiguous: bool
-
-
 def pathloss(config: SystemConfig, user: str) -> float:
     """Cascaded path loss l_x = 1 / (d0^exp0 * d_x^exp_x)."""
     if user == "t":
@@ -159,32 +151,57 @@ def pathloss(config: SystemConfig, user: str) -> float:
     raise ValueError(f"user must be 't' or 'r', got {user!r}")
 
 
-def _check_scheme(scheme: str, allowed=SCHEMES) -> str:
-    s = scheme.lower()
-    if s not in allowed:
-        raise ValueError(f"scheme must be one of {allowed}, got {scheme!r}")
-    return s
+@dataclass(frozen=True)
+class Scheme:
+    """Everything that sets one protocol apart from the others.
 
+    policy     the scheme's policy dataclass
+    noma       True when both users send in one uplink slot and the access
+               point separates them by SIC; False for orthogonal slots
+    shares     policy -> (share_t, share_r), each user's uplink time share
+    snr_scale  (policy, k_t, k_r) -> user x's received power k_x = P * l_x^2
+               times its SNR factor; the SNR coefficient is that product over
+               share_x * N0 (see snr_coefficients)
 
-def harvested_energy(scheme: str, policy, config: SystemConfig, g_t, g_r):
-    """Per-user harvested energy (X_t, X_r) for realized gains, block time 1.
-
-    tep: the full surface charges user x for a fraction alpha_x,
-         X_x = P * l_x * G_x^2 * alpha_x.
-    eep: both users charge together for alpha_et, each through its share
-         beta_x of the surface, X_x = P * l_x * beta_x * G_x^2 * alpha_et.
+    Both functions read policy attributes only, so they also work on plain
+    namespaces whose attributes are arrays.
     """
-    s = _check_scheme(scheme, ("tep", "eep"))
-    g_t = np.asarray(g_t, dtype=float)
-    g_r = np.asarray(g_r, dtype=float)
-    l_t, l_r = pathloss(config, "t"), pathloss(config, "r")
-    if s == "tep":
-        x_t = config.p_ap * l_t * g_t**2 * policy.alpha_t
-        x_r = config.p_ap * l_r * g_r**2 * policy.alpha_r
-    else:
-        x_t = config.p_ap * l_t * policy.beta_t * g_t**2 * policy.alpha_et
-        x_r = config.p_ap * l_r * policy.beta_r * g_r**2 * policy.alpha_et
-    return x_t, x_r
+
+    policy: type
+    noma: bool
+    shares: Callable
+    snr_scale: Callable
+
+
+# the scheme table, keyed by scheme name
+SCHEMES = {
+    "tep": Scheme(
+        TepPolicy,
+        noma=True,
+        shares=lambda p: (p.alpha_ap, p.alpha_ap),
+        snr_scale=lambda p, k_t, k_r: (k_t * p.beta_t * p.alpha_t, k_r * p.beta_r * p.alpha_r),
+    ),
+    "eep": Scheme(
+        EepPolicy,
+        noma=True,
+        shares=lambda p: (p.alpha_it, p.alpha_it),
+        snr_scale=lambda p, k_t, k_r: (k_t * p.beta_t**2 * p.alpha_et, k_r * p.beta_r**2 * p.alpha_et),
+    ),
+    "tdma": Scheme(
+        TdmaPolicy,
+        noma=False,
+        shares=lambda p: (p.alpha_ap_t, p.alpha_ap_r),
+        snr_scale=lambda p, k_t, k_r: (k_t * p.alpha_t, k_r * p.alpha_r),
+    ),
+}
+
+
+def scheme_spec(scheme: str) -> Scheme:
+    """Table entry of a scheme name (case-insensitive)."""
+    try:
+        return SCHEMES[scheme.lower()]
+    except KeyError:
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}") from None
 
 
 def snr_coefficients(scheme: str, policy, config: SystemConfig):
@@ -196,20 +213,16 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
     tep:  c_x = P * l_x^2 * beta_x * alpha_x / (alpha_ap * N0)
     eep:  c_x = P * l_x^2 * beta_x^2 * alpha_et / (alpha_it * N0)
     tdma: c_x = P * l_x^2 * alpha_x / (alpha_ap_x * N0)
+
+    The denominator is always the user's uplink share; the products are
+    formed left to right in this order, so outputs stay bit-stable.
     """
-    s = _check_scheme(scheme)
-    l_t, l_r = pathloss(config, "t"), pathloss(config, "r")
-    p, n0 = config.p_ap, config.n0
-    if s == "tep":
-        c_t = p * l_t**2 * policy.beta_t * policy.alpha_t / (policy.alpha_ap * n0)
-        c_r = p * l_r**2 * policy.beta_r * policy.alpha_r / (policy.alpha_ap * n0)
-    elif s == "eep":
-        c_t = p * l_t**2 * policy.beta_t**2 * policy.alpha_et / (policy.alpha_it * n0)
-        c_r = p * l_r**2 * policy.beta_r**2 * policy.alpha_et / (policy.alpha_it * n0)
-    else:
-        c_t = p * l_t**2 * policy.alpha_t / (policy.alpha_ap_t * n0)
-        c_r = p * l_r**2 * policy.alpha_r / (policy.alpha_ap_r * n0)
-    return c_t, c_r
+    spec = scheme_spec(scheme)
+    k_t = config.p_ap * pathloss(config, "t") ** 2
+    k_r = config.p_ap * pathloss(config, "r") ** 2
+    e_t, e_r = spec.snr_scale(policy, k_t, k_r)
+    s_t, s_r = spec.shares(policy)
+    return e_t / (s_t * config.n0), e_r / (s_r * config.n0)
 
 
 def uplink_snrs(scheme: str, policy, config: SystemConfig, g_t, g_r):
@@ -218,25 +231,6 @@ def uplink_snrs(scheme: str, policy, config: SystemConfig, g_t, g_r):
     g_t = np.asarray(g_t, dtype=float)
     g_r = np.asarray(g_r, dtype=float)
     return c_t * g_t**4, c_r * g_r**4
-
-
-def decode_order(gamma_t: float, gamma_r: float, gamma_th: float) -> DecodeOrder:
-    """SIC ordering rule on the cross SINRs.
-
-    Decode t first when gamma_t/(gamma_r+1) clears the threshold and the
-    mirrored condition does not; r first in the mirrored case.  When neither
-    or both clear, either order gives the same per-user outcomes, so the
-    catch-all deterministically picks t-first and sets the ambiguity flag.
-    """
-    if gamma_th <= 0:
-        raise ValueError(f"gamma_th must be > 0, got {gamma_th}")
-    t_cross = gamma_t / (gamma_r + 1.0) >= gamma_th
-    r_cross = gamma_r / (gamma_t + 1.0) >= gamma_th
-    if t_cross and not r_cross:
-        return DecodeOrder(first="t", ambiguous=False)
-    if r_cross and not t_cross:
-        return DecodeOrder(first="r", ambiguous=False)
-    return DecodeOrder(first="t", ambiguous=True)
 
 
 def sic_outcome(gamma_t, gamma_r, gamma_th: float):

@@ -94,9 +94,9 @@ def test_criterion_2_outage_matches_monte_carlo():
     for snr in SNR_GRID:
         cfg = make_config(snr, 1.0, 30)
         ana = {
-            "tep": analytics.outage_tep(cfg, TEP_D, QUAD),
-            "eep": analytics.outage_eep(cfg, EEP_D, QUAD),
-            "tdma": analytics.outage_tdma(cfg, TDMA_D),
+            "tep": analytics.outage("tep", cfg, TEP_D, QUAD),
+            "eep": analytics.outage("eep", cfg, EEP_D, QUAD),
+            "tdma": analytics.outage("tdma", cfg, TDMA_D),
         }
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D), ("tdma", TDMA_D)):
             p_t, p_r, se_t, se_r = mc_outage(scheme, cfg, pol, mc, gains=gains)
@@ -130,9 +130,9 @@ def test_criterion_3_outage_orderings_at_40db():
     # At 40 dB (N=30, R=1): EEP beats TEP for the near user, TEP beats EEP
     # for the far user, and TDMA beats both NOMA schemes per user.
     cfg = make_config(40.0, 1.0, 30)
-    tep = analytics.outage_tep(cfg, TEP_D, QUAD)
-    eep = analytics.outage_eep(cfg, EEP_D, QUAD)
-    tdma = analytics.outage_tdma(cfg, TDMA_D)
+    tep = analytics.outage("tep", cfg, TEP_D, QUAD)
+    eep = analytics.outage("eep", cfg, EEP_D, QUAD)
+    tdma = analytics.outage("tdma", cfg, TDMA_D)
     checks = {
         "eep_t < tep_t": eep[0] < tep[0],
         "tep_r < eep_r": tep[1] < eep[1],
@@ -157,9 +157,9 @@ def test_criterion_4_single_throughput_crossover():
     for snr in SNR_GRID:
         cfg = make_config(snr, 2.0, 30)
         t_tep = analytics.sum_throughput(
-            "tep", analytics.outage_tep(cfg, TEP_D, QUAD), 2.0, TEP_D)
+            "tep", analytics.outage("tep", cfg, TEP_D, QUAD), 2.0, TEP_D)
         t_eep = analytics.sum_throughput(
-            "eep", analytics.outage_eep(cfg, EEP_D, QUAD), 2.0, EEP_D)
+            "eep", analytics.outage("eep", cfg, EEP_D, QUAD), 2.0, EEP_D)
         rows.append((snr, t_tep, t_eep))
     diffs = [t - e for _, t, e in rows]
     signs = [np.sign(d) for d in diffs]
@@ -193,8 +193,7 @@ def test_criterion_5_throughput_unimodality():
         ys = {"t": [], "r": []}
         for rate in r_grid:
             cfg = make_config(40.0, float(rate), 30)
-            pair = (analytics.outage_tep(cfg, pol, QUAD) if scheme == "tep"
-                    else analytics.outage_eep(cfg, pol, QUAD))
+            pair = analytics.outage(scheme, cfg, pol, QUAD)
             ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], float(rate), pol))
             ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], float(rate), pol))
         for user, y in ys.items():
@@ -207,10 +206,9 @@ def test_criterion_5_throughput_unimodality():
             if scheme == "tep":
                 rem = (1.0 - float(a)) / 2.0
                 pol = system.TepPolicy(rem, rem, float(a), 0.4, 0.6)
-                pair = analytics.outage_tep(cfg, pol, QUAD)
             else:
                 pol = system.EepPolicy(1.0 - float(a), float(a), 0.4, 0.6)
-                pair = analytics.outage_eep(cfg, pol, QUAD)
+            pair = analytics.outage(scheme, cfg, pol, QUAD)
             ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], 2.0, pol))
             ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], 2.0, pol))
         for user, y in ys.items():
@@ -343,11 +341,10 @@ def test_criterion_9_numerical_hygiene():
     worst = 0.0
     for snr in SNR_GRID:
         cfg = make_config(snr, 1.0, 30)
-        for fn, pol in ((analytics.outage_tep, TEP_D), (analytics.outage_eep, EEP_D)):
-            a = fn(cfg, pol, QUAD)
-            b = fn(cfg, pol, q40)
-            worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D)):
+            a = analytics.outage(scheme, cfg, pol, QUAD)
+            b = analytics.outage(scheme, cfg, pol, q40)
+            worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
             worst = max(worst, abs(analytics.success_prob(scheme, cfg, pol, QUAD)
                                    - analytics.success_prob(scheme, cfg, pol, q40)))
     rng = np.random.default_rng(987654321)

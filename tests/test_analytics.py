@@ -13,12 +13,9 @@ from starwpn.analytics import (
     average_aoi,
     clamp_stats,
     noma_metrics_batch,
-    outage_eep,
-    outage_tdma,
-    outage_tep,
+    outage,
     perf_report,
     residual_integral,
-    scheme_constants,
     success_prob,
     sum_throughput,
     user_throughput,
@@ -108,7 +105,7 @@ def test_outage_tep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=35.0, rate=2.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage_tep(cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
     assert abs(p_t - ref_t) < 1e-6 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
     phi = success_prob("tep", cfg, TEP, QUAD)
@@ -119,7 +116,7 @@ def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=30.0, rate=1.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage_eep(cfg, EEP, QUAD)
+    p_t, p_r = outage("eep", cfg, EEP, QUAD)
     assert abs(p_t - ref_t) < 1e-7 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
     phi = success_prob("eep", cfg, EEP, QUAD)
@@ -135,7 +132,7 @@ def test_outage_below_unity_threshold_matches_quadrature():
     # the oracle's deadlock integrand is signed, so its outputs miss the
     # both-decodable-first overlap mass j in a fixed pattern: each outage is
     # low by j and the success probability is high by j
-    p_t, p_r = outage_tep(cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
     phi = success_prob("tep", cfg, TEP, QUAD)
     j1 = p_t - ref_t
     j2 = p_r - ref_r
@@ -150,20 +147,20 @@ def test_outage_below_unity_threshold_matches_quadrature():
 
 def test_frozen_reference_values():
     cfg = make_config(snr_db=35.0, rate=1.0)
-    p_t, p_r = outage_tep(cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
     assert abs(p_r - 1.569143411059e-01) < 1e-9 * 1.569143411059e-01
     assert abs(p_t - 3.791373880205e-08) < 1e-6 * 3.791373880205e-08
-    p_t20, _ = outage_tep(make_config(snr_db=20.0, rate=1.0), TEP, QUAD)
+    p_t20, _ = outage("tep", make_config(snr_db=20.0, rate=1.0), TEP, QUAD)
     assert abs(p_t20 - 4.265677070e-01) < 1e-6
 
 
 def test_outage_vanishing_threshold():
     cfg = make_config(rate=1e-9)
-    p_t, p_r = outage_tep(cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
     assert p_t < 1e-6 and p_r < 1e-6
-    p_t, p_r = outage_eep(cfg, EEP, QUAD)
+    p_t, p_r = outage("eep", cfg, EEP, QUAD)
     assert p_t < 1e-6 and p_r < 1e-6
-    p_t, p_r = outage_tdma(cfg, TDMA)
+    p_t, p_r = outage("tdma", cfg, TDMA)
     assert p_t < 1e-200 and p_r < 1e-200
     assert success_prob("tep", cfg, TEP, QUAD) > 1.0 - 1e-6
     assert success_prob("tdma", cfg, TDMA) > 1.0 - 1e-6
@@ -171,14 +168,14 @@ def test_outage_vanishing_threshold():
 
 def test_outage_vanishing_power():
     cfg = make_config(snr_db=-40.0)
-    for pair in (outage_tep(cfg, TEP, QUAD), outage_eep(cfg, EEP, QUAD), outage_tdma(cfg, TDMA)):
+    for pair in (outage("tep", cfg, TEP, QUAD), outage("eep", cfg, EEP, QUAD), outage("tdma", cfg, TDMA)):
         assert pair[0] > 1.0 - 1e-6 and pair[1] > 1.0 - 1e-6
 
 
 def test_eep_symmetric_users():
     cfg = make_config(d_t=3.0, d_r=3.0)
     pol = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.5, beta_r=0.5)
-    p_t, p_r = outage_eep(cfg, pol, QUAD)
+    p_t, p_r = outage("eep", cfg, pol, QUAD)
     assert abs(p_t - p_r) < 1e-10
 
 
@@ -188,14 +185,14 @@ def test_eep_beta_shift_lowers_outage():
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     for snr in (25.0, 30.0, 35.0, 40.0):
         cfg = make_config(snr_db=snr)
-        _, pr_lo = outage_eep(cfg, base, QUAD)
-        _, pr_hi = outage_eep(cfg, boosted, QUAD)
+        _, pr_lo = outage("eep", cfg, base, QUAD)
+        _, pr_hi = outage("eep", cfg, boosted, QUAD)
         assert pr_hi < pr_lo
     # at 20 dB both sit within representation noise of 1; only require that
     # the shift does not measurably hurt
     cfg = make_config(snr_db=20.0)
-    _, pr_lo = outage_eep(cfg, base, QUAD)
-    _, pr_hi = outage_eep(cfg, boosted, QUAD)
+    _, pr_lo = outage("eep", cfg, base, QUAD)
+    _, pr_hi = outage("eep", cfg, boosted, QUAD)
     assert pr_hi <= pr_lo + 1e-12
 
 
@@ -206,8 +203,8 @@ def test_eep_beta_shift_reverses_when_deadlock_dominates():
     base = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     cfg = make_config(snr_db=50.0)
-    p_lo = outage_eep(cfg, base, QUAD)
-    p_hi = outage_eep(cfg, boosted, QUAD)
+    p_lo = outage("eep", cfg, base, QUAD)
+    p_hi = outage("eep", cfg, boosted, QUAD)
     assert p_hi[1] > p_lo[1]
     assert abs(p_hi[1] - 1.303448e-05) < 1e-3 * 1.303448e-05
     # pure deadlock regime: both users fail together
@@ -217,8 +214,8 @@ def test_eep_beta_shift_reverses_when_deadlock_dominates():
 def test_tdma_alpha_halving():
     cfg = make_config()
     half = system.TdmaPolicy(alpha_t=0.125, alpha_r=0.375, alpha_ap_t=0.25, alpha_ap_r=0.25)
-    p_full = outage_tdma(cfg, TDMA)[0]
-    p_half = outage_tdma(cfg, half)[0]
+    p_full = outage("tdma", cfg, TDMA)[0]
+    p_half = outage("tdma", cfg, half)[0]
     assert p_half > p_full
 
 
@@ -226,8 +223,8 @@ def test_mirror_symmetry():
     cfg = make_config(snr_db=35.0, rate=2.0)
     mirror = make_config(snr_db=35.0, rate=2.0, d_t=4.0, d_r=2.0)
     pol_m = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.4, beta_r=0.6)
-    p = outage_tep(cfg, TEP, QUAD)
-    q = outage_tep(mirror, pol_m, QUAD)
+    p = outage("tep", cfg, TEP, QUAD)
+    q = outage("tep", mirror, pol_m, QUAD)
     assert abs(p[0] - q[1]) < 1e-10
     assert abs(p[1] - q[0]) < 1e-10
 
@@ -236,13 +233,13 @@ def test_outage_monotone_in_snr_and_elements():
     tep_prev = (1.1, 1.1)
     for snr in range(20, 55, 5):
         cfg = make_config(snr_db=float(snr))
-        pair = outage_tep(cfg, TEP, QUAD)
+        pair = outage("tep", cfg, TEP, QUAD)
         assert pair[0] <= tep_prev[0] + 1e-12
         assert pair[1] <= tep_prev[1] + 1e-12
         tep_prev = pair
     prev = (1.1, 1.1)
     for n in (10, 20, 30, 40):
-        pair = outage_tep(make_config(n=n), TEP, QUAD)
+        pair = outage("tep", make_config(n=n), TEP, QUAD)
         assert pair[0] <= prev[0] + 1e-12
         assert pair[1] <= prev[1] + 1e-12
         prev = pair
@@ -253,9 +250,9 @@ def test_quadrature_order_stability():
     w30 = gauss_hermite_rule(30)
     w40 = gauss_hermite_rule(40)
     cfg = make_config()
-    for fn, pol in ((outage_tep, TEP), (outage_eep, EEP)):
-        a = fn(cfg, pol, w30)
-        b = fn(cfg, pol, w40)
+    for scheme, pol in (("tep", TEP), ("eep", EEP)):
+        a = outage(scheme, cfg, pol, w30)
+        b = outage(scheme, cfg, pol, w40)
         assert abs(a[0] - b[0]) < 1e-6
         assert abs(a[1] - b[1]) < 1e-6
     assert abs(success_prob("tep", cfg, TEP, w30) - success_prob("tep", cfg, TEP, w40)) < 1e-6
@@ -278,9 +275,9 @@ def test_sum_throughput_forms():
 
 def test_noma_beats_baseline_at_high_snr():
     cfg = make_config(snr_db=40.0, rate=2.0)
-    t_tep = sum_throughput("tep", outage_tep(cfg, TEP, QUAD), cfg.rate, TEP)
-    t_eep = sum_throughput("eep", outage_eep(cfg, EEP, QUAD), cfg.rate, EEP)
-    t_tdma = sum_throughput("tdma", outage_tdma(cfg, TDMA), cfg.rate, TDMA)
+    t_tep = sum_throughput("tep", outage("tep", cfg, TEP, QUAD), cfg.rate, TEP)
+    t_eep = sum_throughput("eep", outage("eep", cfg, EEP, QUAD), cfg.rate, EEP)
+    t_tdma = sum_throughput("tdma", outage("tdma", cfg, TDMA), cfg.rate, TDMA)
     assert t_tep > t_tdma
     assert t_eep > t_tdma
 
@@ -341,22 +338,25 @@ def test_residual_integral_error_paths():
         residual_integral(lambda x: np.sin(1e9 * x), 1.0, rel_tol=1e-14)
 
 
-def test_success_prob_requires_rule_for_noma():
-    with pytest.raises(ValueError):
-        success_prob("tep", make_config(), TEP)
+def test_success_prob_default_rule():
+    # no rule means the 30-node Gauss-Hermite rule, as in perf_report
+    cfg = make_config()
+    for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
+        assert success_prob(scheme, cfg, pol) == success_prob(scheme, cfg, pol, QUAD)
+        assert outage(scheme, cfg, pol) == outage(scheme, cfg, pol, QUAD)
 
 
 def test_success_prob_bounded_by_marginals():
     for snr in (25.0, 30.0, 35.0):
         cfg = make_config(snr_db=snr, rate=2.0)
-        p_t, p_r = outage_tep(cfg, TEP, QUAD)
+        p_t, p_r = outage("tep", cfg, TEP, QUAD)
         phi = success_prob("tep", cfg, TEP, QUAD)
         assert phi <= min(1.0 - p_t, 1.0 - p_r) + 1e-9
 
 
 def test_tdma_success_factorizes():
     cfg = make_config(snr_db=35.0, rate=2.0)
-    p_t, p_r = outage_tdma(cfg, TDMA)
+    p_t, p_r = outage("tdma", cfg, TDMA)
     phi = success_prob("tdma", cfg, TDMA)
     assert abs(phi - (1.0 - p_t) * (1.0 - p_r)) < 1e-12
 
@@ -365,7 +365,7 @@ def test_perf_report_consistency():
     cfg = make_config(snr_db=35.0, rate=2.0)
     rep = perf_report("tep", cfg, TEP, QUAD)
     assert isinstance(rep, PerfReport)
-    p_t, p_r = outage_tep(cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
     assert abs(rep.p_out_t - p_t) < 1e-12
     assert abs(rep.p_out_r - p_r) < 1e-12
     assert abs(rep.sum_throughput - sum_throughput("tep", (p_t, p_r), 2.0, TEP)) < 1e-12
@@ -384,7 +384,7 @@ def test_batch_matches_scalar_path():
     p_t, p_r, phi = noma_metrics_batch(
         fit, fit, np.array([c_t]), np.array([c_r]), cfg.snr_threshold, QUAD
     )
-    s_t, s_r = outage_tep(cfg, TEP, QUAD)
+    s_t, s_r = outage("tep", cfg, TEP, QUAD)
     s_phi = success_prob("tep", cfg, TEP, QUAD)
     assert abs(p_t[0] - s_t) < max(1e-9, 1e-6 * s_t)
     assert abs(p_r[0] - s_r) < max(1e-9, 1e-6 * s_r)
@@ -392,10 +392,11 @@ def test_batch_matches_scalar_path():
 
 
 def test_scheme_constants_positive():
+    # every scheme's SNR coefficients, read from the scheme table, are positive
     cfg = make_config()
     for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
-        sc = scheme_constants(scheme, cfg, pol)
-        assert sc.coef_t > 0 and sc.coef_r > 0
+        c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
+        assert c_t > 0 and c_r > 0
 
 
 def test_randomized_sweep_stays_in_range():
@@ -448,5 +449,5 @@ def test_randomized_sweep_stays_in_range():
 def test_clamp_stats_reset():
     clamp_stats.reset()
     assert clamp_stats.events == 0 and clamp_stats.checked == 0
-    outage_tdma(make_config(), TDMA)
+    outage("tdma", make_config(), TDMA)
     assert clamp_stats.checked >= 2

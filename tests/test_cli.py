@@ -87,8 +87,15 @@ def test_all_bundled_presets_are_well_formed():
         for metric in exp["metrics"].split(","):
             assert metric.strip() in cli.METRICS
         assert exp["engine"] in cli.ENGINES
-        assert parse_grid(exp["grid"], as_int=exp["sweep"] == "n_elements")
+        grid = parse_grid(exp["grid"], as_int=exp["sweep"] == "n_elements")
+        assert grid
         build_system(cfg)
+        # every grid point gives a valid system and policy for every scheme
+        for value in grid:
+            swept = cli._apply_sweep(cfg, exp["sweep"], value, schemes)
+            build_system(swept)
+            for scheme in schemes:
+                assert isinstance(build_policy(swept, scheme), system.SCHEMES[scheme].policy)
 
 
 def test_parse_grid_forms():
@@ -107,6 +114,9 @@ def test_parse_grid_forms():
         parse_grid(" ")
     with pytest.raises(ConfigError):
         parse_grid("1.5,2", as_int=True)
+    for bad in ("a:b:c", "1:nan:1", "0:inf:1", "nan"):
+        with pytest.raises(ConfigError):
+            parse_grid(bad, as_int=True)
 
 
 def test_build_system_snr_conversion_and_validation():
@@ -168,7 +178,7 @@ def test_cmd_run_analytic_csv_shape(tmp_path):
     # spot-check one cell against a direct evaluation
     cfg35 = build_system(cli._apply_sweep(cfg, "snr_db", 35.0, ("tep",)))
     pol = build_policy(cfg, "tep")
-    want = analytics.outage_tep(cfg35, pol, gauss_hermite_rule(30))[0]
+    want = analytics.outage("tep", cfg35, pol, gauss_hermite_rule(30))[0]
     got = float([c for c in cells if c[0] == "35" and c[1] == "tep"][0][3])
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -316,6 +326,14 @@ def test_main_exit_codes(tmp_path, capsys):
 
     assert main(["optimize", ini, "--out", str(tmp_path / "y")]) == 2
     assert "delta_th" in capsys.readouterr().err
+
+    for command, preset, override in (
+        ("run", "fig4", "experiment.grid=a:b:c"),
+        ("run", "fig4", "quadrature.gh_order=0"),
+        ("optimize", "fig11", "ga.delta_th=0.5"),
+    ):
+        assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path / "w")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

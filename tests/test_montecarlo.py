@@ -101,9 +101,9 @@ def test_mc_matches_closed_forms_at_default_point():
     mc = McConfig(trials=10**6, seed=2718)
     gains = mc_gains(cfg, mc)
     ana = {
-        "tep": analytics.outage_tep(cfg, TEP, QUAD),
-        "eep": analytics.outage_eep(cfg, EEP, QUAD),
-        "tdma": analytics.outage_tdma(cfg, TDMA),
+        "tep": analytics.outage("tep", cfg, TEP, QUAD),
+        "eep": analytics.outage("eep", cfg, EEP, QUAD),
+        "tdma": analytics.outage("tdma", cfg, TDMA),
     }
     for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
         p_t, p_r, se_t, se_r = mc_outage(scheme, cfg, pol, mc, gains=gains)

@@ -29,8 +29,7 @@ def make_config(snr_db=30.0, rate=2.0, n=8):
     )
 
 
-def separable_stub(scheme, config, values, delta_th, quad, penalty_coef,
-                   extended=False, chunk=4096):
+def separable_stub(scheme, config, values, delta_th, quad, penalty_coef):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     x, y = values[:, 0], values[:, 1]
     f = -((x - 0.3) ** 2) - (y - 0.7) ** 2
@@ -131,7 +130,7 @@ def test_penalized_fitness_zero_penalty_branch():
     phi = analytics.success_prob("tep", cfg, pol, QUAD)
     delta = 1.0 / phi
     fit = penalized_fitness(alloc, cfg, delta_th=delta + 5.0, quad=QUAD)
-    p_t, p_r = analytics.outage_tep(cfg, pol, QUAD)
+    p_t, p_r = analytics.outage("tep", cfg, pol, QUAD)
     tput = analytics.sum_throughput("tep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput, rel=1e-9)
 
@@ -144,7 +143,7 @@ def test_penalized_fitness_linear_penalty_branch():
     delta = 1.0 / phi
     assert delta > 2.0, "test point must violate by a unit margin"
     fit = penalized_fitness(alloc, cfg, delta_th=delta - 1.0, quad=QUAD)
-    p_t, p_r = analytics.outage_eep(cfg, pol, QUAD)
+    p_t, p_r = analytics.outage("eep", cfg, pol, QUAD)
     tput = analytics.sum_throughput("eep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
 
@@ -156,20 +155,8 @@ def test_penalized_fitness_validates_threshold():
         penalized_fitness(alloc, cfg, delta_th=1.0, quad=QUAD)
 
 
-def test_penalized_fitness_extended_variables():
-    cfg = make_config(snr_db=60.0)
-    alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4, alpha_t=0.3, alpha_r=0.2)
-    pol = alloc.policy()
-    phi = analytics.success_prob("tep", cfg, pol, QUAD)
-    fit = penalized_fitness(alloc, cfg, delta_th=1.0 / phi + 5.0, quad=QUAD)
-    p_t, p_r = analytics.outage_tep(cfg, pol, QUAD)
-    tput = analytics.sum_throughput("tep", (p_t, p_r), cfg.rate, pol)
-    assert fit == pytest.approx(tput, rel=1e-9)
-
-
 def test_constant_objective_returns_it(monkeypatch):
-    def const_stub(scheme, config, values, delta_th, quad, penalty_coef,
-                   extended=False, chunk=4096):
+    def const_stub(scheme, config, values, delta_th, quad, penalty_coef):
         n = np.atleast_2d(values).shape[0]
         return np.ones(n), np.ones(n), np.ones(n)
 
@@ -214,8 +201,7 @@ def test_history_nondecreasing_with_elitism(monkeypatch):
 
 
 def test_infeasible_everywhere_flagged(monkeypatch):
-    def infeasible_stub(scheme, config, values, delta_th, quad, penalty_coef,
-                        extended=False, chunk=4096):
+    def infeasible_stub(scheme, config, values, delta_th, quad, penalty_coef):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         x, y = values[:, 0], values[:, 1]
         f = -((x - 0.3) ** 2) - (y - 0.7) ** 2
@@ -243,18 +229,6 @@ def test_ga_real_problem_smoke_and_flags():
     assert 1 <= res.generations_to_best <= 12
     if res.feasible:
         assert res.best_fitness == pytest.approx(res.best_throughput, rel=1e-12)
-
-
-def test_ga_extended_mode_normalizes_shares():
-    cfg = make_config(snr_db=58.0)
-    ga = GaConfig(population=12, generations=8, seed=9)
-    res = ga_run("p1", cfg, delta_th=10.0, ga=ga, quad=QUAD, extended=True)
-    assert res.best.alpha_t is not None and res.best.alpha_r is not None
-    total = res.best.alpha_t + res.best.alpha_r + res.best.alpha
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert isinstance(res.best.policy(), system.TepPolicy)
-    with pytest.raises(ValueError):
-        ga_run("p2", cfg, delta_th=10.0, ga=ga, quad=QUAD, extended=True)
 
 
 def test_ga_rejects_bad_inputs():

@@ -1,4 +1,4 @@
-"""Physical layer: path loss, harvested energy, uplink SNRs, SIC decode logic."""
+"""Physical layer: path loss, the scheme table, uplink SNRs, SIC decode logic."""
 
 from types import SimpleNamespace
 
@@ -11,8 +11,6 @@ from starwpn.system import (
     SystemConfig,
     TdmaPolicy,
     TepPolicy,
-    decode_order,
-    harvested_energy,
     pathloss,
     sic_outcome,
     snr_coefficients,
@@ -71,29 +69,6 @@ def test_config_validation():
         make_config(rate=0.0)
 
 
-def test_harvested_energy_trivials():
-    cfg = make_config(d0=1.0, d_t=1.0, d_r=1.0)
-    pol = SimpleNamespace(alpha_t=0.5, alpha_r=0.25, alpha_ap=0.25, beta_t=0.5, beta_r=0.5)
-    x_t, x_r = harvested_energy("tep", pol, cfg, g_t=1.0, g_r=1.0)
-    assert x_t == 0.5
-    x_t, _ = harvested_energy("tep", pol, cfg, g_t=0.0, g_r=1.0)
-    assert x_t == 0.0
-
-
-def test_harvested_energy_eep_linear_in_beta():
-    cfg = make_config()
-    lo = SimpleNamespace(alpha_et=0.5, alpha_it=0.5, beta_t=0.3, beta_r=0.7)
-    hi = SimpleNamespace(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
-    x_lo, _ = harvested_energy("eep", lo, cfg, g_t=2.0, g_r=2.0)
-    x_hi, _ = harvested_energy("eep", hi, cfg, g_t=2.0, g_r=2.0)
-    assert abs(x_hi - 2.0 * x_lo) < 1e-18
-
-
-def test_harvested_energy_rejects_tdma():
-    with pytest.raises(ValueError):
-        harvested_energy("tdma", TDMA, make_config(), 1.0, 1.0)
-
-
 def test_uplink_snr_tep_unit_case():
     cfg = make_config(p_ap=1.0, n0=1.0, d0=1.0, d_t=1.0, d_r=1.0)
     pol = SimpleNamespace(alpha_t=0.3, alpha_r=0.4, alpha_ap=0.3, beta_t=1.0, beta_r=1.0)
@@ -146,15 +121,6 @@ def test_snr_coefficients_reject_unknown_scheme():
         snr_coefficients("fdma", TEP, make_config())
 
 
-def test_decode_order_cases():
-    d = decode_order(10.0, 1.0, 1.0)
-    assert d.first == "t" and not d.ambiguous
-    d = decode_order(1.0, 10.0, 1.0)
-    assert d.first == "r" and not d.ambiguous
-    d = decode_order(0.1, 0.1, 1.0)
-    assert d.first == "t" and d.ambiguous
-
-
 def test_sic_outcome_examples():
     # strong t, r above threshold after cancellation
     t_ok, r_ok = sic_outcome(np.array([10.0]), np.array([2.0]), 1.0)
@@ -202,9 +168,6 @@ def test_user_symmetry():
     a_t, a_r = uplink_snrs("tep", pol, cfg, 2.0, 3.0)
     b_t, b_r = uplink_snrs("tep", swapped, mirror, 3.0, 2.0)
     assert abs(a_t - b_r) < 1e-15 and abs(a_r - b_t) < 1e-15
-    d1 = decode_order(5.0, 1.0, 1.0)
-    d2 = decode_order(1.0, 5.0, 1.0)
-    assert d1.first == "t" and d2.first == "r"
     t1, r1 = sic_outcome(np.array([5.0]), np.array([1.5]), 1.0)
     t2, r2 = sic_outcome(np.array([1.5]), np.array([5.0]), 1.0)
     assert t1[0] == r2[0] and r1[0] == t2[0]
