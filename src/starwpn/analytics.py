@@ -34,13 +34,16 @@ clamp events are counted in `clamp_stats`.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from . import system
-from .channel import GammaApprox, QuadratureRule, gamma_fit, gauss_hermite_rule, log_quartic_gain_pdf
+from .channel import (
+    GammaApprox, QuadratureRule, gamma_fit, gauss_hermite_rule, log_quartic_gain_pdf, quartic_gain_cdf,
+)
 
 __all__ = [
     "QuadratureError",
@@ -51,7 +54,6 @@ __all__ = [
     "sum_throughput",
     "user_throughput",
     "average_aoi",
-    "residual_integral",
     "perf_report",
     "noma_metrics_batch",
     "fit_for_user",
@@ -64,14 +66,22 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class ClampStats:
-    """Counters for probability clamping; purely diagnostic."""
+    """Counters for probability clamping; purely diagnostic.  Worker threads
+    add to them, so every update holds the lock."""
 
     events: int = 0
     checked: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def add(self, checked: int, events: int) -> None:
+        with self._lock:
+            self.checked += checked
+            self.events += events
 
     def reset(self) -> None:
-        self.events = 0
-        self.checked = 0
+        with self._lock:
+            self.events = 0
+            self.checked = 0
 
 
 clamp_stats = ClampStats()
@@ -106,12 +116,6 @@ _DEADLOCK_SWITCH = 1e-5  # below this, inclusion-exclusion is noise-dominated
 _TAIL_MASS = 1e-28  # density mass ignored beyond the panel range
 _CHECK_ABS = 1e-9
 _CHECK_REL = 1e-7
-
-
-def _cdf_int(fit: GammaApprox, x):
-    """CDF of the quartic gain, Pr[G^4 <= x]."""
-    z = fit.theta * np.power(np.maximum(x, 0.0), 0.25)
-    return special.gammainc(fit.sum_shape, z)
 
 
 def _surv_int(fit: GammaApprox, x):
@@ -277,8 +281,7 @@ def _noma_core(fit_t, fit_r, c_t, c_r, g, rule, npanel):
 def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise QuadratureError(f"non-finite probability from {where}")
-    clamp_stats.checked += values.size
-    clamp_stats.events += int(np.count_nonzero((values < 0.0) | (values > 1.0)))
+    clamp_stats.add(values.size, int(np.count_nonzero((values < 0.0) | (values > 1.0))))
     return np.clip(values, 0.0, 1.0)
 
 
@@ -336,8 +339,8 @@ def _scheme_metrics(scheme: str, config: system.SystemConfig, policy, quad: Quad
         if quad is None:
             quad = gauss_hermite_rule(30)
         return _noma_checked(fit_t, fit_r, c_t, c_r, g, quad)
-    p_t = _cdf_int(fit_t, g / c_t)
-    p_r = _cdf_int(fit_r, g / c_r)
+    p_t = quartic_gain_cdf(fit_t, g / c_t)
+    p_r = quartic_gain_cdf(fit_r, g / c_r)
     phi = _surv_int(fit_t, g / c_t) * _surv_int(fit_r, g / c_r)
     vals = _clamp_probs(np.array([float(p_t), float(p_r), float(phi)]), "orthogonal closed form")
     return float(vals[0]), float(vals[1]), float(vals[2])
@@ -386,35 +389,6 @@ def average_aoi(phi: float) -> float:
     if phi == 0.0:
         return math.inf
     return 1.0 / phi
-
-
-def residual_integral(integrand, upper: float, rel_tol: float = 1e-10) -> float:
-    """Integrate `integrand` over (0, upper) by nested panel refinement.
-
-    Composite Gauss-Legendre with edges refined geometrically toward 0, so
-    integrable endpoint behavior like x^(-1/2) converges; panel counts double
-    until two successive results agree to rel_tol.
-    """
-    if not (upper > 0):
-        raise ValueError(f"upper limit must be > 0, got {upper}")
-    if not (rel_tol > 0):
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    upper_arr = np.array([float(upper)])
-    prev = None
-    npanel = 32
-    for _ in range(8):
-        x, w = _panel_nodes(_zero_anchored_edges(upper_arr, npanel))
-        vals = np.asarray(integrand(x[0]), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("integrand returned non-finite values")
-        total = float((vals * w[0]).sum())
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
-            return total
-        prev = total
-        npanel *= 2
-    raise QuadratureError(
-        f"residual integral did not reach rel_tol={rel_tol} within {npanel // 2} panels"
-    )
 
 
 def perf_report(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> PerfReport:

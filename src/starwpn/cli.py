@@ -299,39 +299,23 @@ def _analytic_metrics(scheme, config, policy, quad) -> dict:
     }
 
 
-def _mc_metrics(scheme, config, policy, mc_cfg, gains) -> dict:
-    p_t, p_r, se_t, se_r = montecarlo.mc_outage(scheme, config, policy, mc_cfg, gains=gains)
-    phi, se_phi = montecarlo.mc_success(scheme, config, policy, mc_cfg, gains=gains)
-    tput_t = analytics.user_throughput(scheme, "t", p_t, config.rate, policy)
-    tput_r = analytics.user_throughput(scheme, "r", p_r, config.rate, policy)
-    scale_t = analytics.user_throughput(scheme, "t", 0.0, config.rate, policy)
-    scale_r = analytics.user_throughput(scheme, "r", 0.0, config.rate, policy)
-    aoi = analytics.average_aoi(phi)
-    aoi_se = se_phi / phi**2 if phi > 0 else float("inf")
+def _mc_metrics(scheme, config, policy, counts: montecarlo.McCounts) -> dict:
+    p_t, p_r, se_t, se_r = counts.outage()
+    phi, se_phi = counts.success()
+    # a user's throughput is rate * share * (1 - p): scale_x = rate * share_x
+    scale_t, scale_r = (analytics.user_throughput(scheme, u, 0.0, config.rate, policy) for u in "tr")
     return {
         "outage_t": (p_t, se_t),
         "outage_r": (p_r, se_r),
-        "throughput_t": (tput_t, scale_t * se_t),
-        "throughput_r": (tput_r, scale_r * se_r),
+        "throughput_t": (scale_t * (1.0 - p_t), scale_t * se_t),
+        "throughput_r": (scale_r * (1.0 - p_r), scale_r * se_r),
         "sum_throughput": (
             analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy),
             float(np.hypot(scale_t * se_t, scale_r * se_r)),
         ),
         "phi": (phi, se_phi),
-        "aoi": (aoi, aoi_se),
+        "aoi": (analytics.average_aoi(phi), se_phi / phi**2 if phi > 0 else float("inf")),
     }
-
-
-def _gains_key(config: system.SystemConfig, mc_cfg: montecarlo.McConfig):
-    return (
-        config.n_elements,
-        config.fading_ris,
-        config.fading_t,
-        config.fading_r,
-        mc_cfg.trials,
-        mc_cfg.seed,
-        mc_cfg.gain_mode,
-    )
 
 
 def cmd_run(cfg: dict) -> dict:
@@ -358,7 +342,6 @@ def cmd_run(cfg: dict) -> dict:
     quad = _quad_rule(cfg)
 
     mc_cfg = None
-    gains_cache = {}
     if engine in ("montecarlo", "both"):
         try:
             mc_cfg = montecarlo.McConfig(
@@ -368,33 +351,28 @@ def cmd_run(cfg: dict) -> dict:
             )
         except ValueError as exc:
             raise ConfigError(f"invalid mc configuration: {exc}")
-        # draw each distinct channel ensemble once, before dispatching points
-        for value in grid:
-            config = build_system(_apply_sweep(cfg, sweep, value, schemes))
-            key = _gains_key(config, mc_cfg)
-            if key not in gains_cache:
-                gains_cache[key] = montecarlo.mc_gains(config, mc_cfg)
 
-    def point_rows(value):
+    # one (value, scheme, config, policy) cell per grid point and scheme
+    cells = []
+    for value in grid:
         swept = _apply_sweep(cfg, sweep, value, schemes)
         config = build_system(swept)
-        rows = []
-        for scheme in schemes:
-            policy = build_policy(swept, scheme)
-            if engine in ("analytic", "both"):
-                vals = _analytic_metrics(scheme, config, policy, quad)
-                rows.append((value, scheme, "analytic", {m: (vals[m], None) for m in metrics}))
-            if engine in ("montecarlo", "both"):
-                gains = gains_cache[_gains_key(config, mc_cfg)]
-                vals = _mc_metrics(scheme, config, policy, mc_cfg, gains)
-                rows.append((value, scheme, "montecarlo", {m: vals[m] for m in metrics}))
-        return rows
+        cells.extend((value, scheme, config, build_policy(swept, scheme)) for scheme in schemes)
 
-    if threads == 1:
-        collected = [row for value in grid for row in point_rows(value)]
-    else:
+    def analytic_row(cell):
+        value, scheme, config, policy = cell
+        vals = _analytic_metrics(scheme, config, policy, quad)
+        return value, scheme, "analytic", {m: (vals[m], None) for m in metrics}
+
+    collected = []
+    if engine in ("analytic", "both"):
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            collected = [row for rows in pool.map(point_rows, grid) for row in rows]
+            collected.extend(pool.map(analytic_row, cells))
+    if engine in ("montecarlo", "both"):
+        counts = montecarlo.mc_counts([cell[1:] for cell in cells], mc_cfg, threads)
+        for (value, scheme, config, policy), count in zip(cells, counts):
+            vals = _mc_metrics(scheme, config, policy, count)
+            collected.append((value, scheme, "montecarlo", {m: vals[m] for m in metrics}))
     collected.sort(key=lambda r: (r[0], r[1], r[2]))
 
     header = [sweep, "scheme", "engine"]

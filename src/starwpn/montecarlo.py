@@ -1,10 +1,13 @@
 """Simulation oracle: channel sampling, SIC event counting, slot-level AoI.
 
 Results are deterministic in (config, seed) and independent of how work is
-parallelized: trials are cut into fixed-size chunks, each chunk draws from
-its own generator spawned as SeedSequence(entropy=seed, spawn_key=(chunk,)),
-and per-chunk outputs are concatenated in chunk order.  Any scheduler that
-evaluates chunks concurrently reproduces the serial stream bit for bit.
+parallelized: trials are cut into fixed-size chunks, and each chunk draws
+from its own generator spawned as SeedSequence(entropy=seed, spawn_key=
+(chunk,)).  `mc_counts` decodes every cell on each chunk as soon as it is
+drawn and keeps only integer event counts, which sum to the same totals in
+any order; so chunks run on worker threads, cells that share a gain
+ensemble share its draws, and memory holds one chunk per worker whatever
+the trial count.  `mc_gains` concatenates the same chunks in chunk order.
 
 Two gain modes exist because the analytic model treats the two users'
 combined channels as independent, while physically both cascades share the
@@ -13,6 +16,8 @@ assumption and is the default oracle mode; `shared_h` realizes the common
 first segment so the modeling gap can be measured.
 """
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,7 @@ from .channel import NakagamiParams
 GAIN_MODES = ("independent_gains", "shared_h")
 
 _CHUNK = 1 << 16  # fixed chunk size, part of the determinism contract
+_BLOCK = 1 << 12  # rows of second-hop envelopes drawn at a time; divides _CHUNK
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,60 @@ class AoiTrace:
             raise ValueError("average age below 1 is impossible")
 
 
+@dataclass(frozen=True)
+class McCounts:
+    """Decode counts of one cell: trials, users t and r not decoded, both decoded."""
+
+    trials: int
+    out_t: int
+    out_r: int
+    both_ok: int
+
+    def _rate(self, count: int):
+        """(p, se) of an event seen `count` times in `trials`."""
+        p = count / self.trials
+        return p, math.sqrt(p * (1.0 - p) / self.trials)
+
+    def outage(self):
+        """Empirical per-user outage (p_t, p_r, se_t, se_r)."""
+        (p_t, se_t), (p_r, se_r) = self._rate(self.out_t), self._rate(self.out_r)
+        return p_t, p_r, se_t, se_r
+
+    def success(self):
+        """Empirical probability (phi, se) that both users decode in one block."""
+        return self._rate(self.both_ok)
+
+
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _envelopes(rng: np.random.Generator, params: NakagamiParams, shape) -> np.ndarray:
-    return np.sqrt(rng.gamma(params.m, params.omega / params.m, size=shape))
+def _envelopes(rng: np.random.Generator, params: NakagamiParams, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with Nakagami envelopes, sqrt of Gamma(m, omega/m) draws."""
+    rng.standard_gamma(params.m, size=out.shape, out=out)
+    out *= params.omega / params.m
+    return np.sqrt(out, out=out)
+
+
+def _cascade_sums(rng: np.random.Generator, h: np.ndarray, params: NakagamiParams) -> np.ndarray:
+    """Row sums of h * g, the second-hop envelopes g drawn in row blocks."""
+    sums = np.empty(h.shape[0])
+    g = np.empty((_BLOCK, h.shape[1]))
+    for start in range(0, h.shape[0], _BLOCK):
+        _envelopes(rng, params, g)
+        g *= h[start : start + _BLOCK]
+        sums[start : start + _BLOCK] = g.sum(axis=1)
+    return sums
+
+
+def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int):
+    """(G_t, G_r) of one full chunk, drawn as h, t's hop, [fresh h,] r's hop."""
+    rng = _chunk_rng(mc.seed, index)
+    h = _envelopes(rng, config.fading_ris, np.empty((_CHUNK, config.n_elements)))
+    g_t = _cascade_sums(rng, h, config.fading_t)
+    if mc.gain_mode == "independent_gains":
+        _envelopes(rng, config.fading_ris, h)
+    return g_t, _cascade_sums(rng, h, config.fading_r)
 
 
 def mc_gains(config: system.SystemConfig, mc: McConfig):
@@ -72,60 +126,53 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
     first `k` trials of any run are bit-identical for every trials >= k: a
     longer simulation strictly refines a shorter one with the same seed.
     """
-    g_t = np.empty(mc.trials)
-    g_r = np.empty(mc.trials)
-    n = config.n_elements
-    for idx, start in enumerate(range(0, mc.trials, _CHUNK)):
-        stop = min(start + _CHUNK, mc.trials)
-        rows = stop - start
-        rng = _chunk_rng(mc.seed, idx)
-        if mc.gain_mode == "shared_h":
-            h = _envelopes(rng, config.fading_ris, (_CHUNK, n))
-            g_t[start:stop] = (h * _envelopes(rng, config.fading_t, (_CHUNK, n))).sum(axis=1)[:rows]
-            g_r[start:stop] = (h * _envelopes(rng, config.fading_r, (_CHUNK, n))).sum(axis=1)[:rows]
-        else:
-            h1 = _envelopes(rng, config.fading_ris, (_CHUNK, n))
-            g_t[start:stop] = (h1 * _envelopes(rng, config.fading_t, (_CHUNK, n))).sum(axis=1)[:rows]
-            h2 = _envelopes(rng, config.fading_ris, (_CHUNK, n))
-            g_r[start:stop] = (h2 * _envelopes(rng, config.fading_r, (_CHUNK, n))).sum(axis=1)[:rows]
-    return g_t, g_r
+    chunks = [_chunk_gains(config, mc, idx) for idx in range(math.ceil(mc.trials / _CHUNK))]
+    return tuple(np.concatenate(parts)[: mc.trials] for parts in zip(*chunks))
 
 
-def _decode_events(scheme: str, config: system.SystemConfig, policy, gains):
-    gamma_t, gamma_r = system.uplink_snrs(scheme, policy, config, *gains)
-    g = config.snr_threshold
-    if system.scheme_spec(scheme).noma:
-        return system.sic_outcome(gamma_t, gamma_r, g)
-    return gamma_t >= g, gamma_r >= g
+def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
+    """McCounts of every (scheme, config, policy) cell, in the order given.
 
-
-def _rate_and_se(events: np.ndarray):
-    n = events.size
-    p = events.mean()
-    return float(p), float(np.sqrt(p * (1.0 - p) / n))
-
-
-def mc_outage(scheme: str, config: system.SystemConfig, policy, mc: McConfig, gains=None):
-    """Empirical per-user outage (p_t, p_r, se_t, se_r).
-
-    `gains` may carry a precomputed mc_gains result so that several schemes
-    or SNR points reuse one channel ensemble (the gains do not depend on
-    powers, rates, or policy).
+    Cells whose configs agree on N and the three fading laws share one gain
+    ensemble.  Each chunk of an ensemble is drawn once, every cell of the
+    ensemble is decoded on it once, and the chunk is dropped; chunks run on
+    `threads` workers.
     """
-    if gains is None:
-        gains = mc_gains(config, mc)
-    t_ok, r_ok = _decode_events(scheme, config, policy, gains)
-    p_t, se_t = _rate_and_se(~t_ok)
-    p_r, se_r = _rate_and_se(~r_ok)
-    return p_t, p_r, se_t, se_r
+    ensembles = {}
+    for i, (scheme, config, policy) in enumerate(cells):
+        key = (config.n_elements, config.fading_ris, config.fading_t, config.fading_r)
+        decoders = ensembles.setdefault(key, (config, []))[1]
+        c_t, c_r = system.snr_coefficients(scheme, policy, config)
+        decoders.append((i, system.scheme_spec(scheme).noma, c_t, c_r, config.snr_threshold))
+    chunks = [(idx, min(_CHUNK, mc.trials - start)) for idx, start in enumerate(range(0, mc.trials, _CHUNK))]
+    tasks = [(config, decoders, chunk) for config, decoders in ensembles.values() for chunk in chunks]
+
+    def count(task):
+        config, decoders, (idx, rows) = task
+        q_t, q_r = (g[:rows] ** 4 for g in _chunk_gains(config, mc, idx))
+        out = []
+        for _, noma, c_t, c_r, g in decoders:
+            gamma_t, gamma_r = c_t * q_t, c_r * q_r
+            t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g) if noma else (gamma_t >= g, gamma_r >= g)
+            ok_t, ok_r = np.count_nonzero(t_ok), np.count_nonzero(r_ok)
+            out.append((rows - ok_t, rows - ok_r, np.count_nonzero(t_ok & r_ok)))
+        return out
+
+    totals = np.zeros((len(cells), 3), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for (_, decoders, _), counts in zip(tasks, pool.map(count, tasks)):
+            totals[[d[0] for d in decoders]] += counts
+    return [McCounts(mc.trials, *map(int, row)) for row in totals]
 
 
-def mc_success(scheme: str, config: system.SystemConfig, policy, mc: McConfig, gains=None):
+def mc_outage(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
+    """Empirical per-user outage (p_t, p_r, se_t, se_r) of one cell."""
+    return mc_counts([(scheme, config, policy)], mc)[0].outage()
+
+
+def mc_success(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
     """Empirical probability (phi, se) that both users decode in one block."""
-    if gains is None:
-        gains = mc_gains(config, mc)
-    t_ok, r_ok = _decode_events(scheme, config, policy, gains)
-    return _rate_and_se(t_ok & r_ok)
+    return mc_counts([(scheme, config, policy)], mc)[0].success()
 
 
 def aoi_simulate(source, slots: int, seed: int = 0) -> AoiTrace:

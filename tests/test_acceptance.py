@@ -24,7 +24,7 @@ from starwpn.channel import (
     gauss_hermite_rule,
     quartic_gain_cdf,
 )
-from starwpn.montecarlo import McConfig, aoi_simulate, mc_gains, mc_outage, mc_success
+from starwpn.montecarlo import McConfig, aoi_simulate, mc_counts, mc_success
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
 QUAD = gauss_hermite_rule(30)
@@ -87,10 +87,9 @@ def test_criterion_2_outage_matches_monte_carlo():
     # cell at 3 SE would fail an exact model on ~7% of seeds. Budget 5 minutes.
     t0 = perf_counter()
     mc = McConfig(trials=10**7, seed=31415)
-    # the envelope draws depend only on N and the fading parameters, so one
-    # draw serves every SNR point
-    gains = mc_gains(make_config(35.0, 1.0, 30), mc)
-    cells = []
+    # the envelope draws depend only on N and the fading parameters, so
+    # mc_counts draws one ensemble for every SNR point
+    points = []
     for snr in SNR_GRID:
         cfg = make_config(snr, 1.0, 30)
         ana = {
@@ -99,9 +98,13 @@ def test_criterion_2_outage_matches_monte_carlo():
             "tdma": analytics.outage("tdma", cfg, TDMA_D),
         }
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D), ("tdma", TDMA_D)):
-            p_t, p_r, se_t, se_r = mc_outage(scheme, cfg, pol, mc, gains=gains)
-            cells.append((snr, scheme, "t", p_t, se_t, ana[scheme][0]))
-            cells.append((snr, scheme, "r", p_r, se_r, ana[scheme][1]))
+            points.append((snr, scheme, cfg, pol, ana[scheme]))
+    counts = mc_counts([(scheme, cfg, pol) for _, scheme, cfg, pol, _ in points], mc, threads=2)
+    cells = []
+    for (snr, scheme, _, _, ref), count in zip(points, counts):
+        p_t, p_r, se_t, se_r = count.outage()
+        cells.append((snr, scheme, "t", p_t, se_t, ref[0]))
+        cells.append((snr, scheme, "r", p_r, se_r, ref[1]))
     m = sum(1 for cell in cells if cell[3] < 1e-3)
     z = float(norm.isf(0.0027 / (2 * max(m, 1))))
     fails = []

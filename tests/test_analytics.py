@@ -1,6 +1,8 @@
 """Closed forms: outage, throughput, success probability, AoI, quadrature."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from starwpn.analytics import (
     noma_metrics_batch,
     outage,
     perf_report,
-    residual_integral,
     success_prob,
     sum_throughput,
     user_throughput,
@@ -295,49 +296,6 @@ def test_average_aoi_values():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_residual_integral_constant():
-    for c in (0.3, 1.0, 7.5):
-        assert abs(residual_integral(lambda x: np.ones_like(x), c) - c) < 1e-12 * c
-
-
-def test_residual_integral_endpoint_singularity():
-    val = residual_integral(lambda x: 1.0 / np.sqrt(x), 1.0)
-    assert abs(val - 2.0) < 1e-9
-
-
-def test_residual_integral_matches_trapezoid_reference():
-    # the finite preempted-decode piece at the default operating point
-    cfg = make_config()
-    c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
-    g = cfg.snr_threshold
-    fit_r = gamma_fit(NAK2, NAK2, 30)
-    fit_t = gamma_fit(NAK2, NAK2, 30)
-
-    def integrand(x):
-        arg = g * (c_t * x + 1.0) / c_r
-        kern = special.gammaincc(fit_r.sum_shape, fit_r.theta * np.power(arg, 0.25))
-        return kern * quartic_gain_pdf(fit_t, x)
-
-    upper = g / c_t
-    val = residual_integral(integrand, upper)
-    xs = np.linspace(0.0, upper, 10**6 + 1)
-    ys = np.where(xs > 0, integrand(np.maximum(xs, 1e-300)), 0.0)
-    ref = float(np.trapezoid(ys, xs))
-    assert abs(val - ref) < 1e-6 * abs(ref)
-
-
-def test_residual_integral_error_paths():
-    with pytest.raises(ValueError):
-        residual_integral(lambda x: x, 0.0)
-    with pytest.raises(ValueError):
-        residual_integral(lambda x: x, 1.0, rel_tol=0.0)
-    with pytest.raises(QuadratureError):
-        residual_integral(lambda x: np.where(x > 0.5, np.nan, 1.0), 1.0)
-    with pytest.raises(QuadratureError):
-        # unresolvable oscillation: refinements never agree
-        residual_integral(lambda x: np.sin(1e9 * x), 1.0, rel_tol=1e-14)
-
-
 def test_success_prob_default_rule():
     # no rule means the 30-node Gauss-Hermite rule, as in perf_report
     cfg = make_config()
@@ -451,3 +409,27 @@ def test_clamp_stats_reset():
     assert clamp_stats.events == 0 and clamp_stats.checked == 0
     outage("tdma", make_config(), TDMA)
     assert clamp_stats.checked >= 2
+
+
+def test_clamp_stats_exact_under_threads():
+    # two threads share the counters; with frequent thread switches an
+    # unguarded read-modify-write would lose updates
+    values = np.array([0.5, 1.0 + 1e-15, -1e-16])
+    calls = 20_000
+
+    def hammer():
+        for _ in range(calls):
+            analytics._clamp_probs(values, "test")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clamp_stats.reset()
+        workers = [threading.Thread(target=hammer) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (clamp_stats.events, clamp_stats.checked) == (2 * 2 * calls, 2 * 3 * calls)

@@ -187,6 +187,12 @@ def test_cmd_run_thread_count_does_not_change_output(tmp_path):
     cfg1 = load_config(write_ini(tmp_path), sets=["experiment.threads=1"])
     cfg2 = load_config(write_ini(tmp_path), sets=["experiment.threads=3"])
     assert cmd_run(cfg1) == cmd_run(cfg2)
+    # both engines, with Monte Carlo chunks split across the workers and a
+    # partial last chunk
+    both = ["experiment.engine=both", f"mc.trials={3 * 2**16 + 123}"]
+    outs = [cmd_run(load_config(write_ini(tmp_path), sets=both + [f"experiment.threads={t}"])) for t in (1, 2, 3)]
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["tiny.csv"].count(",montecarlo,") == 4
 
 
 def test_cmd_run_both_engines_emit_se(tmp_path):

@@ -10,6 +10,7 @@ from starwpn.montecarlo import (
     AoiTrace,
     McConfig,
     aoi_simulate,
+    mc_counts,
     mc_gains,
     mc_outage,
     mc_success,
@@ -90,23 +91,58 @@ def test_mc_outage_deterministic_and_gain_reuse():
     a = mc_outage("eep", cfg, EEP, mc)
     b = mc_outage("eep", cfg, EEP, mc)
     assert a == b
-    gains = mc_gains(cfg, mc)
-    c = mc_outage("eep", cfg, EEP, mc, gains=gains)
-    assert a == c
+    # a cell counted alongside others that share its ensemble equals the
+    # cell counted alone
+    cells = [("tep", make_config(snr_db=30.0, n=8), TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
+    assert mc_counts(cells, mc)[1].outage() == a
+
+
+def _reference_counts(scheme, cfg, pol, gains):
+    # decode the full gain arrays directly, without mc_counts
+    gamma_t, gamma_r = system.uplink_snrs(scheme, pol, cfg, *gains)
+    g = cfg.snr_threshold
+    if system.scheme_spec(scheme).noma:
+        t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g)
+    else:
+        t_ok, r_ok = gamma_t >= g, gamma_r >= g
+    return int((~t_ok).sum()), int((~r_ok).sum()), int((t_ok & r_ok).sum())
+
+
+@pytest.mark.parametrize("gain_mode", ["independent_gains", "shared_h"])
+def test_mc_counts_match_reference_decode(gain_mode):
+    # two ensembles (N = 8 and N = 12), all three schemes, a partial last
+    # chunk; the counts must not depend on the worker count
+    trials = 3 * 2**16 + 123
+    mc = McConfig(trials=trials, seed=77, gain_mode=gain_mode)
+    cells = [
+        (scheme, make_config(snr_db=snr, n=n), pol)
+        for n in (8, 12)
+        for snr in (45.0, 55.0)
+        for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA))
+    ]
+    want = []
+    for n in (8, 12):
+        gains = mc_gains(make_config(n=n), mc)
+        want += [_reference_counts(s, c, p, gains) for s, c, p in cells if c.n_elements == n]
+    for threads in (1, 2):
+        got = mc_counts(cells, mc, threads=threads)
+        assert [(c.out_t, c.out_r, c.both_ok) for c in got] == want
+        assert all(c.trials == trials for c in got)
+    assert any(0 < w[0] < trials for w in want)  # the comparison is not trivial
 
 
 def test_mc_matches_closed_forms_at_default_point():
     # moderate-probability point of the outage-vs-SNR sweep
     cfg = make_config(snr_db=40.0, rate=1.0)
     mc = McConfig(trials=10**6, seed=2718)
-    gains = mc_gains(cfg, mc)
     ana = {
         "tep": analytics.outage("tep", cfg, TEP, QUAD),
         "eep": analytics.outage("eep", cfg, EEP, QUAD),
         "tdma": analytics.outage("tdma", cfg, TDMA),
     }
-    for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
-        p_t, p_r, se_t, se_r = mc_outage(scheme, cfg, pol, mc, gains=gains)
+    cells = [("tep", cfg, TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
+    for (scheme, _, _), counts in zip(cells, mc_counts(cells, mc)):
+        p_t, p_r, se_t, se_r = counts.outage()
         for est, se, ref in ((p_t, se_t, ana[scheme][0]), (p_r, se_r, ana[scheme][1])):
             if est >= 1e-3:
                 assert abs(ref - est) < 0.10 * est, (scheme, est, ref)
@@ -128,10 +164,9 @@ def test_mc_success_limits_and_bound():
     assert phi == 1.0 and se == 0.0
     cfg = make_config(snr_db=35.0, rate=2.0, n=32)
     pol = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.4, beta_r=0.6)
-    mc = McConfig(trials=4 * 10**5, seed=7)
-    gains = mc_gains(cfg, mc)
-    phi, se_phi = mc_success("tep", cfg, pol, mc, gains=gains)
-    p_t, p_r, se_t, se_r = mc_outage("tep", cfg, pol, mc, gains=gains)
+    counts = mc_counts([("tep", cfg, pol)], McConfig(trials=4 * 10**5, seed=7))[0]
+    phi, se_phi = counts.success()
+    p_t, p_r, se_t, se_r = counts.outage()
     assert phi <= min(1.0 - p_t, 1.0 - p_r) + 3.0 * (se_phi + se_t + se_r)
     ana = analytics.success_prob("tep", cfg, pol, QUAD)
     assert abs(ana - phi) < 0.05 * phi
@@ -208,6 +243,6 @@ def test_aoi_event_source_matches_renewal_inverse():
     t_ok, r_ok = system.sic_outcome(g_t, g_r, cfg.snr_threshold)
     events = t_ok & r_ok
     trace = aoi_simulate(events, slots, seed=0)
-    phi_hat, _ = mc_success("tep", cfg, pol, mc, gains=gains)
+    phi_hat, _ = mc_success("tep", cfg, pol, mc)
     assert trace.successes == int(events.sum())
     assert abs(trace.average_age - 1.0 / phi_hat) < 0.03 * (1.0 / phi_hat)
