@@ -407,15 +407,10 @@ def cmd_optimize(cfg: dict) -> dict:
     n_grid = parse_grid(ga_sec["n_grid"], as_int=True)
     try:
         ga = optimizer.GaConfig(
-            population=_get_int(cfg, "ga", "population"),
-            generations=_get_int(cfg, "ga", "generations"),
-            bits_per_var=_get_int(cfg, "ga", "bits_per_var"),
-            selection_q=_get_float(cfg, "ga", "selection_q"),
-            crossover_p=_get_float(cfg, "ga", "crossover_p"),
-            mutation_p=_get_float(cfg, "ga", "mutation_p"),
-            penalty_coef=_get_float(cfg, "ga", "penalty_coef"),
-            seed=_get_int(cfg, "ga", "seed"),
-            elitism=_get_int(cfg, "ga", "elitism"),
+            **{
+                f.name: (_get_int if f.type is int else _get_float)(cfg, "ga", f.name)
+                for f in dataclasses.fields(optimizer.GaConfig)
+            }
         )
     except ValueError as exc:
         raise ConfigError(f"invalid GA configuration: {exc}")

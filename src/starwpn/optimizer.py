@@ -15,7 +15,11 @@ Chromosomes are fixed-length bit arrays; selection is truncation-style (a
 top fraction of the ranked population fathers children, mothers are drawn
 uniformly), crossover is single-point, mutation is per-bit, and a configured
 number of elites survives unchanged.  Fitness evaluation is vectorized
-across the whole population and memoized by chromosome.
+across the whole population and memoized by chromosome.  The memo is the
+run's only record: the returned allocation is the fittest memo entry that
+meets the age constraint, or, if none does, the least-violating one (fitness
+breaks ties, then the earlier evaluation wins).  generations_to_best is the
+first generation whose best fitness equals the best of the whole run.
 """
 
 import math
@@ -221,12 +225,10 @@ def grid_search(
 
 
 def _problem_scheme(problem: str) -> str:
-    key = problem.lower()
-    if key in PROBLEM_SCHEME:
-        return PROBLEM_SCHEME[key]
-    if key in ("tep", "eep"):
-        return key
-    raise ValueError(f"problem must be 'p1'/'p2' (or a scheme name), got {problem!r}")
+    try:
+        return PROBLEM_SCHEME[problem.lower()]
+    except KeyError:
+        raise ValueError(f"problem must be 'p1' or 'p2', got {problem!r}") from None
 
 
 def ga_run(
@@ -238,8 +240,11 @@ def ga_run(
 ) -> GaResult:
     """Run the GA and return the best allocation with its audit trail.
 
-    Deterministic in ga.seed.  If no evaluated individual ever satisfies the
-    age constraint, the least-violating one is returned with feasible=False.
+    Deterministic in ga.seed.  Of every chromosome evaluated, the result is
+    the fittest with age < delta_th (feasible=True), or else the one with
+    the least age violation, fitness breaking ties (feasible=False); equal
+    keys go to the earliest evaluated.  generations_to_best is the first
+    generation that reaches the best fitness in history.
     """
     if not (delta_th > 1.0):
         raise ValueError(f"delta_th must exceed 1, got {delta_th}")
@@ -250,15 +255,8 @@ def ga_run(
     rng = np.random.default_rng(np.random.SeedSequence(ga.seed))
     pop = rng.integers(0, 2, size=(ga.population, width), dtype=np.uint8)
 
-    memo = {}
+    memo = {}  # chromosome bytes -> (fitness, throughput, age), in order of first evaluation
     history = []
-    best_bits = None
-    best_fit = -math.inf
-    best_gen = 0
-    least_bits = None
-    least_violation = math.inf
-    least_fit = -math.inf
-    any_feasible = False
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
         keys = [rows[i].tobytes() for i in range(rows.shape[0])]
@@ -273,70 +271,33 @@ def ga_run(
     for gen in range(1, ga.generations + 1):
         fitness = evaluate(pop)
         order = np.argsort(-fitness, kind="stable")
-        gen_best = float(fitness[order[0]])
-        history.append(gen_best)
-        if gen_best > best_fit:
-            best_fit = gen_best
-            best_bits = pop[order[0]].copy()
-            best_gen = gen
-        for i in order:
-            _, _, age = memo[pop[i].tobytes()]
-            if age < delta_th:
-                any_feasible = True
-                break
-            violation = age - delta_th
-            f = float(fitness[i])
-            if violation < least_violation or (violation == least_violation and f > least_fit):
-                least_violation = violation
-                least_fit = f
-                least_bits = pop[i].copy()
-
+        history.append(float(fitness[order[0]]))
         if gen == ga.generations:
             break
 
-        nxt = np.empty_like(pop)
-        elite = pop[order[: ga.elitism]]
-        nxt[: ga.elitism] = elite
         pool = order[: max(1, math.ceil(ga.selection_q * ga.population))]
         children = ga.population - ga.elitism
         fathers = pop[pool[rng.integers(0, pool.size, size=children)]]
         mothers = pop[rng.integers(0, ga.population, size=children)]
         cross = rng.random(children) < ga.crossover_p
         cuts = rng.integers(1, width, size=children)
-        for i in range(children):
-            child = fathers[i].copy()
-            if cross[i]:
-                child[cuts[i] :] = mothers[i, cuts[i] :]
-            nxt[ga.elitism + i] = child
-        flip = rng.random((children, width)) < ga.mutation_p
-        nxt[ga.elitism :] ^= flip.astype(np.uint8)
-        pop = nxt
+        kids = np.where(cross[:, None] & (np.arange(width) >= cuts[:, None]), mothers, fathers)
+        kids ^= (rng.random((children, width)) < ga.mutation_p).astype(np.uint8)
+        pop = np.concatenate([pop[order[: ga.elitism]], kids])
 
-    # resolve the returned allocation: best feasible if one exists
-    if any_feasible:
-        chosen, _ = _best_feasible(memo, delta_th)
-        feasible = True
-    else:
-        chosen = least_bits.tobytes() if least_bits is not None else best_bits.tobytes()
-        feasible = False
+    # feasible before infeasible, then the least violation, then fitness
+    def rank(key):
+        fit, _, age = memo[key]
+        return (age < delta_th, min(0.0, delta_th - age), fit)
+
+    chosen = max(memo, key=rank)
     fit_val, tput_val, age_val = memo[chosen]
     return GaResult(
         best=decode(np.frombuffer(chosen, dtype=np.uint8), scheme, ga.bits_per_var),
         best_fitness=fit_val,
         best_throughput=tput_val,
-        feasible=feasible,
+        feasible=age_val < delta_th,
         history=tuple(history),
         aoi_at_best=age_val,
-        generations_to_best=best_gen,
+        generations_to_best=history.index(max(history)) + 1,
     )
-
-
-def _best_feasible(memo: dict, delta_th: float):
-    """Highest-fitness chromosome among all evaluated feasible ones."""
-    best_key = None
-    best_fit = -math.inf
-    for key, (fit, _, age) in memo.items():
-        if age < delta_th and fit > best_fit:
-            best_fit = fit
-            best_key = key
-    return best_key, best_fit

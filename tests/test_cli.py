@@ -341,6 +341,10 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path / "w")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    for override, text in (("ga.elitism=x", "must be an integer"), ("ga.mutation_p=x", "must be a number")):
+        assert main(["optimize", "--preset", "fig11", "--set", override, "--out", str(tmp_path / "v")]) == 2
+        assert text in capsys.readouterr().err
+
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     assert main(["run", ini, "--out", str(blocker / "sub")]) == 4

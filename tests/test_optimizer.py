@@ -189,6 +189,11 @@ def test_ga_deterministic_per_seed(monkeypatch):
     assert a.history == b.history
     assert a.best == b.best
     assert a.best_fitness == b.best_fitness
+    # values of this seeded run; any change to the RNG stream or breeding moves them
+    assert a.best.alpha == 0.29205935759517815
+    assert a.best.beta_r == 0.6947962157625697
+    assert a.best_fitness == -9.013317219098269e-05
+    assert a.generations_to_best == 30
 
 
 def test_history_nondecreasing_with_elitism(monkeypatch):
@@ -215,6 +220,39 @@ def test_infeasible_everywhere_flagged(monkeypatch):
     assert res.feasible == (res.aoi_at_best < 10.0)
 
 
+def recording_stub(age_of_alpha, seen):
+    """f = alpha + beta_r with the given age; appends every row it is given to seen."""
+    def stub(scheme, config, values, delta_th, quad, penalty_coef):
+        values = np.atleast_2d(np.asarray(values, dtype=float))
+        seen.extend(map(tuple, values))
+        f = values[:, 0] + values[:, 1]
+        return f, f.copy(), age_of_alpha(values[:, 0])
+    return stub
+
+
+def test_selection_prefers_feasible_over_fitter(monkeypatch):
+    seen = []
+    monkeypatch.setattr(optimizer, "evaluate_batch", recording_stub(lambda a: 5.0 + 20.0 * a, seen))
+    res = ga_run("p1", make_config(), delta_th=10.0,
+                 ga=GaConfig(population=16, generations=12, seed=4))
+    feasible_fits = [a + b for a, b in seen if 5.0 + 20.0 * a < 10.0]
+    assert res.feasible is True
+    assert res.best_fitness == max(feasible_fits)
+    assert any(a + b > res.best_fitness for a, b in seen if 5.0 + 20.0 * a >= 10.0)
+    assert res.generations_to_best == res.history.index(max(res.history)) + 1
+
+
+def test_selection_least_violation_when_none_feasible(monkeypatch):
+    seen = []
+    monkeypatch.setattr(optimizer, "evaluate_batch", recording_stub(lambda a: 11.0 + a, seen))
+    res = ga_run("p1", make_config(), delta_th=10.0,
+                 ga=GaConfig(population=16, generations=12, seed=4))
+    assert res.feasible is False
+    assert res.best.alpha == min(a for a, _ in seen)
+    assert any(a + b > res.best_fitness for a, b in seen)
+    assert res.generations_to_best == res.history.index(max(res.history)) + 1
+
+
 def test_ga_real_problem_smoke_and_flags():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=16, generations=12, seed=42)
@@ -235,6 +273,8 @@ def test_ga_rejects_bad_inputs():
     cfg = make_config()
     with pytest.raises(ValueError):
         ga_run("p3", cfg, delta_th=10.0, ga=GaConfig())
+    with pytest.raises(ValueError, match="problem must be"):
+        ga_run("tep", cfg, delta_th=10.0, ga=GaConfig())
     with pytest.raises(ValueError):
         ga_run("p1", cfg, delta_th=1.0, ga=GaConfig())
 
