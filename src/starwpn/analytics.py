@@ -12,15 +12,19 @@ user decomposes into two disjoint events:
                SNR still misses g
 
 Both reduce to one-dimensional integrals of incomplete-gamma kernels against
-the quartic-gain density.  Survival-type integrals over (0, inf) are done
-with a Gauss-Hermite rule after a log substitution (the rule is centered and
-scaled per integrand from a coarse scan, keeping the fixed-order rule
-accurate across twenty decades of SNR).  Finite-interval and tail residual
-pieces use composite Gauss-Legendre panels with geometric refinement toward
-the integrable endpoint x^((nk-4)/4), with nk = N*k the continuous Gamma
-shape of the co-phased sum.  Sums, densities, and kernels are combined in
-log space and exponentiated once, so N = 30 (Gamma shape around
-107) stays within double range.
+the quartic-gain density.  The two decodable-first probabilities, integrals
+over (0, inf), use a Gauss-Hermite rule after a log substitution (the rule is
+centered and scaled per integrand from a coarse scan, keeping the fixed-order
+rule accurate across twenty decades of SNR); they do not depend on any panel
+count and are computed once per row.  The finite and tail pieces use
+composite Gauss-Legendre panels on ranges clipped to the density's support,
+its _TAIL_MASS (1e-28) lower and upper quantiles y_lo and y_hi.  A piece over
+(0, g/c_p) gets log-uniform panels on [max(y_lo, 2^-96 * upper), upper],
+upper = min(g/c_p, y_hi), which refine toward the integrable endpoint
+x^((nk-4)/4), plus one panel from 0; tail pieces get log-uniform panels up to
+y_hi.  Here nk = N*k is the continuous Gamma shape of the co-phased sum.
+Sums, densities, and kernels are combined in log space and exponentiated
+once, so N = 30 (Gamma shape around 107) stays within double range.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
 longer exclusive; the overlap (both cross SINRs clear g) is integrated
@@ -28,9 +32,17 @@ explicitly and restores exact inclusion-exclusion.
 
 When the deadlock probability obtained by inclusion-exclusion falls under
 1e-5 it is dominated by cancellation noise, so it is recomputed from the
-direct (cancellation-free) decomposition instead.  Final probabilities are
-clamped to [0, 1] only after the nested-refinement convergence check passes;
-clamp events are counted in `clamp_stats`.
+direct (cancellation-free) decomposition instead.
+
+Every row is checked by panel doubling: it is evaluated at 16 and at 32
+panels per piece, and a row whose p_out_t, p_out_r or phi differ by more
+than max(_CHECK_ABS, _CHECK_REL * |fine|) is redone at 32/64, 64/128 and
+128/256 panels; past that, QuadratureError is raised.  The finer pass is
+returned.  The scalar closed forms and noma_metrics_batch (the optimizer's
+path) share this evaluator, so every NOMA value either returns has passed the
+check, and a row's value does not depend on its batch.  Probabilities are
+clamped to [0, 1] only after the check passes; clamp events are counted in
+`clamp_stats`.
 """
 
 import math
@@ -110,10 +122,12 @@ def fit_for_user(config: system.SystemConfig, user: str) -> GammaApprox:
 
 _SCAN_V = np.linspace(-46.0, 46.0, 461)  # ln-space scan grid, e^-46..e^46
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_EDGE_FLOOR = 2.0**-96  # first geometric edge relative to the upper limit
+_EDGE_FLOOR = 2.0**-96  # lowest log-uniform edge relative to the upper limit
 _TINY_LOG = 1e-300
 _DEADLOCK_SWITCH = 1e-5  # below this, inclusion-exclusion is noise-dominated
-_TAIL_MASS = 1e-28  # density mass ignored beyond the panel range
+_TAIL_MASS = 1e-28  # density mass ignored in each tail beyond the panel range
+_PANELS_FIRST = 16  # every row starts at 16 against 32 panels ...
+_PANELS_LAST = 256  # ... and doubles up to 128 against 256
 _CHECK_ABS = 1e-9
 _CHECK_REL = 1e-7
 
@@ -128,17 +142,18 @@ def _surv_diff(fit: GammaApprox, w1, w2):
     """F(w2) - F(w1) for w2 >= w1, stable in both tails.
 
     Deep in the right tail both CDFs are 1 up to roundoff, so the difference
-    is formed from survivals there; empty intervals (w1 > w2, possible for
-    thresholds below one) and roundoff negatives clamp to 0.
+    is formed from survivals there, and only there; empty intervals (w1 > w2,
+    possible for thresholds below one) and roundoff negatives clamp to 0.
     """
-    z1 = fit.theta * np.power(np.maximum(w1, 0.0), 0.25)
-    z2 = fit.theta * np.power(np.maximum(w2, 0.0), 0.25)
-    lo = np.minimum(z1, z2)
-    out = np.where(
-        lo > fit.sum_shape,
-        special.gammaincc(fit.sum_shape, z1) - special.gammaincc(fit.sum_shape, z2),
-        special.gammainc(fit.sum_shape, z2) - special.gammainc(fit.sum_shape, z1),
+    z1, z2 = np.broadcast_arrays(
+        fit.theta * np.power(np.maximum(w1, 0.0), 0.25),
+        fit.theta * np.power(np.maximum(w2, 0.0), 0.25),
     )
+    right = np.minimum(z1, z2) > fit.sum_shape
+    left = ~right
+    out = np.empty(z1.shape)
+    out[right] = special.gammaincc(fit.sum_shape, z1[right]) - special.gammaincc(fit.sum_shape, z2[right])
+    out[left] = special.gammainc(fit.sum_shape, z2[left]) - special.gammainc(fit.sum_shape, z1[left])
     return np.maximum(out, 0.0)
 
 
@@ -181,15 +196,20 @@ def _panel_nodes(edges: np.ndarray):
     return x.reshape(rows, -1), w.reshape(rows, -1)
 
 
-def _zero_anchored_edges(upper: np.ndarray, npanel: int) -> np.ndarray:
-    """Panel edges on (0, upper] refined geometrically toward 0."""
-    base = np.concatenate(([0.0], np.geomspace(_EDGE_FLOOR, 1.0, npanel)))
-    return upper[:, None] * base[None, :]
-
-
 def _log_uniform_edges(lo: np.ndarray, hi: np.ndarray, npanel: int) -> np.ndarray:
     frac = np.linspace(0.0, 1.0, npanel + 1)
     return lo[:, None] * (hi / lo)[:, None] ** frac[None, :]
+
+
+def _support(fit: GammaApprox):
+    """(y_lo, y_hi): the quartic gain's _TAIL_MASS lower and upper quantiles.
+
+    Outside [y_lo, y_hi] the density holds less than 2 * _TAIL_MASS mass, so
+    every panel range is clipped to it.
+    """
+    y_lo = (special.gammaincinv(fit.sum_shape, _TAIL_MASS) / fit.theta) ** 4
+    y_hi = (special.gammainccinv(fit.sum_shape, _TAIL_MASS) / fit.theta) ** 4
+    return float(y_lo), float(y_hi)
 
 
 def _s_int(fit_q, fit_p, cq, cp, g, rule):
@@ -203,9 +223,17 @@ def _s_int(fit_q, fit_p, cq, cp, g, rule):
     return _gh_log_integral(rule, log_fn, g.size)
 
 
-def _c_l_int(fit_q, fit_p, cq, cp, g, npanel, survival: bool):
-    """Finite piece over y in (0, g/c_p) of the survival (or CDF) kernel."""
-    x, w = _panel_nodes(_zero_anchored_edges(g / cp, npanel))
+def _c_l_int(fit_q, fit_p, support_p, cq, cp, g, npanel, survival: bool):
+    """Finite piece over y in (0, g/c_p) of the survival (or CDF) kernel.
+
+    npanel - 1 log-uniform panels cover [lo, upper], upper = min(g/c_p, y_hi)
+    and lo = max(y_lo, upper * 2^-96), and one more panel covers [0, lo].
+    """
+    y_lo, y_hi = support_p
+    upper = np.minimum(g / cp, y_hi)
+    lo = np.minimum(np.maximum(y_lo, upper * _EDGE_FLOOR), upper)
+    edges = np.concatenate((np.zeros((g.size, 1)), _log_uniform_edges(lo, upper, npanel - 1)), axis=1)
+    x, w = _panel_nodes(edges)
     arg = (g[:, None] * (cp[:, None] * x + 1.0)) / cq[:, None]
     z = fit_q.theta * np.power(arg, 0.25)
     kern = (special.gammaincc if survival else special.gammainc)(fit_q.sum_shape, z)
@@ -213,15 +241,11 @@ def _c_l_int(fit_q, fit_p, cq, cp, g, npanel, survival: bool):
     return (kern * dens * w).sum(axis=1)
 
 
-def _tail_quantile(fit: GammaApprox) -> float:
-    """Point beyond which the quartic-gain density holds < _TAIL_MASS mass."""
-    return float((special.gammainccinv(fit.sum_shape, _TAIL_MASS) / fit.theta) ** 4)
-
-
-def _deadlock_tail(fit_q, fit_p, cq, cp, g, npanel):
+def _deadlock_tail(fit_q, fit_p, support_p, cq, cp, g, npanel):
     """Deadlock mass over y > g/c_p: own gain inside a moving finite window."""
-    lo = g / cp
-    hi = np.full_like(lo, _tail_quantile(fit_p))
+    y_lo, y_hi = support_p
+    lo = np.maximum(g / cp, y_lo)
+    hi = np.full_like(lo, y_hi)
     valid = lo < hi
     lo_safe = np.where(valid, lo, hi * 0.5)
     x, w = _panel_nodes(_log_uniform_edges(lo_safe, hi, npanel))
@@ -232,15 +256,16 @@ def _deadlock_tail(fit_q, fit_p, cq, cp, g, npanel):
     return np.where(valid, (kern * dens * w).sum(axis=1), 0.0)
 
 
-def _both_first_overlap(fit_q, fit_p, cq, cp, g, npanel):
+def _both_first_overlap(fit_q, fit_p, support_p, cq, cp, g, npanel):
     """Pr[both cross SINRs clear g]; nonempty only for g < 1."""
     out = np.zeros_like(g)
     sub = g < 1.0
     if not sub.any():
         return out
     cq, cp, g = cq[sub], cp[sub], g[sub]
-    lo = g / (cp * (1.0 - g))
-    hi = np.full_like(lo, _tail_quantile(fit_p))
+    y_lo, y_hi = support_p
+    lo = np.maximum(g / (cp * (1.0 - g)), y_lo)
+    hi = np.full_like(lo, y_hi)
     valid = lo < hi
     lo_safe = np.where(valid, lo, hi * 0.5)
     x, w = _panel_nodes(_log_uniform_edges(lo_safe, hi, npanel))
@@ -252,30 +277,31 @@ def _both_first_overlap(fit_q, fit_p, cq, cp, g, npanel):
     return out
 
 
-def _noma_core(fit_t, fit_r, c_t, c_r, g, rule, npanel):
-    """Batched (p_out_t, p_out_r, phi) for one NOMA scheme.
+def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel):
+    """Batched raw (p_out_t, p_out_r, phi) at one panel count.
 
-    c_t, c_r, g are equal-length 1-D arrays; the Gamma fits are shared by
-    the whole batch.  Raw values, not yet clamped.
+    c_t, c_r, g, s1, s2 are equal-length 1-D arrays, s1 and s2 the two
+    decodable-first probabilities (_s_int, which does not depend on the
+    panel count); the Gamma fits and their supports are shared by the
+    whole batch.  Returns a (3, rows) array, not yet clamped.
     """
-    s1 = _s_int(fit_t, fit_r, c_t, c_r, g, rule)  # t decodable first
-    s2 = _s_int(fit_r, fit_t, c_r, c_t, g, rule)  # r decodable first
-    c_ab = _c_l_int(fit_t, fit_r, c_t, c_r, g, npanel, survival=True)
-    c_ba = _c_l_int(fit_r, fit_t, c_r, c_t, g, npanel, survival=True)
-    overlap = _both_first_overlap(fit_r, fit_t, c_r, c_t, g, npanel)
+    sup_t, sup_r = supports
+    c_ab = _c_l_int(fit_t, fit_r, sup_r, c_t, c_r, g, npanel, survival=True)
+    c_ba = _c_l_int(fit_r, fit_t, sup_t, c_r, c_t, g, npanel, survival=True)
+    overlap = _both_first_overlap(fit_r, fit_t, sup_t, c_r, c_t, g, npanel)
 
     deadlock = 1.0 - s1 - s2 + overlap
     small = deadlock <= _DEADLOCK_SWITCH
     if small.any():
-        low = _c_l_int(fit_t, fit_r, c_t[small], c_r[small], g[small], npanel, survival=False)
-        high = _deadlock_tail(fit_t, fit_r, c_t[small], c_r[small], g[small], npanel)
-        deadlock = deadlock.copy()
+        cts, crs, gs = c_t[small], c_r[small], g[small]
+        low = _c_l_int(fit_t, fit_r, sup_r, cts, crs, gs, npanel, survival=False)
+        high = _deadlock_tail(fit_t, fit_r, sup_r, cts, crs, gs, npanel)
         deadlock[small] = low + high
 
     p_t = deadlock + c_ba  # preempted term integrates over the own gain
     p_r = deadlock + c_ab
     phi = (s1 - c_ab) + (s2 - c_ba) - overlap
-    return p_t, p_r, phi
+    return np.stack((p_t, p_r, phi))
 
 
 def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
@@ -285,37 +311,57 @@ def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _noma_checked(fit_t, fit_r, c_t, c_r, g, rule):
-    """Scalar metrics with a nested panel-refinement convergence check."""
-    arr = lambda v: np.asarray([float(v)])
-    coarse = _noma_core(fit_t, fit_r, arr(c_t), arr(c_r), arr(g), rule, npanel=64)
-    fine = _noma_core(fit_t, fit_r, arr(c_t), arr(c_r), arr(g), rule, npanel=128)
-    for name, c, f in zip(("p_out_t", "p_out_r", "phi"), coarse, fine):
-        cv, fv = c.item(), f.item()
-        if abs(cv - fv) > max(_CHECK_ABS, _CHECK_REL * abs(fv)):
+def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
+    """Checked, clamped (p_out_t, p_out_r, phi) as a (3, rows) array.
+
+    Every row starts with a 16- against a 32-panel pass; rows whose values
+    disagree beyond max(_CHECK_ABS, _CHECK_REL * |fine|) are redone at twice
+    the panels, up to 128 against 256, and a row still failing then raises
+    QuadratureError.  Each row returns its finer pass, so a row's values do
+    not depend on the rest of the batch.
+    """
+    supports = (_support(fit_t), _support(fit_r))
+    s1 = _s_int(fit_t, fit_r, c_t, c_r, g, rule)  # t decodable first
+    s2 = _s_int(fit_r, fit_t, c_r, c_t, g, rule)  # r decodable first
+    out = np.empty((3, g.size))
+    todo = np.arange(g.size)
+    npanel = _PANELS_FIRST
+    coarse = _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel)
+    while todo.size:
+        npanel *= 2
+        fine = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], s1[todo], s2[todo], npanel)
+        miss = np.abs(coarse - fine) > np.maximum(_CHECK_ABS, _CHECK_REL * np.abs(fine))
+        redo = miss.any(axis=0)
+        out[:, todo[~redo]] = fine[:, ~redo]
+        if redo.any() and npanel == _PANELS_LAST:
+            k, row = np.argwhere(miss)[0]
             raise QuadratureError(
-                f"residual quadrature did not converge for {name}: "
-                f"{cv!r} vs {fv!r} after panel doubling"
+                f"residual quadrature did not converge for {('p_out_t', 'p_out_r', 'phi')[k]}: "
+                f"{coarse[k, row].item()!r} vs {fine[k, row].item()!r} after panel doubling"
             )
-    vals = _clamp_probs(np.array([v.item() for v in fine]), "noma closed form")
+        todo, coarse = todo[redo], fine[:, redo]
+    return _clamp_probs(out, "noma closed form")
+
+
+def _noma_checked(fit_t, fit_r, c_t, c_r, g, rule):
+    """Scalar checked (p_out_t, p_out_r, phi): a batch of one."""
+    arr = lambda v: np.asarray([float(v)])
+    vals = _noma_rows(fit_t, fit_r, arr(c_t), arr(c_r), arr(g), rule)[:, 0]
     return float(vals[0]), float(vals[1]), float(vals[2])
 
 
-def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule, npanel=64):
-    """Vectorized (p_out_t, p_out_r, phi) used by sweep and optimizer loops.
+def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule):
+    """Vectorized (p_out_t, p_out_r, phi) used by the optimizer loops.
 
-    Single-resolution evaluation (the panel count is validated against the
-    doubled rule in the scalar path and in the test suite); values clamped.
+    Every row passes the same panel-doubling convergence check as the
+    scalar closed forms and equals, bit for bit, what the scalar path gives
+    for it; values clamped to [0, 1].  Raises QuadratureError if a row does
+    not converge.
     """
     c_t = np.atleast_1d(np.asarray(c_t, dtype=float))
     c_r = np.atleast_1d(np.asarray(c_r, dtype=float))
     g = np.broadcast_to(np.asarray(g, dtype=float), c_t.shape).astype(float)
-    p_t, p_r, phi = _noma_core(fit_t, fit_r, c_t, c_r, g, rule, npanel)
-    return (
-        _clamp_probs(p_t, "noma batch"),
-        _clamp_probs(p_r, "noma batch"),
-        _clamp_probs(phi, "noma batch"),
-    )
+    return tuple(_noma_rows(fit_t, fit_r, c_t, c_r, g, rule))
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,27 @@ def test_outage_below_unity_threshold_matches_quadrature():
     assert phi <= 1.0 - max(p_t, p_r) + 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("scheme", ["tep", "eep"])
+def test_small_n_matches_adaptive_quadrature(scheme, n):
+    # few elements give the widest densities, where panel doubling fires; a
+    # short AP-surface hop keeps the outages away from one.  At N = 1 the
+    # oracle's success probability is not accurate (at 40 dB, QUADPACK on
+    # the quartic-gain axis misses 0.4 % of what the same integral on the
+    # Gamma axis gives), so phi is compared at N = 5 only.
+    pol = {"tep": TEP, "eep": EEP}[scheme]
+    for snr_db in (30.0, 40.0):
+        cfg = make_config(snr_db=snr_db, rate=2.0, n=n, d0=3.0)
+        c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
+        ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
+        p_t, p_r = outage(scheme, cfg, pol, QUAD)
+        assert abs(p_t - ref_t) < 1e-7 * ref_t
+        assert abs(p_r - ref_r) < 1e-7 * ref_r
+        if n > 1:
+            phi = success_prob(scheme, cfg, pol, QUAD)
+            assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
+
+
 def test_frozen_reference_values():
     cfg = make_config(snr_db=35.0, rate=1.0)
     p_t, p_r = outage("tep", cfg, TEP, QUAD)
@@ -335,18 +356,72 @@ def test_perf_report_consistency():
     assert rep3.success_prob <= 1.0
 
 
+def _batch_rows(cases, n):
+    """Coefficient rows of (scheme, snr_db, rate, d0) cases sharing one pair of fits."""
+    c_t, c_r, g, scalar = [], [], [], []
+    for scheme, snr_db, rate, d0 in cases:
+        cfg = make_config(snr_db=snr_db, rate=rate, n=n, d0=d0)
+        pol = {"tep": TEP, "eep": EEP}[scheme]
+        ct, cr = system.snr_coefficients(scheme, pol, cfg)
+        c_t.append(ct)
+        c_r.append(cr)
+        g.append(cfg.snr_threshold)
+        rep = perf_report(scheme, cfg, pol, QUAD)
+        scalar.append((rep.p_out_t, rep.p_out_r, rep.success_prob))
+    fit_t, fit_r = analytics.fit_for_user(cfg, "t"), analytics.fit_for_user(cfg, "r")
+    return fit_t, fit_r, np.array(c_t), np.array(c_r), np.array(g), scalar
+
+
 def test_batch_matches_scalar_path():
+    # one batch mixing TEP and EEP coefficients, thresholds below one (the
+    # overlap) and a deadlock under _DEADLOCK_SWITCH; each row equals the
+    # scalar path exactly, so a row's value does not depend on its batch
+    cases = [("tep", 35.0, 2.0, 30.0), ("tep", 35.0, 1.0, 30.0), ("tep", 25.0, 0.5, 30.0),
+             ("eep", 30.0, 1.0, 30.0), ("eep", 40.0, 0.5, 30.0), ("eep", 50.0, 4.0, 30.0)]
+    fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=30)
+    assert (g < 1.0).any() and (g > 1.0).any()
+    p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
+    # p_t bounds the deadlock from above, so this row took the direct branch
+    assert p_t[1] < analytics._DEADLOCK_SWITCH
+    for row, (s_t, s_r, s_phi) in enumerate(scalar):
+        assert (p_t[row], p_r[row], phi[row]) == (s_t, s_r, s_phi)
+
+
+def test_batch_doubles_panels_only_where_needed(monkeypatch):
+    # at N = 1 the density spans the widest range, and the 16/32 check fails
+    # for some rows; those rows alone are redone at more panels
+    seen = []
+    core = analytics._noma_core
+
+    def spy(*args):
+        out = core(*args)
+        seen.append((args[-1], out.shape[1]))
+        return out
+
+    monkeypatch.setattr(analytics, "_noma_core", spy)
+    cases = [("tep", 30.0, 2.0, 3.0), ("eep", 40.0, 2.0, 3.0), ("tep", 30.0, 2.0, 30.0)]
+    fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=1)
+    seen.clear()
+    p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
+    assert seen[:2] == [(16, 3), (32, 3)]
+    assert max(npanel for npanel, _ in seen) > 32
+    assert all(rows < 3 for npanel, rows in seen if npanel > 32)
+    for row, (s_t, s_r, s_phi) in enumerate(scalar):
+        assert (p_t[row], p_r[row], phi[row]) == (s_t, s_r, s_phi)
+
+
+def test_unconverged_rows_raise(monkeypatch):
+    # with zero tolerances no row converges, so the kernel's own check raises
+    # on the batch path and on the scalar path alike
+    monkeypatch.setattr(analytics, "_CHECK_ABS", 0.0)
+    monkeypatch.setattr(analytics, "_CHECK_REL", 0.0)
     cfg = make_config(snr_db=35.0, rate=2.0)
     fit = gamma_fit(NAK2, NAK2, 30)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
-    p_t, p_r, phi = noma_metrics_batch(
-        fit, fit, np.array([c_t]), np.array([c_r]), cfg.snr_threshold, QUAD
-    )
-    s_t, s_r = outage("tep", cfg, TEP, QUAD)
-    s_phi = success_prob("tep", cfg, TEP, QUAD)
-    assert abs(p_t[0] - s_t) < max(1e-9, 1e-6 * s_t)
-    assert abs(p_r[0] - s_r) < max(1e-9, 1e-6 * s_r)
-    assert abs(phi[0] - s_phi) < max(1e-9, 1e-6 * s_phi)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        noma_metrics_batch(fit, fit, np.array([c_t, c_t]), np.array([c_r, 2 * c_r]), cfg.snr_threshold, QUAD)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        perf_report("eep", cfg, EEP, QUAD)
 
 
 def test_scheme_constants_positive():

@@ -359,6 +359,16 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["run", write_ini(tmp_path), "--out", str(tmp_path / "z")]) == 3
     assert "numerical convergence failure" in capsys.readouterr().err
 
+    # the real raise: with zero tolerances no NOMA row converges, and the GA
+    # runs on checked values
+    monkeypatch.setattr(analytics, "_CHECK_ABS", 0.0)
+    monkeypatch.setattr(analytics, "_CHECK_REL", 0.0)
+    argv = ["optimize", "--preset", "fig11", "--set", "ga.n_grid=10", "--set", "ga.generations=1",
+            "--out", str(tmp_path / "ga")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "numerical convergence failure" in err and "after panel doubling" in err
+
 
 def test_csv_numbers_round_trip():
     assert cli._csv_num(0.1) == "0.10000000000000001"
