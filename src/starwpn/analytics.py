@@ -38,11 +38,18 @@ Every row is checked by panel doubling: it is evaluated at 16 and at 32
 panels per piece, and a row whose p_out_t, p_out_r or phi differ by more
 than max(_CHECK_ABS, _CHECK_REL * |fine|) is redone at 32/64, 64/128 and
 128/256 panels; past that, QuadratureError is raised.  The finer pass is
-returned.  The scalar closed forms and noma_metrics_batch (the optimizer's
-path) share this evaluator, so every NOMA value either returns has passed the
-check, and a row's value does not depend on its batch.  Probabilities are
-clamped to [0, 1] only after the check passes; clamp events are counted in
-`clamp_stats`.
+returned, so a row's value does not depend on the rows evaluated with it.
+Probabilities are clamped to [0, 1] only after the check passes; clamp events
+are counted in `clamp_stats`.
+
+closed_forms is the one entry: it takes (scheme, config, policy) cells, the
+input montecarlo.mc_counts takes, and groups them by NOMA flag and channel
+law (N and the three fading laws), so a group shares one pair of Gamma fits.
+A NOMA group goes to noma_metrics_batch, which feeds the checked evaluator in
+blocks of _ROW_BLOCK rows to bound its working memory; an orthogonal group is
+one vectorized Gamma CDF and survival evaluation.  outage, success_prob and
+perf_report are one-cell calls of it, and the CLI and the optimizer pass
+their whole cell lists.
 """
 
 import math
@@ -61,6 +68,7 @@ __all__ = [
     "QuadratureError",
     "PerfReport",
     "clamp_stats",
+    "closed_forms",
     "outage",
     "success_prob",
     "sum_throughput",
@@ -130,6 +138,7 @@ _PANELS_FIRST = 16  # every row starts at 16 against 32 panels ...
 _PANELS_LAST = 256  # ... and doubles up to 128 against 256
 _CHECK_ABS = 1e-9
 _CHECK_REL = 1e-7
+_ROW_BLOCK = 16  # NOMA rows per kernel call; bounds the working memory
 
 
 def _surv_int(fit: GammaApprox, x):
@@ -343,25 +352,23 @@ def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     return _clamp_probs(out, "noma closed form")
 
 
-def _noma_checked(fit_t, fit_r, c_t, c_r, g, rule):
-    """Scalar checked (p_out_t, p_out_r, phi): a batch of one."""
-    arr = lambda v: np.asarray([float(v)])
-    vals = _noma_rows(fit_t, fit_r, arr(c_t), arr(c_r), arr(g), rule)[:, 0]
-    return float(vals[0]), float(vals[1]), float(vals[2])
+def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
+    """Checked, clamped (p_out_t, p_out_r, phi) of NOMA rows as a (3, rows) array.
 
-
-def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule):
-    """Vectorized (p_out_t, p_out_r, phi) used by the optimizer loops.
-
-    Every row passes the same panel-doubling convergence check as the
-    scalar closed forms and equals, bit for bit, what the scalar path gives
-    for it; values clamped to [0, 1].  Raises QuadratureError if a row does
-    not converge.
+    All rows share the Gamma fits fit_t and fit_r; c_t, c_r and g are
+    per-row arrays (g may be a scalar).  Rows are evaluated in blocks of
+    _ROW_BLOCK, which bounds the kernel's working memory; a row's values do
+    not depend on its block.  Raises QuadratureError if a row does not
+    converge.
     """
     c_t = np.atleast_1d(np.asarray(c_t, dtype=float))
     c_r = np.atleast_1d(np.asarray(c_r, dtype=float))
-    g = np.broadcast_to(np.asarray(g, dtype=float), c_t.shape).astype(float)
-    return tuple(_noma_rows(fit_t, fit_r, c_t, c_r, g, rule))
+    g = np.broadcast_to(np.asarray(g, dtype=float), c_t.shape).copy()
+    out = np.empty((3, c_t.size))
+    for start in range(0, c_t.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[:, rows] = _noma_rows(fit_t, fit_r, c_t[rows], c_r[rows], g[rows], rule)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -369,49 +376,58 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule):
 # ----------------------------------------------------------------------
 
 
-def _scheme_metrics(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule):
-    """Checked (p_out_t, p_out_r, phi) of one scheme at one operating point.
+def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
+    """Checked (p_out_t, p_out_r, phi) of every (scheme, config, policy) cell.
 
-    NOMA schemes integrate the SIC outage decomposition and the two
-    ordered-decoding success events (minus their overlap below threshold
-    one); an orthogonal scheme's users fail independently, so its outages
-    are per-user CDFs and its success probability their product of
-    survivals.  quad=None means a 30-node Gauss-Hermite rule.
+    Returns a (len(cells), 3) array in the order given.  Cells are grouped by
+    NOMA flag and channel law, and each group is evaluated in one call.  NOMA
+    groups go to noma_metrics_batch; an orthogonal scheme's users fail
+    independently, so its outages are per-user Gamma CDFs and its success
+    probability their product of survivals.  quad=None means a 30-node
+    Gauss-Hermite rule.
     """
-    c_t, c_r = system.snr_coefficients(scheme, policy, config)
-    fit_t, fit_r = fit_for_user(config, "t"), fit_for_user(config, "r")
-    g = config.snr_threshold
-    if system.scheme_spec(scheme).noma:
-        if quad is None:
-            quad = gauss_hermite_rule(30)
-        return _noma_checked(fit_t, fit_r, c_t, c_r, g, quad)
-    p_t = quartic_gain_cdf(fit_t, g / c_t)
-    p_r = quartic_gain_cdf(fit_r, g / c_r)
-    phi = _surv_int(fit_t, g / c_t) * _surv_int(fit_r, g / c_r)
-    vals = _clamp_probs(np.array([float(p_t), float(p_r), float(phi)]), "orthogonal closed form")
-    return float(vals[0]), float(vals[1]), float(vals[2])
+    if quad is None:
+        quad = gauss_hermite_rule(30)
+    groups = {}
+    for i, (scheme, config, policy) in enumerate(cells):
+        key = (system.scheme_spec(scheme).noma, config.channel_law)
+        rows = groups.setdefault(key, (config, []))[1]
+        rows.append((i, *system.snr_coefficients(scheme, policy, config), config.snr_threshold))
+    out = np.empty((len(cells), 3))
+    for (noma, _), (config, rows) in groups.items():
+        index, c_t, c_r, g = (np.array(col) for col in zip(*rows))
+        fit_t, fit_r = fit_for_user(config, "t"), fit_for_user(config, "r")
+        if noma:
+            vals = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, quad)
+        else:
+            w_t, w_r = g / c_t, g / c_r
+            vals = np.stack((quartic_gain_cdf(fit_t, w_t), quartic_gain_cdf(fit_r, w_r),
+                             _surv_int(fit_t, w_t) * _surv_int(fit_r, w_r)))
+            vals = _clamp_probs(vals, "orthogonal closed form")
+        out[index] = vals.T
+    return out
 
 
 def outage(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None):
     """Per-user outage probabilities (p_out_t, p_out_r) of one scheme."""
-    p_t, p_r, _ = _scheme_metrics(scheme, config, policy, quad)
+    p_t, p_r, _ = closed_forms([(scheme, config, policy)], quad)[0].tolist()
     return p_t, p_r
 
 
 def success_prob(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> float:
     """Probability that both users are decoded in one block."""
-    return _scheme_metrics(scheme, config, policy, quad)[2]
+    return closed_forms([(scheme, config, policy)], quad)[0, 2].item()
 
 
 def sum_throughput(scheme: str, outage_pair, rate: float, policy) -> float:
     """Block-normalized sum throughput from a per-user outage pair.
 
     NOMA users share one uplink slot; orthogonal users each send in their
-    own.  The outages (and the policy fields) may be equal-shape arrays.
+    own.
     """
     p_t, p_r = outage_pair
     for p in (p_t, p_r):
-        if not np.all((0.0 <= p) & (p <= 1.0)):
+        if not (0.0 <= p <= 1.0):
             raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
     spec = system.scheme_spec(scheme)
     s_t, s_r = spec.shares(policy)
@@ -439,7 +455,7 @@ def average_aoi(phi: float) -> float:
 
 def perf_report(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> PerfReport:
     """All closed-form metrics of one scheme at one operating point."""
-    p_t, p_r, phi = _scheme_metrics(scheme, config, policy, quad)
+    p_t, p_r, phi = closed_forms([(scheme, config, policy)], quad)[0].tolist()
     return PerfReport(
         p_out_t=p_t,
         p_out_r=p_r,

@@ -18,18 +18,18 @@ from scipy import special
 class NakagamiParams:
     """Nakagami-m envelope parameters.
 
-    m      shape (m >= 0.5), integer values give the usual multipath model
-    omega  spread E[X^2] (> 0)
+    m      shape (finite, >= 0.5), integer values give the usual multipath model
+    omega  spread E[X^2] (finite, > 0)
     """
 
     m: float
     omega: float
 
     def __post_init__(self):
-        if not (self.m >= 0.5):
-            raise ValueError(f"Nakagami shape m must be >= 0.5, got {self.m}")
-        if not (self.omega > 0):
-            raise ValueError(f"Nakagami spread omega must be > 0, got {self.omega}")
+        if not (0.5 <= self.m < np.inf):
+            raise ValueError(f"Nakagami shape m must be finite and >= 0.5, got {self.m}")
+        if not (0 < self.omega < np.inf):
+            raise ValueError(f"Nakagami spread omega must be finite and > 0, got {self.omega}")
 
 
 @dataclass(frozen=True)

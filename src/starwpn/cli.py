@@ -18,7 +18,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -118,16 +117,19 @@ def load_config(path: str = None, preset: str = None, sets=()) -> dict:
         raise ConfigError("pass either a config file or --preset, not both")
     cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
     parser = configparser.ConfigParser(interpolation=None)
-    if preset:
-        try:
-            text = (resources.files("starwpn") / "presets" / f"{preset}.ini").read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(_known_presets())}")
-        parser.read_string(text)
-    elif path:
-        if not Path(path).is_file():
-            raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
+    try:
+        if preset:
+            try:
+                text = (resources.files("starwpn") / "presets" / f"{preset}.ini").read_text()
+            except FileNotFoundError:
+                raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(_known_presets())}")
+            parser.read_string(text)
+        elif path:
+            if not Path(path).is_file():
+                raise ConfigError(f"config file not found: {path}")
+            parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config: {exc}")
     for section in parser.sections():
         if section not in cfg:
             raise ConfigError(f"unknown config section [{section}]")
@@ -286,36 +288,23 @@ def _csv_num(value) -> str:
     return format(float(value), ".17g")
 
 
-def _analytic_metrics(scheme, config, policy, quad) -> dict:
-    rep = analytics.perf_report(scheme, config, policy, quad)
-    return {
-        "outage_t": rep.p_out_t,
-        "outage_r": rep.p_out_r,
-        "throughput_t": analytics.user_throughput(scheme, "t", rep.p_out_t, config.rate, policy),
-        "throughput_r": analytics.user_throughput(scheme, "r", rep.p_out_r, config.rate, policy),
-        "sum_throughput": rep.sum_throughput,
-        "phi": rep.success_prob,
-        "aoi": rep.avg_aoi,
-    }
+def _metrics(scheme, config, policy, probs, ses=None) -> dict:
+    """METRICS of one cell, each (value, standard error or None).
 
-
-def _mc_metrics(scheme, config, policy, counts: montecarlo.McCounts) -> dict:
-    p_t, p_r, se_t, se_r = counts.outage()
-    phi, se_phi = counts.success()
+    probs is the cell's (p_t, p_r, phi); ses, given for Monte Carlo rows,
+    their standard errors.
+    """
+    p_t, p_r, phi = probs
     # a user's throughput is rate * share * (1 - p): scale_x = rate * share_x
     scale_t, scale_r = (analytics.user_throughput(scheme, u, 0.0, config.rate, policy) for u in "tr")
-    return {
-        "outage_t": (p_t, se_t),
-        "outage_r": (p_r, se_r),
-        "throughput_t": (scale_t * (1.0 - p_t), scale_t * se_t),
-        "throughput_r": (scale_r * (1.0 - p_r), scale_r * se_r),
-        "sum_throughput": (
-            analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy),
-            float(np.hypot(scale_t * se_t, scale_r * se_r)),
-        ),
-        "phi": (phi, se_phi),
-        "aoi": (analytics.average_aoi(phi), se_phi / phi**2 if phi > 0 else float("inf")),
-    }
+    vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r),
+            analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy), phi, analytics.average_aoi(phi))
+    errs = (None,) * len(METRICS)
+    if ses is not None:
+        se_t, se_r, se_phi = ses
+        errs = (se_t, se_r, scale_t * se_t, scale_r * se_r, float(np.hypot(scale_t * se_t, scale_r * se_r)),
+                se_phi, se_phi / phi**2 if phi > 0 else float("inf"))
+    return dict(zip(METRICS, zip(vals, errs)))
 
 
 def cmd_run(cfg: dict) -> dict:
@@ -352,27 +341,26 @@ def cmd_run(cfg: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid mc configuration: {exc}")
 
-    # one (value, scheme, config, policy) cell per grid point and scheme
-    cells = []
+    # one (scheme, config, policy) cell per grid point and scheme
+    points, cells = [], []
     for value in grid:
         swept = _apply_sweep(cfg, sweep, value, schemes)
         config = build_system(swept)
-        cells.extend((value, scheme, config, build_policy(swept, scheme)) for scheme in schemes)
+        for scheme in schemes:
+            points.append((value, scheme))
+            cells.append((scheme, config, build_policy(swept, scheme)))
 
-    def analytic_row(cell):
-        value, scheme, config, policy = cell
-        vals = _analytic_metrics(scheme, config, policy, quad)
-        return value, scheme, "analytic", {m: (vals[m], None) for m in metrics}
-
-    collected = []
+    collected = []  # (value, scheme, engine, metric columns)
     if engine in ("analytic", "both"):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            collected.extend(pool.map(analytic_row, cells))
+        probs = analytics.closed_forms(cells, quad).tolist()
+        for (value, scheme), cell, row in zip(points, cells, probs):
+            collected.append((value, scheme, "analytic", _metrics(*cell, row)))
     if engine in ("montecarlo", "both"):
-        counts = montecarlo.mc_counts([cell[1:] for cell in cells], mc_cfg, threads)
-        for (value, scheme, config, policy), count in zip(cells, counts):
-            vals = _mc_metrics(scheme, config, policy, count)
-            collected.append((value, scheme, "montecarlo", {m: vals[m] for m in metrics}))
+        counts = montecarlo.mc_counts(cells, mc_cfg, threads)
+        for (value, scheme), cell, count in zip(points, cells, counts):
+            p_t, p_r, se_t, se_r = count.outage()
+            phi, se_phi = count.success()
+            collected.append((value, scheme, "montecarlo", _metrics(*cell, (p_t, p_r, phi), (se_t, se_r, se_phi))))
     collected.sort(key=lambda r: (r[0], r[1], r[2]))
 
     header = [sweep, "scheme", "engine"]
@@ -381,12 +369,12 @@ def cmd_run(cfg: dict) -> dict:
         header.append(f"{m}_se")
     lines = [",".join(header)]
     for value, scheme, eng, vals in collected:
-        cells = [_csv_num(value) if sweep != "n_elements" else str(value), scheme, eng]
+        fields = [_csv_num(value) if sweep != "n_elements" else str(value), scheme, eng]
         for m in metrics:
             v, se = vals[m]
-            cells.append(_csv_num(v))
-            cells.append("" if se is None else _csv_num(se))
-        lines.append(",".join(cells))
+            fields.append(_csv_num(v))
+            fields.append("" if se is None else _csv_num(se))
+        lines.append(",".join(fields))
     name = exp["name"].strip() or "sweep"
     return {f"{name}.csv": "\n".join(lines) + "\n"}
 

@@ -133,15 +133,14 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
 def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
     """McCounts of every (scheme, config, policy) cell, in the order given.
 
-    Cells whose configs agree on N and the three fading laws share one gain
-    ensemble.  Each chunk of an ensemble is drawn once, every cell of the
-    ensemble is decoded on it once, and the chunk is dropped; chunks run on
-    `threads` workers.
+    Cells whose configs agree on the channel law (N and the three fading
+    laws, `SystemConfig.channel_law`) share one gain ensemble.  Each chunk
+    of an ensemble is drawn once, every cell of the ensemble is decoded on
+    it once, and the chunk is dropped; chunks run on `threads` workers.
     """
     ensembles = {}
     for i, (scheme, config, policy) in enumerate(cells):
-        key = (config.n_elements, config.fading_ris, config.fading_t, config.fading_r)
-        decoders = ensembles.setdefault(key, (config, []))[1]
+        decoders = ensembles.setdefault(config.channel_law, (config, []))[1]
         c_t, c_r = system.snr_coefficients(scheme, policy, config)
         decoders.append((i, system.scheme_spec(scheme).noma, c_t, c_r, config.snr_threshold))
     chunks = [(idx, min(_CHUNK, mc.trials - start)) for idx, start in enumerate(range(0, mc.trials, _CHUNK))]

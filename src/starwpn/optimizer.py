@@ -24,7 +24,6 @@ first generation whose best fitness equals the best of the whole run.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,11 +34,10 @@ VAR_LO = 0.01
 VAR_HI = 0.99
 
 _AOI_CAP = 1e12  # age assigned when the success probability underflows
-_CHUNK = 4096  # rows per kernel call in evaluate_batch
 
 PROBLEM_SCHEME = {"p1": "tep", "p2": "eep"}
 
-# GA variables (alpha, beta_r) -> policy fields, for scalars or arrays
+# GA variables (alpha, beta_r) -> policy fields
 _POLICY_FIELDS = {
     "tep": lambda a, b: dict(
         alpha_t=(1.0 - a) / 2.0, alpha_r=(1.0 - a) / 2.0, alpha_ap=a, beta_t=1.0 - b, beta_r=b
@@ -166,25 +164,12 @@ def evaluate_batch(
 ):
     """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    fit_t = analytics.fit_for_user(config, "t")
-    fit_r = analytics.fit_for_user(config, "r")
-    fitness = np.empty(values.shape[0])
-    throughput = np.empty(values.shape[0])
-    aoi = np.empty(values.shape[0])
-    for start in range(0, values.shape[0], _CHUNK):
-        rows = values[start : start + _CHUNK]
-        pol = SimpleNamespace(**_POLICY_FIELDS[scheme](rows[:, 0], rows[:, 1]))
-        c_t, c_r = system.snr_coefficients(scheme, pol, config)
-        p_t, p_r, phi = analytics.noma_metrics_batch(
-            fit_t, fit_r, c_t, c_r, config.snr_threshold, quad
-        )
-        tput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, pol)
-        age = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
-        sl = slice(start, start + rows.shape[0])
-        throughput[sl] = tput
-        aoi[sl] = age
-        fitness[sl] = tput - penalty_coef * np.maximum(0.0, age - delta_th)
-    return fitness, throughput, aoi
+    policies = [Allocation(scheme, alpha, beta_r).policy() for alpha, beta_r in values.tolist()]
+    probs = analytics.closed_forms([(scheme, config, pol) for pol in policies], quad)
+    throughput = np.array([analytics.sum_throughput(scheme, (p_t, p_r), config.rate, pol)
+                           for pol, (p_t, p_r, _) in zip(policies, probs)])
+    aoi = 1.0 / np.maximum(probs[:, 2], 1.0 / _AOI_CAP)
+    return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi
 
 
 def penalized_fitness(

@@ -15,6 +15,7 @@ G_x**2 and the uplink SNR with G_x**4.  The schemes differ only in what the
 scheme table `SCHEMES` records for each of them.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,16 +62,19 @@ class SystemConfig:
     rate: float
 
     def __post_init__(self):
-        for name in ("p_ap", "n0", "d0", "d_t", "d_r"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("p_ap", "n0", "d0", "d_t", "d_r", "rate"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("exp0", "exp_t", "exp_r"):
-            if not (getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if not (1 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if not (self.rate > 0):
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+
+    @property
+    def channel_law(self) -> tuple:
+        """(N, fading_ris, fading_t, fading_r): all the combined gains' law depends on."""
+        return (self.n_elements, self.fading_ris, self.fading_t, self.fading_r)
 
     @property
     def snr_threshold(self) -> float:
@@ -162,9 +166,6 @@ class Scheme:
     snr_scale  (policy, k_t, k_r) -> user x's received power k_x = P * l_x^2
                times its SNR factor; the SNR coefficient is that product over
                share_x * N0 (see snr_coefficients)
-
-    Both functions read policy attributes only, so they also work on plain
-    namespaces whose attributes are arrays.
     """
 
     policy: type

@@ -44,8 +44,9 @@ def make_config(snr_db=40.0, rate=1.0, n=30, **over):
 def quad_oracle_noma(config, c_t, c_r):
     """Adaptive-quadrature re-evaluation of the SIC outage decomposition.
 
-    Same probabilistic decomposition, entirely different numerics (QUADPACK
-    instead of scanned Gauss-Hermite plus Gauss-Legendre panels).
+    Same probabilistic decomposition, entirely different numerics: QUADPACK
+    on the Gamma (amplitude) axis u = y^(1/4), instead of scanned
+    Gauss-Hermite plus Gauss-Legendre panels on the quartic-gain axis.
     """
     g = config.snr_threshold
     fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
@@ -57,48 +58,52 @@ def quad_oracle_noma(config, c_t, c_r):
     def surv(fit, x):
         return special.gammaincc(fit.sum_shape, fit.theta * max(x, 0.0) ** 0.25)
 
-    def split_quad(f, lo, hi, interior):
+    def expect(fit, kern, lo, hi, interior=()):
+        """Integral of kern(y) against the quartic-gain density over [lo, hi].
+
+        With y = u^4 the density is the Gamma(N*k, theta) density of u.  The
+        range is cut where u's upper tail holds 1e-30, and an empty range
+        gives 0.  The amplitude's bulk is always a breakpoint.
+        """
+        nk, theta = fit.sum_shape, fit.theta
+        log_norm = nk * math.log(theta) - special.gammaln(nk)
+        a = lo ** 0.25
+        b = min(hi ** 0.25, special.gammainccinv(nk, 1e-30) / theta)
+        if not a < b:
+            return 0.0
+        bulk = [special.gammaincinv(nk, q) / theta for q in (1e-6, 0.5, 1.0 - 1e-6)]
+        pts = sorted(u for u in bulk + [y ** 0.25 for y in interior] if a < u < b)
+
+        def f(u):
+            if u <= 0.0:
+                return 0.0
+            return kern(u**4) * math.exp(log_norm + (nk - 1.0) * math.log(u) - theta * u)
+
         args = dict(limit=400, epsabs=1e-16, epsrel=1e-11)
-        pts = sorted(p for p in interior if lo < p < hi)
-        total = 0.0
-        for a, b in zip([lo] + pts, pts + [hi]):
-            total += integrate.quad(f, a, b, **args)[0]
-        return total
+        return sum(integrate.quad(f, u0, u1, **args)[0] for u0, u1 in zip([a] + pts, pts + [b]))
 
-    scale_r = (fit_r.sum_shape / fit_r.theta) ** 4
-    scale_t = (fit_t.sum_shape / fit_t.theta) ** 4
-    # negligible-density cutoffs replace the infinite upper limits
-    zhi_r = (special.gammainccinv(fit_r.sum_shape, 1e-30) / fit_r.theta) ** 4
-    zhi_t = (special.gammainccinv(fit_t.sum_shape, 1e-30) / fit_t.theta) ** 4
-
-    def deadlock_int(y):
+    def deadlock_kern(y):
         hi = cdf(fit_t, g * (c_r * y + 1.0) / c_t)
         lo = cdf(fit_t, max(c_r * y - g, 0.0) / (g * c_t))
-        return (hi - lo) * quartic_gain_pdf(fit_r, y)
+        return hi - lo
 
     # the trapped-window bump sits near y* where the window crosses the
     # other user's bulk; pass it explicitly so the panels resolve it
-    y_star = g * c_t * scale_t / c_r
-    deadlock = split_quad(deadlock_int, 0.0, g / c_r, [g / (2 * c_r)]) + split_quad(
-        deadlock_int, g / c_r, max(zhi_r, 4 * y_star), [scale_r, y_star / 2, y_star, 2 * y_star]
+    y_star = g * c_t * (fit_t.sum_shape / fit_t.theta) ** 4 / c_r
+    deadlock = expect(fit_r, deadlock_kern, 0.0, g / c_r, [g / (2 * c_r)]) + expect(
+        fit_r, deadlock_kern, g / c_r, math.inf, [y_star / 2, y_star, 2 * y_star]
     )
 
-    pre_t = split_quad(
-        lambda x: surv(fit_r, g * (c_t * x + 1.0) / c_r) * quartic_gain_pdf(fit_t, x),
-        0.0, g / c_t, [g / (2 * c_t)],
-    )
-    pre_r = split_quad(
-        lambda y: surv(fit_t, g * (c_r * y + 1.0) / c_t) * quartic_gain_pdf(fit_r, y),
-        0.0, g / c_r, [g / (2 * c_r)],
-    )
-    phi1 = split_quad(
-        lambda y: surv(fit_t, g * (c_r * y + 1.0) / c_t) * quartic_gain_pdf(fit_r, y),
-        g / c_r, zhi_r, [scale_r, 2 * g / c_r],
-    )
-    phi2 = split_quad(
-        lambda x: surv(fit_r, g * (c_t * x + 1.0) / c_r) * quartic_gain_pdf(fit_t, x),
-        g / c_t, zhi_t, [scale_t, 2 * g / c_t],
-    )
+    def surv_r(x):  # r's cross SINR clears g, given t's quartic gain x
+        return surv(fit_r, g * (c_t * x + 1.0) / c_r)
+
+    def surv_t(y):  # t's cross SINR clears g, given r's quartic gain y
+        return surv(fit_t, g * (c_r * y + 1.0) / c_t)
+
+    pre_t = expect(fit_t, surv_r, 0.0, g / c_t, [g / (2 * c_t)])
+    pre_r = expect(fit_r, surv_t, 0.0, g / c_r, [g / (2 * c_r)])
+    phi1 = expect(fit_r, surv_t, g / c_r, math.inf, [2 * g / c_r])
+    phi2 = expect(fit_t, surv_r, g / c_t, math.inf, [2 * g / c_t])
     return deadlock + pre_t, deadlock + pre_r, phi1 + phi2
 
 
@@ -150,13 +155,17 @@ def test_outage_below_unity_threshold_matches_quadrature():
 @pytest.mark.parametrize("scheme", ["tep", "eep"])
 def test_small_n_matches_adaptive_quadrature(scheme, n):
     # few elements give the widest densities, where panel doubling fires; a
-    # short AP-surface hop keeps the outages away from one.  At N = 1 the
-    # oracle's success probability is not accurate (at 40 dB, QUADPACK on
-    # the quartic-gain axis misses 0.4 % of what the same integral on the
-    # Gamma axis gives), so phi is compared at N = 5 only.
+    # short AP-surface hop (3 m) keeps the outages away from one.  At N = 1
+    # the default 30 m hop is checked too: there every outage is 1, and the
+    # oracle's deadlock tail range is empty.  phi is compared at N = 5 only,
+    # because at N = 1 the kernel's 30-node Gauss-Hermite terms are off by up
+    # to about 1e-8 in phi (4.5624e-8 at TEP, 30 dB, 3 m).
     pol = {"tep": TEP, "eep": EEP}[scheme]
-    for snr_db in (30.0, 40.0):
-        cfg = make_config(snr_db=snr_db, rate=2.0, n=n, d0=3.0)
+    cases = [(30.0, 3.0), (40.0, 3.0)]
+    if n == 1:
+        cases.append((30.0, 30.0))
+    for snr_db, d0 in cases:
+        cfg = make_config(snr_db=snr_db, rate=2.0, n=n, d0=d0)
         c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
         ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
         p_t, p_r = outage(scheme, cfg, pol, QUAD)
@@ -373,18 +382,33 @@ def _batch_rows(cases, n):
 
 
 def test_batch_matches_scalar_path():
-    # one batch mixing TEP and EEP coefficients, thresholds below one (the
-    # overlap) and a deadlock under _DEADLOCK_SWITCH; each row equals the
-    # scalar path exactly, so a row's value does not depend on its batch
-    cases = [("tep", 35.0, 2.0, 30.0), ("tep", 35.0, 1.0, 30.0), ("tep", 25.0, 0.5, 30.0),
-             ("eep", 30.0, 1.0, 30.0), ("eep", 40.0, 0.5, 30.0), ("eep", 50.0, 4.0, 30.0)]
-    fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=30)
-    assert (g < 1.0).any() and (g > 1.0).any()
-    p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
+    # one closed_forms call mixes TEP, EEP and TDMA, N = 1 and N = 30,
+    # thresholds below one (the overlap) and above, a deadlock under
+    # _DEADLOCK_SWITCH, and more NOMA rows of one channel law than one kernel
+    # block.  Each row equals its one-cell call exactly, in any cell order,
+    # so a row's value does not depend on its batch.
+    schemes = (("tep", TEP), ("eep", EEP), ("tdma", TDMA))
+    cells = [(scheme, make_config(snr_db=snr_db, rate=rate, n=n, d0=d0), pol)
+             for scheme, pol in schemes
+             for n, d0, snr_db in ((1, 3.0, 30.0), (1, 3.0, 40.0), (1, 30.0, 30.0), (30, 30.0, 35.0))
+             for rate in (0.5, 2.0)]
+    deadlock_row = len(cells)
+    cells += [("tep", make_config(snr_db=35.0, rate=1.0), TEP), ("eep", make_config(snr_db=50.0, rate=4.0), EEP)]
+    cells += [(scheme, make_config(snr_db=float(snr_db), rate=1.5), pol)
+              for snr_db in np.linspace(20.0, 50.0, analytics._ROW_BLOCK // 2 + 1) for scheme, pol in schemes[:2]]
+    n30_noma = [i for i, (scheme, cfg, _) in enumerate(cells) if scheme != "tdma" and cfg.n_elements == 30]
+    assert len(n30_noma) > analytics._ROW_BLOCK
+
+    probs = analytics.closed_forms(cells, QUAD)
+    assert probs.shape == (len(cells), 3)
     # p_t bounds the deadlock from above, so this row took the direct branch
-    assert p_t[1] < analytics._DEADLOCK_SWITCH
-    for row, (s_t, s_r, s_phi) in enumerate(scalar):
-        assert (p_t[row], p_r[row], phi[row]) == (s_t, s_r, s_phi)
+    assert probs[deadlock_row, 0] < analytics._DEADLOCK_SWITCH
+    order = np.random.default_rng(7).permutation(len(cells))
+    assert np.array_equal(analytics.closed_forms([cells[i] for i in order], QUAD), probs[order])
+    for cell, row in zip(cells, probs.tolist()):
+        rep = perf_report(*cell, QUAD)
+        assert row == [rep.p_out_t, rep.p_out_r, rep.success_prob]
+        assert row == list(outage(*cell, QUAD)) + [success_prob(*cell, QUAD)]
 
 
 def test_batch_doubles_panels_only_where_needed(monkeypatch):

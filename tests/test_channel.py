@@ -42,6 +42,9 @@ def test_nakagami_params_validation():
         NakagamiParams(m=2.0, omega=0.0)
     with pytest.raises(ValueError):
         NakagamiParams(m=2.0, omega=-1.0)
+    for m, omega in ((np.inf, 1.0), (2.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            NakagamiParams(m=m, omega=omega)
 
 
 def test_cascade_moment_zeroth_is_one():

@@ -345,6 +345,21 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["optimize", "--preset", "fig11", "--set", override, "--out", str(tmp_path / "v")]) == 2
         assert text in capsys.readouterr().err
 
+    # non-finite physical inputs are rejected when the system is built
+    for override in ("system.m_ris=inf", "system.omega_t=inf", "system.d0_m=inf", "system.rate_bps_hz=inf"):
+        assert main(["run", "--preset", "fig4", "--set", override, "--out", str(tmp_path / "u")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    # no section header, a repeated section, bytes that are not UTF-8
+    for name, data in (
+        ("bare.ini", b"snr_db = 30\n"),
+        ("twice.ini", b"[system]\nsnr_db = 30\n[system]\nd0_m = 3\n"),
+        ("latin1.ini", b"[experiment]\nname = r\xe9sultat\n"),
+    ):
+        (tmp_path / name).write_bytes(data)
+        assert main(["run", str(tmp_path / name), "--out", str(tmp_path / "t")]) == 2
+        assert "malformed config" in capsys.readouterr().err
+
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     assert main(["run", ini, "--out", str(blocker / "sub")]) == 4

@@ -67,6 +67,9 @@ def test_config_validation():
         make_config(n_elements=0)
     with pytest.raises(ValueError):
         make_config(rate=0.0)
+    for key in ("p_ap", "n0", "d0", "d_t", "d_r", "exp0", "exp_t", "exp_r", "rate"):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            make_config(**{key: np.inf})
 
 
 def test_uplink_snr_tep_unit_case():
