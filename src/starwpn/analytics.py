@@ -2,45 +2,52 @@
 
 Every scheme reduces to a pair of positive SNR coefficients (c_t, c_r) such
 that user x's uplink SNR is c_x * X with X the quartic gain G_x**4 (see
-system.snr_coefficients).  With decoding threshold g, the SIC outage of a
-user decomposes into two disjoint events:
+system.snr_coefficients).  With decoding threshold g, given the other
+user's quartic gain y, the own cross SINR clears g when the own gain lies
+above b = g*(c_o*y + 1)/c, and the other user's when it lies below
+a = (c_o*y - g)/(c*g).  The SIC outage of a user decomposes into two
+disjoint events:
 
-    deadlock   neither cross SINR clears g; conditioned on the other gain y,
-               the own gain is trapped in [max(c_o*y - g, 0)/(c*g),
-               g*(c_o*y + 1)/c]
+    deadlock   neither cross SINR clears g: the own gain lies in [a, b]
     preempted  the other user is decoded first and the own interference-free
                SNR still misses g
 
-Both reduce to one-dimensional integrals of incomplete-gamma kernels against
-the quartic-gain density.  The two decodable-first probabilities, integrals
-over (0, inf), use a Gauss-Hermite rule after a log substitution (the rule is
-centered and scaled per integrand from a coarse scan, keeping the fixed-order
-rule accurate across twenty decades of SNR); they do not depend on any panel
-count and are computed once per row.  The finite and tail pieces use
-composite Gauss-Legendre panels on ranges clipped to the density's support,
-its _TAIL_MASS (1e-28) lower and upper quantiles y_lo and y_hi.  A piece over
-(0, g/c_p) gets log-uniform panels on [max(y_lo, 2^-96 * upper), upper],
-upper = min(g/c_p, y_hi), which refine toward the integrable endpoint
-x^((nk-4)/4), plus one panel from 0; tail pieces get log-uniform panels up to
-y_hi.  Here nk = N*k is the continuous Gamma shape of the co-phased sum.
-Sums, densities, and kernels are combined in log space and exponentiated
-once, so N = 30 (Gamma shape around 107) stays within double range.
+Each event is the probability that the own gain lies in a window of a and b,
+integrated against the other user's quartic-gain density.  The two
+decodable-first probabilities (own gain above b), integrals over (0, inf),
+use a Gauss-Hermite rule after a log substitution (the rule is centered and
+scaled per integrand from a coarse scan, keeping the fixed-order rule
+accurate across twenty decades of SNR); they do not depend on any panel
+count and are computed once per row.  Every other piece is one call of
+_window_int: the own gain above b, in [a, b] or in [b, a], on composite
+Gauss-Legendre panels over one of two ranges clipped to the density's
+support, its _TAIL_MASS (1e-28) lower and upper quantiles y_lo and y_hi.
+The head (0, g/c_o) gets log-uniform panels on [max(y_lo, 2^-96 * upper),
+upper], upper = min(g/c_o, y_hi), which refine toward the integrable
+endpoint x^((nk-4)/4), plus one panel from 0; a tail [lower, y_hi] gets
+log-uniform panels, of zero width when the range is empty.  Here nk = N*k is
+the continuous Gamma shape of the co-phased sum.  Sums, densities, and
+kernels are combined in log space and exponentiated once, so N = 30 (Gamma
+shape around 107) stays within double range.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
-longer exclusive; the overlap (both cross SINRs clear g) is integrated
-explicitly and restores exact inclusion-exclusion.
+longer exclusive; the overlap (both cross SINRs clear g, own gain in [b, a])
+is integrated over the tail y > g/(c_o*(1 - g)) and restores exact
+inclusion-exclusion.
 
 When the deadlock probability obtained by inclusion-exclusion falls under
-1e-5 it is dominated by cancellation noise, so it is recomputed from the
-direct (cancellation-free) decomposition instead.
+1e-5 it is dominated by cancellation noise, so it is recomputed directly,
+as the [a, b] window integrated over the head and over the tail y > g/c_o.
 
 Every row is checked by panel doubling: it is evaluated at 16 and at 32
 panels per piece, and a row whose p_out_t, p_out_r or phi differ by more
 than max(_CHECK_ABS, _CHECK_REL * |fine|) is redone at 32/64, 64/128 and
 128/256 panels; past that, QuadratureError is raised.  The finer pass is
 returned, so a row's value does not depend on the rows evaluated with it.
-Probabilities are clamped to [0, 1] only after the check passes; clamp events
-are counted in `clamp_stats`.
+The check does not see the Gauss-Hermite terms, which are the same at every
+panel count: at N = 1 the 30-node rule puts up to about 3.3e-8 into p_out_t
+and 1e-8 into phi, unchecked.  Probabilities are clamped to [0, 1] only after
+the check passes; clamp events are counted in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
 input montecarlo.mc_counts takes, and groups them by NOMA flag and channel
@@ -76,7 +83,6 @@ __all__ = [
     "average_aoi",
     "perf_report",
     "noma_metrics_batch",
-    "fit_for_user",
 ]
 
 
@@ -116,11 +122,6 @@ class PerfReport:
     sum_throughput: float
     success_prob: float
     avg_aoi: float
-
-
-def fit_for_user(config: system.SystemConfig, user: str) -> GammaApprox:
-    """Gamma fit of the cascaded channel serving the given user."""
-    return gamma_fit(config.fading_ris, config.user_fading(user), config.n_elements)
 
 
 # ----------------------------------------------------------------------
@@ -232,58 +233,36 @@ def _s_int(fit_q, fit_p, cq, cp, g, rule):
     return _gh_log_integral(rule, log_fn, g.size)
 
 
-def _c_l_int(fit_q, fit_p, support_p, cq, cp, g, npanel, survival: bool):
-    """Finite piece over y in (0, g/c_p) of the survival (or CDF) kernel.
+def _window_int(kernel, fit_q, fit_p, support_p, cq, cp, g, npanel, lower=None):
+    """Integral over the other user's quartic gain y of an SIC window kernel.
 
-    npanel - 1 log-uniform panels cover [lo, upper], upper = min(g/c_p, y_hi)
-    and lo = max(y_lo, upper * 2^-96), and one more panel covers [0, lo].
+    Given y, the own cross SINR clears g above b = g (c_p y + 1) / c_q and
+    the other user's clears it below a = (c_p y - g) / (c_q g).  kernel is
+    the probability that the own gain lies above b ("first", decodable
+    first), in [a, b] ("deadlock") or in [b, a] ("overlap").  The range picks
+    the panels: lower=None is the head (0, g/c_p), with npanel - 1
+    log-uniform panels on [lo, upper], upper = min(g/c_p, y_hi) and
+    lo = max(y_lo, upper * 2^-96), plus one panel on [0, lo]; otherwise the
+    tail [lower, y_hi] in npanel log-uniform panels, which an empty range
+    collapses to zero width at y_hi, so that it integrates to exactly 0.
     """
     y_lo, y_hi = support_p
-    upper = np.minimum(g / cp, y_hi)
-    lo = np.minimum(np.maximum(y_lo, upper * _EDGE_FLOOR), upper)
-    edges = np.concatenate((np.zeros((g.size, 1)), _log_uniform_edges(lo, upper, npanel - 1)), axis=1)
+    if lower is None:
+        upper = np.minimum(g / cp, y_hi)
+        lo = np.minimum(np.maximum(y_lo, upper * _EDGE_FLOOR), upper)
+        edges = np.concatenate((np.zeros((g.size, 1)), _log_uniform_edges(lo, upper, npanel - 1)), axis=1)
+    else:
+        hi = np.full_like(g, y_hi)
+        edges = _log_uniform_edges(np.minimum(np.maximum(lower, y_lo), hi), hi, npanel)
     x, w = _panel_nodes(edges)
-    arg = (g[:, None] * (cp[:, None] * x + 1.0)) / cq[:, None]
-    z = fit_q.theta * np.power(arg, 0.25)
-    kern = (special.gammaincc if survival else special.gammainc)(fit_q.sum_shape, z)
-    dens = np.exp(log_quartic_gain_pdf(fit_p, x))
-    return (kern * dens * w).sum(axis=1)
-
-
-def _deadlock_tail(fit_q, fit_p, support_p, cq, cp, g, npanel):
-    """Deadlock mass over y > g/c_p: own gain inside a moving finite window."""
-    y_lo, y_hi = support_p
-    lo = np.maximum(g / cp, y_lo)
-    hi = np.full_like(lo, y_hi)
-    valid = lo < hi
-    lo_safe = np.where(valid, lo, hi * 0.5)
-    x, w = _panel_nodes(_log_uniform_edges(lo_safe, hi, npanel))
-    w1 = (cp[:, None] * x - g[:, None]) / (cq[:, None] * g[:, None])
-    w2 = (g[:, None] * (cp[:, None] * x + 1.0)) / cq[:, None]
-    kern = _surv_diff(fit_q, w1, w2)
-    dens = np.exp(log_quartic_gain_pdf(fit_p, x))
-    return np.where(valid, (kern * dens * w).sum(axis=1), 0.0)
-
-
-def _both_first_overlap(fit_q, fit_p, support_p, cq, cp, g, npanel):
-    """Pr[both cross SINRs clear g]; nonempty only for g < 1."""
-    out = np.zeros_like(g)
-    sub = g < 1.0
-    if not sub.any():
-        return out
-    cq, cp, g = cq[sub], cp[sub], g[sub]
-    y_lo, y_hi = support_p
-    lo = np.maximum(g / (cp * (1.0 - g)), y_lo)
-    hi = np.full_like(lo, y_hi)
-    valid = lo < hi
-    lo_safe = np.where(valid, lo, hi * 0.5)
-    x, w = _panel_nodes(_log_uniform_edges(lo_safe, hi, npanel))
-    w_lo = (g[:, None] * (cp[:, None] * x + 1.0)) / cq[:, None]
-    w_hi = (cp[:, None] * x - g[:, None]) / (g[:, None] * cq[:, None])
-    kern = _surv_diff(fit_q, w_lo, w_hi)
-    dens = np.exp(log_quartic_gain_pdf(fit_p, x))
-    out[sub] = np.where(valid, (kern * dens * w).sum(axis=1), 0.0)
-    return out
+    g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * x
+    b = g * (cpy + 1.0) / cq
+    if kernel == "first":
+        kern = _surv_int(fit_q, b)
+    else:
+        a = (cpy - g) / (cq * g)
+        kern = _surv_diff(fit_q, a, b) if kernel == "deadlock" else _surv_diff(fit_q, b, a)
+    return (kern * np.exp(log_quartic_gain_pdf(fit_p, x)) * w).sum(axis=1)
 
 
 def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel):
@@ -295,17 +274,20 @@ def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel):
     whole batch.  Returns a (3, rows) array, not yet clamped.
     """
     sup_t, sup_r = supports
-    c_ab = _c_l_int(fit_t, fit_r, sup_r, c_t, c_r, g, npanel, survival=True)
-    c_ba = _c_l_int(fit_r, fit_t, sup_t, c_r, c_t, g, npanel, survival=True)
-    overlap = _both_first_overlap(fit_r, fit_t, sup_t, c_r, c_t, g, npanel)
+    c_ab = _window_int("first", fit_t, fit_r, sup_r, c_t, c_r, g, npanel)
+    c_ba = _window_int("first", fit_r, fit_t, sup_t, c_r, c_t, g, npanel)
+    overlap = np.zeros_like(g)  # both decodable first: possible only for g < 1
+    sub = g < 1.0
+    if sub.any():
+        cts, crs, gs = c_t[sub], c_r[sub], g[sub]
+        lower = gs / (cts * (1.0 - gs))
+        overlap[sub] = _window_int("overlap", fit_r, fit_t, sup_t, crs, cts, gs, npanel, lower=lower)
 
     deadlock = 1.0 - s1 - s2 + overlap
     small = deadlock <= _DEADLOCK_SWITCH
     if small.any():
-        cts, crs, gs = c_t[small], c_r[small], g[small]
-        low = _c_l_int(fit_t, fit_r, sup_r, cts, crs, gs, npanel, survival=False)
-        high = _deadlock_tail(fit_t, fit_r, sup_r, cts, crs, gs, npanel)
-        deadlock[small] = low + high
+        args = ("deadlock", fit_t, fit_r, sup_r, c_t[small], c_r[small], g[small], npanel)
+        deadlock[small] = _window_int(*args) + _window_int(*args, lower=g[small] / c_r[small])
 
     p_t = deadlock + c_ba  # preempted term integrates over the own gain
     p_r = deadlock + c_ab
@@ -396,7 +378,8 @@ def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
     out = np.empty((len(cells), 3))
     for (noma, _), (config, rows) in groups.items():
         index, c_t, c_r, g = (np.array(col) for col in zip(*rows))
-        fit_t, fit_r = fit_for_user(config, "t"), fit_for_user(config, "r")
+        fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
+        fit_r = gamma_fit(config.fading_ris, config.fading_r, config.n_elements)
         if noma:
             vals = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, quad)
         else:

@@ -307,8 +307,17 @@ def _metrics(scheme, config, policy, probs, ses=None) -> dict:
     return dict(zip(METRICS, zip(vals, errs)))
 
 
+def _output_name(cfg: dict, default: str) -> str:
+    """experiment.name, or default when blank; a plain file name, never a path."""
+    name = cfg["experiment"]["name"].strip() or default
+    if name in (".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"experiment.name must be a plain file name, got {name!r}")
+    return name
+
+
 def cmd_run(cfg: dict) -> dict:
     exp = cfg["experiment"]
+    name = _output_name(cfg, "sweep")
     schemes = [s.strip() for s in exp["schemes"].split(",") if s.strip()]
     if not schemes or any(s not in system.SCHEMES for s in schemes):
         raise ConfigError(f"schemes must be a non-empty subset of {tuple(system.SCHEMES)}")
@@ -375,11 +384,11 @@ def cmd_run(cfg: dict) -> dict:
             fields.append(_csv_num(v))
             fields.append("" if se is None else _csv_num(se))
         lines.append(",".join(fields))
-    name = exp["name"].strip() or "sweep"
     return {f"{name}.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_optimize(cfg: dict) -> dict:
+    name = _output_name(cfg, "optimize")
     ga_sec = cfg["ga"]
     if "delta_th" not in ga_sec:
         raise ConfigError("ga.delta_th is required for optimize (age threshold, slots)")
@@ -438,7 +447,6 @@ def cmd_optimize(cfg: dict) -> dict:
                     ]
                 )
             )
-    name = cfg["experiment"]["name"].strip() or "optimize"
     return {f"{name}_optimize.csv": "\n".join(lines) + "\n"}
 
 

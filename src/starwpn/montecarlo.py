@@ -42,6 +42,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {self.gain_mode!r}")
 

@@ -65,8 +65,8 @@ class GaConfig:
             raise ValueError("population must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if self.bits_per_var < 4:
-            raise ValueError("bits_per_var must be >= 4")
+        if not (4 <= self.bits_per_var <= 52):  # wider levels in (0.01, 0.99) collide as doubles
+            raise ValueError(f"bits_per_var must lie in [4, 52], got {self.bits_per_var}")
         if not (0.0 < self.selection_q < 1.0):
             raise ValueError("selection_q must lie in (0,1)")
         if not (0.0 < self.crossover_p <= 1.0):
@@ -77,6 +77,8 @@ class GaConfig:
             raise ValueError("penalty_coef must be > 0")
         if not (0 <= self.elitism < self.population):
             raise ValueError("elitism must satisfy 0 <= elitism < population")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,6 @@ class SystemConfig:
         """Decoding threshold 2^R - 1, kept consistent with `rate` by construction."""
         return 2.0 ** self.rate - 1.0
 
-    def user_fading(self, user: str) -> NakagamiParams:
-        if user == "t":
-            return self.fading_t
-        if user == "r":
-            return self.fading_r
-        raise ValueError(f"user must be 't' or 'r', got {user!r}")
-
 
 @dataclass(frozen=True)
 class TepPolicy:

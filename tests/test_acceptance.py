@@ -173,7 +173,7 @@ def test_criterion_4_single_throughput_crossover():
               f"endpoints {diffs[0]:+.3e} / {diffs[-1]:+.3e}")
     report(4, ok, detail)
     # the second crossing near 47.5 dB is the deadlock-floor finding
-    # (TEP floor 1.69e-4 vs EEP 7.3e-6); see README
+    # (TEP floor 1.7166e-4 vs EEP 7.413e-6); see README
     assert ok, detail
 
 

@@ -117,6 +117,17 @@ def test_outage_tep_matches_adaptive_quadrature():
     phi = success_prob("tep", cfg, TEP, QUAD)
     assert abs(phi - ref_phi) < 1e-9 * ref_phi
 
+    # t near the surface, r far from it: the deadlock is under
+    # _DEADLOCK_SWITCH and g/c_r lies past y_hi, so the direct deadlock's tail
+    # range is empty.  phi is not compared: formed as s1 - c_ab + s2 - c_ba,
+    # it cancels to 0 here against the oracle's 7.4e-31.
+    cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
+    c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
+    ref_t, ref_r, _ = quad_oracle_noma(cfg, c_t, c_r)
+    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    assert abs(p_t - ref_t) < 1e-9 * ref_t
+    assert abs(p_r - ref_r) < 1e-9 * ref_r
+
 
 def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=30.0, rate=1.0)
@@ -127,6 +138,17 @@ def test_outage_eep_matches_adaptive_quadrature():
     assert abs(p_r - ref_r) < 1e-9 * ref_r
     phi = success_prob("eep", cfg, EEP, QUAD)
     assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
+
+    # t near the surface, r far from it: the deadlock is under
+    # _DEADLOCK_SWITCH and g/c_r lies past y_hi, so the direct deadlock's tail
+    # range is empty.  phi is not compared: formed as s1 - c_ab + s2 - c_ba,
+    # it cancels to 0 here against the oracle's 7.4e-101.
+    cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
+    c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
+    ref_t, ref_r, _ = quad_oracle_noma(cfg, c_t, c_r)
+    p_t, p_r = outage("eep", cfg, EEP, QUAD)
+    assert abs(p_t - ref_t) < 1e-9 * ref_t
+    assert abs(p_r - ref_r) < 1e-9 * ref_r
 
 
 def test_outage_below_unity_threshold_matches_quadrature():
@@ -377,7 +399,8 @@ def _batch_rows(cases, n):
         g.append(cfg.snr_threshold)
         rep = perf_report(scheme, cfg, pol, QUAD)
         scalar.append((rep.p_out_t, rep.p_out_r, rep.success_prob))
-    fit_t, fit_r = analytics.fit_for_user(cfg, "t"), analytics.fit_for_user(cfg, "r")
+    fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, cfg.n_elements)
+    fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, cfg.n_elements)
     return fit_t, fit_r, np.array(c_t), np.array(c_r), np.array(g), scalar
 
 

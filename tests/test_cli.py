@@ -345,6 +345,25 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["optimize", "--preset", "fig11", "--set", override, "--out", str(tmp_path / "v")]) == 2
         assert text in capsys.readouterr().err
 
+    # negative seeds and chromosome widths whose levels collide as doubles
+    for command, preset, extra in (
+        ("run", "fig4", ["--trials", "1000", "--seed", "-1"]),
+        ("run", "fig4", ["--trials", "1000", "--set", "mc.seed=-3"]),
+        ("optimize", "fig11", ["--seed", "-5"]),
+        ("optimize", "fig11", ["--set", "ga.bits_per_var=1100"]),
+    ):
+        assert main([command, "--preset", preset, *extra, "--out", str(tmp_path / "s")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    # experiment.name names a file inside --out, never a path
+    for command, preset in (("run", "fig7"), ("optimize", "fig11")):
+        for bad in ("../../x", "a/x", ".", ".."):
+            argv = [command, "--preset", preset, "--set", "experiment.grid=1", "--set", f"experiment.name={bad}",
+                    "--out", str(tmp_path / "n" / "a" / "b")]
+            assert main(argv) == 2
+            assert "plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
+
     # non-finite physical inputs are rejected when the system is built
     for override in ("system.m_ris=inf", "system.omega_t=inf", "system.d0_m=inf", "system.rate_bps_hz=inf"):
         assert main(["run", "--preset", "fig4", "--set", override, "--out", str(tmp_path / "u")]) == 2

@@ -38,6 +38,8 @@ def test_mcconfig_validation():
         McConfig(trials=0, seed=1)
     with pytest.raises(ValueError):
         McConfig(trials=10, seed=1, gain_mode="mixed")
+    with pytest.raises(ValueError):
+        McConfig(trials=10, seed=-1)
     McConfig(trials=10, seed=1, gain_mode="shared_h")
 
 

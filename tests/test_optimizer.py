@@ -45,6 +45,11 @@ def test_gaconfig_validation():
     with pytest.raises(ValueError):
         GaConfig(bits_per_var=3)
     with pytest.raises(ValueError):
+        GaConfig(bits_per_var=53)
+    GaConfig(bits_per_var=52)
+    with pytest.raises(ValueError):
+        GaConfig(seed=-1)
+    with pytest.raises(ValueError):
         GaConfig(selection_q=1.0)
     with pytest.raises(ValueError):
         GaConfig(crossover_p=0.0)
