@@ -16,19 +16,19 @@ Each event is the probability that the own gain lies in a window of a and b,
 integrated against the other user's quartic-gain density.  The two
 decodable-first probabilities (own gain above b), integrals over (0, inf),
 use a Gauss-Hermite rule after a log substitution (the rule is centered and
-scaled per integrand from a coarse scan, keeping the fixed-order rule
-accurate across twenty decades of SNR); they do not depend on any panel
-count and are computed once per row.  Every other piece is one call of
-_window_int: the own gain above b, in [a, b] or in [b, a], on composite
-Gauss-Legendre panels over one of two ranges clipped to the density's
-support, its _TAIL_MASS (1e-28) lower and upper quantiles y_lo and y_hi.
-The head (0, g/c_o) gets log-uniform panels on [max(y_lo, 2^-96 * upper),
-upper], upper = min(g/c_o, y_hi), which refine toward the integrable
-endpoint x^((nk-4)/4), plus one panel from 0; a tail [lower, y_hi] gets
-log-uniform panels, of zero width when the range is empty.  Here nk = N*k is
-the continuous Gamma shape of the co-phased sum.  Sums, densities, and
-kernels are combined in log space and exponentiated once, so N = 30 (Gamma
-shape around 107) stays within double range.
+scaled per integrand from a two-stage scan, 93 points at step 1 and then 41
+around the bump, keeping the fixed-order rule accurate across twenty decades
+of SNR); they do not depend on any panel count and are computed once per
+row.  Every other piece is one call of _window_int: the own gain above b, in
+[a, b] or in [b, a], on composite Gauss-Kronrod (QK15) panels over one of
+two ranges clipped to the density's support, its _TAIL_MASS (1e-28) lower
+and upper quantiles y_lo and y_hi.  The head (0, g/c_o) gets log-uniform
+panels on [max(y_lo, 2^-96 * upper), upper], upper = min(g/c_o, y_hi), which
+refine toward the integrable endpoint x^((nk-4)/4), plus one panel from 0; a
+tail [lower, y_hi] gets log-uniform panels, of zero width when the range is
+empty.  Here nk = N*k is the continuous Gamma shape of the co-phased sum.
+Sums, densities, and kernels are combined in log space and exponentiated
+once, so N = 30 (Gamma shape around 107) stays within double range.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
 longer exclusive; the overlap (both cross SINRs clear g, own gain in [b, a])
@@ -39,15 +39,16 @@ When the deadlock probability obtained by inclusion-exclusion falls under
 1e-5 it is dominated by cancellation noise, so it is recomputed directly,
 as the [a, b] window integrated over the head and over the tail y > g/c_o.
 
-Every row is checked by panel doubling: it is evaluated at 16 and at 32
-panels per piece, and a row whose p_out_t, p_out_r or phi differ by more
-than max(_CHECK_ABS, _CHECK_REL * |fine|) is redone at 32/64, 64/128 and
-128/256 panels; past that, QuadratureError is raised.  The finer pass is
-returned, so a row's value does not depend on the rows evaluated with it.
-The check does not see the Gauss-Hermite terms, which are the same at every
-panel count: at N = 1 the 30-node rule puts up to about 3.3e-8 into p_out_t
-and 1e-8 into phi, unchecked.  Probabilities are clamped to [0, 1] only after
-the check passes; clamp events are counted in `clamp_stats`.
+Every row is checked by its embedded Gauss rule: one pass at 16 panels per
+piece gives each of p_out_t, p_out_r and phi by the 7-point Gauss and the
+15-point Kronrod rule, and a row where the two differ by more than
+max(_CHECK_ABS, _CHECK_REL * |K15|) is redone at 32, 64, 128 and 256 panels;
+past that, QuadratureError is raised.  The K15 value is returned, so a row's
+value does not depend on the rows evaluated with it.  The check does not see
+the Gauss-Hermite terms, which are the same at every panel count: at N = 1
+the 30-node rule puts up to about 3.3e-8 into p_out_t and 1e-8 into phi,
+unchecked.  Probabilities are clamped to [0, 1] only after the check passes;
+clamp events are counted in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
 input montecarlo.mc_counts takes, and groups them by NOMA flag and channel
@@ -129,14 +130,21 @@ class PerfReport:
 # against the quartic-gain density
 # ----------------------------------------------------------------------
 
-_SCAN_V = np.linspace(-46.0, 46.0, 461)  # ln-space scan grid, e^-46..e^46
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# QUADPACK's QK15 pair on [-1, 1] (Piessens et al., 1983), mirrored from x >= 0: the 15 Kronrod nodes
+# and two weight rows, the embedded 7-point Gauss rule (0 at the Kronrod-only nodes) and the Kronrod rule
+_GK_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+         0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_GK_W = ((0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0, 0.4179591836734694),
+         (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+          0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782))
+_GK_NODES = np.concatenate((np.negative(_GK_X), _GK_X[-2::-1]))
+_GK_WEIGHTS = np.concatenate((_GK_W, np.array(_GK_W)[:, -2::-1]), axis=1)
 _EDGE_FLOOR = 2.0**-96  # lowest log-uniform edge relative to the upper limit
 _TINY_LOG = 1e-300
 _DEADLOCK_SWITCH = 1e-5  # below this, inclusion-exclusion is noise-dominated
 _TAIL_MASS = 1e-28  # density mass ignored in each tail beyond the panel range
-_PANELS_FIRST = 16  # every row starts at 16 against 32 panels ...
-_PANELS_LAST = 256  # ... and doubles up to 128 against 256
+_PANELS_FIRST = 16  # every row starts at 16 Gauss-Kronrod panels ...
+_PANELS_LAST = 256  # ... and failing rows double up to 256
 _CHECK_ABS = 1e-9
 _CHECK_REL = 1e-7
 _ROW_BLOCK = 16  # NOMA rows per kernel call; bounds the working memory
@@ -155,15 +163,18 @@ def _surv_diff(fit: GammaApprox, w1, w2):
     is formed from survivals there, and only there; empty intervals (w1 > w2,
     possible for thresholds below one) and roundoff negatives clamp to 0.
     """
-    z1, z2 = np.broadcast_arrays(
-        fit.theta * np.power(np.maximum(w1, 0.0), 0.25),
-        fit.theta * np.power(np.maximum(w2, 0.0), 0.25),
-    )
+    w1, w2 = np.broadcast_arrays(w1, w2)
+    pos = w1 > 0.0  # elsewhere F(w1) = 0 and is not evaluated
+    z1 = np.zeros(w1.shape)
+    z1[pos] = fit.theta * np.power(w1[pos], 0.25)
+    z2 = fit.theta * np.power(np.maximum(w2, 0.0), 0.25)
     right = np.minimum(z1, z2) > fit.sum_shape
     left = ~right
     out = np.empty(z1.shape)
     out[right] = special.gammaincc(fit.sum_shape, z1[right]) - special.gammaincc(fit.sum_shape, z2[right])
-    out[left] = special.gammainc(fit.sum_shape, z2[left]) - special.gammainc(fit.sum_shape, z1[left])
+    out[left] = special.gammainc(fit.sum_shape, z2[left])
+    lower = left & pos
+    out[lower] -= special.gammainc(fit.sum_shape, z1[lower])
     return np.maximum(out, 0.0)
 
 
@@ -171,19 +182,24 @@ def _gh_log_integral(rule: QuadratureRule, log_fn, rows: int) -> np.ndarray:
     """Integrate h(y) over (0, inf) per row, h given in log space.
 
     Substituting y = e^v gives an integrand concentrated around a single
-    bump in v; a coarse scan locates its center and width, and the
+    bump in v (log-concave for Gamma shapes N*k >= 1).  A scan at step 1
+    over e^-46..e^46 locates its center and width, a second scan over
+    center +- clip(6 * max(width, 0.5), 3, 46) refines them, and the
     Gauss-Hermite rule is applied on the recentered, rescaled axis.
     """
-    v = _SCAN_V
-    scan = log_fn(np.broadcast_to(np.exp(v), (rows, v.size))) + v
-    scan = np.where(np.isfinite(scan), scan, -np.inf)
-    peak = scan.max(axis=1)
-    dead = ~np.isfinite(peak)
-    w = np.exp(scan - np.where(dead, 0.0, peak)[:, None])
-    sw = w.sum(axis=1)
-    sw = np.where(sw > 0, sw, 1.0)
-    center = (w * v).sum(axis=1) / sw
-    width = np.sqrt(np.maximum((w * (v - center[:, None]) ** 2).sum(axis=1) / sw, 0.0))
+    center, half, dead = np.zeros(rows), np.full(rows, 46.0), np.zeros(rows, dtype=bool)
+    for points in (93, 41):
+        v = center[:, None] + half[:, None] * np.linspace(-1.0, 1.0, points)
+        scan = log_fn(np.exp(v)) + v
+        scan = np.where(np.isfinite(scan), scan, -np.inf)
+        peak = scan.max(axis=1)
+        dead |= ~np.isfinite(peak)
+        w = np.exp(scan - np.where(dead, 0.0, peak)[:, None])
+        sw = w.sum(axis=1)
+        sw = np.where(sw > 0, sw, 1.0)
+        center = (w * v).sum(axis=1) / sw
+        width = np.sqrt(np.maximum((w * (v - center[:, None]) ** 2).sum(axis=1) / sw, 0.0))
+        half = np.clip(6.0 * np.maximum(width, 0.5), 3.0, 46.0)
     scale = np.clip(width * np.sqrt(2.0), 0.05, 8.0)
 
     x = center[:, None] + scale[:, None] * rule.nodes[None, :]
@@ -197,13 +213,13 @@ def _gh_log_integral(rule: QuadratureRule, log_fn, rows: int) -> np.ndarray:
 
 
 def _panel_nodes(edges: np.ndarray):
-    """Composite 16-point Gauss-Legendre nodes/weights for per-row edges."""
+    """Composite Gauss-Kronrod nodes (rows, n) and (G7, K15) weights (2, rows, n) for per-row edges."""
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    x = mid[:, :, None] + half[:, :, None] * _GL_NODES
-    w = half[:, :, None] * _GL_WEIGHTS
+    x = mid[:, :, None] + half[:, :, None] * _GK_NODES
+    w = half[:, :, None] * _GK_WEIGHTS[:, None, None, :]
     rows = edges.shape[0]
-    return x.reshape(rows, -1), w.reshape(rows, -1)
+    return x.reshape(rows, -1), w.reshape(2, rows, -1)
 
 
 def _log_uniform_edges(lo: np.ndarray, hi: np.ndarray, npanel: int) -> np.ndarray:
@@ -234,7 +250,7 @@ def _s_int(fit_q, fit_p, cq, cp, g, rule):
 
 
 def _window_int(kernel, fit_q, fit_p, support_p, cq, cp, g, npanel, lower=None):
-    """Integral over the other user's quartic gain y of an SIC window kernel.
+    """(G7, K15) integrals over the other user's quartic gain y of an SIC window kernel.
 
     Given y, the own cross SINR clears g above b = g (c_p y + 1) / c_q and
     the other user's clears it below a = (c_p y - g) / (c_q g).  kernel is
@@ -262,37 +278,38 @@ def _window_int(kernel, fit_q, fit_p, support_p, cq, cp, g, npanel, lower=None):
     else:
         a = (cpy - g) / (cq * g)
         kern = _surv_diff(fit_q, a, b) if kernel == "deadlock" else _surv_diff(fit_q, b, a)
-    return (kern * np.exp(log_quartic_gain_pdf(fit_p, x)) * w).sum(axis=1)
+    return (kern * np.exp(log_quartic_gain_pdf(fit_p, x)) * w).sum(axis=-1)
 
 
 def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel):
-    """Batched raw (p_out_t, p_out_r, phi) at one panel count.
+    """Batched raw (p_out_t, p_out_r, phi) at one panel count, by G7 and K15.
 
     c_t, c_r, g, s1, s2 are equal-length 1-D arrays, s1 and s2 the two
     decodable-first probabilities (_s_int, which does not depend on the
     panel count); the Gamma fits and their supports are shared by the
-    whole batch.  Returns a (3, rows) array, not yet clamped.
+    whole batch.  Returns a (2, 3, rows) array, not yet clamped; the K15
+    deadlock picks the direct branch for both rules.
     """
     sup_t, sup_r = supports
     c_ab = _window_int("first", fit_t, fit_r, sup_r, c_t, c_r, g, npanel)
     c_ba = _window_int("first", fit_r, fit_t, sup_t, c_r, c_t, g, npanel)
-    overlap = np.zeros_like(g)  # both decodable first: possible only for g < 1
+    overlap = np.zeros((2, g.size))  # both decodable first: possible only for g < 1
     sub = g < 1.0
     if sub.any():
         cts, crs, gs = c_t[sub], c_r[sub], g[sub]
         lower = gs / (cts * (1.0 - gs))
-        overlap[sub] = _window_int("overlap", fit_r, fit_t, sup_t, crs, cts, gs, npanel, lower=lower)
+        overlap[:, sub] = _window_int("overlap", fit_r, fit_t, sup_t, crs, cts, gs, npanel, lower=lower)
 
     deadlock = 1.0 - s1 - s2 + overlap
-    small = deadlock <= _DEADLOCK_SWITCH
+    small = deadlock[1] <= _DEADLOCK_SWITCH
     if small.any():
         args = ("deadlock", fit_t, fit_r, sup_r, c_t[small], c_r[small], g[small], npanel)
-        deadlock[small] = _window_int(*args) + _window_int(*args, lower=g[small] / c_r[small])
+        deadlock[:, small] = _window_int(*args) + _window_int(*args, lower=g[small] / c_r[small])
 
     p_t = deadlock + c_ba  # preempted term integrates over the own gain
     p_r = deadlock + c_ab
     phi = (s1 - c_ab) + (s2 - c_ba) - overlap
-    return np.stack((p_t, p_r, phi))
+    return np.stack((p_t, p_r, phi), axis=1)
 
 
 def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
@@ -305,11 +322,11 @@ def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
 def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     """Checked, clamped (p_out_t, p_out_r, phi) as a (3, rows) array.
 
-    Every row starts with a 16- against a 32-panel pass; rows whose values
-    disagree beyond max(_CHECK_ABS, _CHECK_REL * |fine|) are redone at twice
-    the panels, up to 128 against 256, and a row still failing then raises
-    QuadratureError.  Each row returns its finer pass, so a row's values do
-    not depend on the rest of the batch.
+    Every row starts with one 16-panel Gauss-Kronrod pass; rows whose G7
+    and K15 values disagree beyond max(_CHECK_ABS, _CHECK_REL * |K15|) are
+    redone at twice the panels, up to 256, and a row still failing then
+    raises QuadratureError.  Each row returns its K15 value, so a row's
+    values do not depend on the rest of the batch.
     """
     supports = (_support(fit_t), _support(fit_r))
     s1 = _s_int(fit_t, fit_r, c_t, c_r, g, rule)  # t decodable first
@@ -317,20 +334,18 @@ def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     out = np.empty((3, g.size))
     todo = np.arange(g.size)
     npanel = _PANELS_FIRST
-    coarse = _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel)
     while todo.size:
-        npanel *= 2
-        fine = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], s1[todo], s2[todo], npanel)
-        miss = np.abs(coarse - fine) > np.maximum(_CHECK_ABS, _CHECK_REL * np.abs(fine))
+        g7, k15 = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], s1[todo], s2[todo], npanel)
+        miss = np.abs(g7 - k15) > np.maximum(_CHECK_ABS, _CHECK_REL * np.abs(k15))
         redo = miss.any(axis=0)
-        out[:, todo[~redo]] = fine[:, ~redo]
+        out[:, todo[~redo]] = k15[:, ~redo]
         if redo.any() and npanel == _PANELS_LAST:
             k, row = np.argwhere(miss)[0]
             raise QuadratureError(
                 f"residual quadrature did not converge for {('p_out_t', 'p_out_r', 'phi')[k]}: "
-                f"{coarse[k, row].item()!r} vs {fine[k, row].item()!r} after panel doubling"
+                f"{g7[k, row].item()!r} vs {k15[k, row].item()!r} after panel doubling"
             )
-        todo, coarse = todo[redo], fine[:, redo]
+        todo, npanel = todo[redo], 2 * npanel
     return _clamp_probs(out, "noma closed form")
 
 

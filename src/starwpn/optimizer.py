@@ -247,12 +247,12 @@ def ga_run(
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
         keys = [rows[i].tobytes() for i in range(rows.shape[0])]
-        fresh = [i for i, k in enumerate(keys) if k not in memo]
+        fresh = {k: i for i, k in enumerate(keys) if k not in memo}  # each new chromosome once, first seen first
         if fresh:
-            values = _bits_to_unit(rows[fresh], ga.bits_per_var)
+            values = _bits_to_unit(rows[list(fresh.values())], ga.bits_per_var)
             fit, tput, age = evaluate_batch(scheme, config, values, delta_th, quad, ga.penalty_coef)
-            for j, i in enumerate(fresh):
-                memo[keys[i]] = (float(fit[j]), float(tput[j]), float(age[j]))
+            for j, k in enumerate(fresh):
+                memo[k] = (float(fit[j]), float(tput[j]), float(age[j]))
         return np.array([memo[k][0] for k in keys])
 
     for gen in range(1, ga.generations + 1):

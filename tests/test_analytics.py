@@ -41,12 +41,37 @@ def make_config(snr_db=40.0, rate=1.0, n=30, **over):
     return system.SystemConfig(**base)
 
 
+def quad_expect(fit, kern, lo, hi, interior=()):
+    """Integral of kern(y) against the quartic-gain density over [lo, hi], by QUADPACK.
+
+    With y = u^4 the density is the Gamma(N*k, theta) density of u.  The
+    range is cut where u's upper tail holds 1e-30, and an empty range
+    gives 0.  The amplitude's bulk is always a breakpoint.
+    """
+    nk, theta = fit.sum_shape, fit.theta
+    log_norm = nk * math.log(theta) - special.gammaln(nk)
+    a = lo ** 0.25
+    b = min(hi ** 0.25, special.gammainccinv(nk, 1e-30) / theta)
+    if not a < b:
+        return 0.0
+    bulk = [special.gammaincinv(nk, q) / theta for q in (1e-6, 0.5, 1.0 - 1e-6)]
+    pts = sorted(u for u in bulk + [y ** 0.25 for y in interior] if a < u < b)
+
+    def f(u):
+        if u <= 0.0:
+            return 0.0
+        return kern(u**4) * math.exp(log_norm + (nk - 1.0) * math.log(u) - theta * u)
+
+    args = dict(limit=400, epsabs=1e-16, epsrel=1e-11)
+    return sum(integrate.quad(f, u0, u1, **args)[0] for u0, u1 in zip([a] + pts, pts + [b]))
+
+
 def quad_oracle_noma(config, c_t, c_r):
     """Adaptive-quadrature re-evaluation of the SIC outage decomposition.
 
     Same probabilistic decomposition, entirely different numerics: QUADPACK
     on the Gamma (amplitude) axis u = y^(1/4), instead of scanned
-    Gauss-Hermite plus Gauss-Legendre panels on the quartic-gain axis.
+    Gauss-Hermite plus Gauss-Kronrod panels on the quartic-gain axis.
     """
     g = config.snr_threshold
     fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
@@ -58,30 +83,6 @@ def quad_oracle_noma(config, c_t, c_r):
     def surv(fit, x):
         return special.gammaincc(fit.sum_shape, fit.theta * max(x, 0.0) ** 0.25)
 
-    def expect(fit, kern, lo, hi, interior=()):
-        """Integral of kern(y) against the quartic-gain density over [lo, hi].
-
-        With y = u^4 the density is the Gamma(N*k, theta) density of u.  The
-        range is cut where u's upper tail holds 1e-30, and an empty range
-        gives 0.  The amplitude's bulk is always a breakpoint.
-        """
-        nk, theta = fit.sum_shape, fit.theta
-        log_norm = nk * math.log(theta) - special.gammaln(nk)
-        a = lo ** 0.25
-        b = min(hi ** 0.25, special.gammainccinv(nk, 1e-30) / theta)
-        if not a < b:
-            return 0.0
-        bulk = [special.gammaincinv(nk, q) / theta for q in (1e-6, 0.5, 1.0 - 1e-6)]
-        pts = sorted(u for u in bulk + [y ** 0.25 for y in interior] if a < u < b)
-
-        def f(u):
-            if u <= 0.0:
-                return 0.0
-            return kern(u**4) * math.exp(log_norm + (nk - 1.0) * math.log(u) - theta * u)
-
-        args = dict(limit=400, epsabs=1e-16, epsrel=1e-11)
-        return sum(integrate.quad(f, u0, u1, **args)[0] for u0, u1 in zip([a] + pts, pts + [b]))
-
     def deadlock_kern(y):
         hi = cdf(fit_t, g * (c_r * y + 1.0) / c_t)
         lo = cdf(fit_t, max(c_r * y - g, 0.0) / (g * c_t))
@@ -90,7 +91,7 @@ def quad_oracle_noma(config, c_t, c_r):
     # the trapped-window bump sits near y* where the window crosses the
     # other user's bulk; pass it explicitly so the panels resolve it
     y_star = g * c_t * (fit_t.sum_shape / fit_t.theta) ** 4 / c_r
-    deadlock = expect(fit_r, deadlock_kern, 0.0, g / c_r, [g / (2 * c_r)]) + expect(
+    deadlock = quad_expect(fit_r, deadlock_kern, 0.0, g / c_r, [g / (2 * c_r)]) + quad_expect(
         fit_r, deadlock_kern, g / c_r, math.inf, [y_star / 2, y_star, 2 * y_star]
     )
 
@@ -100,10 +101,10 @@ def quad_oracle_noma(config, c_t, c_r):
     def surv_t(y):  # t's cross SINR clears g, given r's quartic gain y
         return surv(fit_t, g * (c_r * y + 1.0) / c_t)
 
-    pre_t = expect(fit_t, surv_r, 0.0, g / c_t, [g / (2 * c_t)])
-    pre_r = expect(fit_r, surv_t, 0.0, g / c_r, [g / (2 * c_r)])
-    phi1 = expect(fit_r, surv_t, g / c_r, math.inf, [2 * g / c_r])
-    phi2 = expect(fit_t, surv_r, g / c_t, math.inf, [2 * g / c_t])
+    pre_t = quad_expect(fit_t, surv_r, 0.0, g / c_t, [g / (2 * c_t)])
+    pre_r = quad_expect(fit_r, surv_t, 0.0, g / c_r, [g / (2 * c_r)])
+    phi1 = quad_expect(fit_r, surv_t, g / c_r, math.inf, [2 * g / c_r])
+    phi2 = quad_expect(fit_t, surv_r, g / c_t, math.inf, [2 * g / c_t])
     return deadlock + pre_t, deadlock + pre_r, phi1 + phi2
 
 
@@ -435,14 +436,16 @@ def test_batch_matches_scalar_path():
 
 
 def test_batch_doubles_panels_only_where_needed(monkeypatch):
-    # at N = 1 the density spans the widest range, and the 16/32 check fails
-    # for some rows; those rows alone are redone at more panels
+    # at N = 1 the density spans the widest range, and the G7/K15 check fails
+    # at 16 panels for some rows; those rows alone are redone at more panels
     seen = []
     core = analytics._noma_core
 
     def spy(*args):
         out = core(*args)
-        seen.append((args[-1], out.shape[1]))
+        g7, k15 = out
+        miss = np.abs(g7 - k15) > np.maximum(analytics._CHECK_ABS, analytics._CHECK_REL * np.abs(k15))
+        seen.append((args[-1], args[3], args[3][miss.any(axis=0)]))  # npanel, c_t of the pass and of its misses
         return out
 
     monkeypatch.setattr(analytics, "_noma_core", spy)
@@ -450,11 +453,59 @@ def test_batch_doubles_panels_only_where_needed(monkeypatch):
     fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=1)
     seen.clear()
     p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
-    assert seen[:2] == [(16, 3), (32, 3)]
-    assert max(npanel for npanel, _ in seen) > 32
-    assert all(rows < 3 for npanel, rows in seen if npanel > 32)
+    assert seen[0][0] == analytics._PANELS_FIRST and np.array_equal(seen[0][1], c_t)
+    assert len(seen) > 1
+    for (npanel, _, failed), (next_npanel, rows, _) in zip(seen, seen[1:]):
+        # a later pass holds exactly the rows that failed the one before, a
+        # strict subset of the batch
+        assert next_npanel == 2 * npanel
+        assert np.array_equal(rows, failed) and 0 < rows.size < c_t.size
+    assert seen[-1][2].size == 0
     for row, (s_t, s_r, s_phi) in enumerate(scalar):
         assert (p_t[row], p_r[row], phi[row]) == (s_t, s_r, s_phi)
+
+
+def test_gauss_kronrod_table_exactness():
+    # QK15's Kronrod rule is exact up to degree 22 and its embedded 7-point
+    # Gauss rule up to degree 13, but not at 14: a mis-transcribed entry
+    # breaks one of these
+    x, (g7, k15) = analytics._GK_NODES, analytics._GK_WEIGHTS
+    assert x.shape == g7.shape == k15.shape == (15,)
+    assert np.all(g7[::2] == 0.0)  # the Kronrod-only nodes
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(k15 @ x**k - exact) < 1e-15
+        if k <= 13:
+            assert abs(g7 @ x**k - exact) < 1e-15
+    assert abs(g7 @ x**14 - 2.0 / 15) > 1e-6
+
+
+def test_decodable_first_matches_adaptive_quadrature():
+    # the two-stage scan places the Gauss-Hermite rule of _s_int; QUADPACK on
+    # the amplitude axis integrates the same survival kernel.  N = 40 with
+    # m = 4 on every link is the narrowest density criterion 9 draws.  N = 1
+    # is left out: there the 30-node rule puts up to 3.3e-8 into p_out_t (an
+    # open finding in CHANGES.md), which the placement does not change.
+    nak4 = NakagamiParams(m=4.0, omega=1.0)
+    links = [(40, dict(fading_ris=nak4, fading_t=nak4, fading_r=nak4)), (30, {}), (5, {})]
+    for n, fading in links:
+        for snr_db in (-10.0, 20.0, 40.0, 55.0):
+            for rate in (0.5, 2.0):
+                cfg = make_config(snr_db=snr_db, rate=rate, n=n, **fading)
+                c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
+                g = cfg.snr_threshold
+                fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, n)
+                fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, n)
+                for fq, fp, cq, cp in ((fit_t, fit_r, c_t, c_r), (fit_r, fit_t, c_r, c_t)):
+                    got = analytics._s_int(fq, fp, np.array([cq]), np.array([cp]), np.array([g]), QUAD)[0]
+
+                    def kern(y):
+                        return special.gammaincc(fq.sum_shape, fq.theta * (g * (cp * y + 1.0) / cq) ** 0.25)
+
+                    ref = quad_expect(fp, kern, 0.0, g / cp, [g / (2 * cp)]) + quad_expect(
+                        fp, kern, g / cp, math.inf, [2 * g / cp])
+                    if ref > 1e-12:
+                        assert abs(got - ref) < 1e-10 * ref, (n, snr_db, rate, got, ref)
 
 
 def test_unconverged_rows_raise(monkeypatch):

@@ -258,6 +258,15 @@ def test_selection_least_violation_when_none_feasible(monkeypatch):
     assert res.generations_to_best == res.history.index(max(res.history)) + 1
 
 
+def test_each_chromosome_priced_once(monkeypatch):
+    # 4 bits per variable leave 256 chromosomes, so populations repeat some;
+    # evaluate_batch still sees each distinct one exactly once per run
+    seen = []
+    monkeypatch.setattr(optimizer, "evaluate_batch", recording_stub(lambda a: 5.0 + 20.0 * a, seen))
+    ga_run("p1", make_config(), delta_th=10.0, ga=GaConfig(population=16, generations=12, bits_per_var=4, seed=4))
+    assert len(seen) == len(set(seen))
+
+
 def test_ga_real_problem_smoke_and_flags():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=16, generations=12, seed=42)
