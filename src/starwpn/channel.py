@@ -157,10 +157,14 @@ def combined_gain_sample(
     """Draw `count` realizations of the co-phased sum G = sum_i h_i g_i.
 
     Exact simulation of the cascade (no Gamma approximation); used to
-    validate the fitted distribution.
+    validate the fitted distribution.  Independent of the Monte Carlo
+    oracle's sampler, so it can check it.  Works in place, so memory peaks
+    at two (count, n_elements) arrays.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape = (count, n_elements)
     h = np.sqrt(rng.gamma(link1.m, link1.omega / link1.m, size=shape))
-    g = np.sqrt(rng.gamma(link2.m, link2.omega / link2.m, size=shape))
-    return (h * g).sum(axis=1)
+    g = rng.gamma(link2.m, link2.omega / link2.m, size=shape)
+    h *= np.sqrt(g, out=g)
+    del g
+    return h.sum(axis=1)

@@ -6,8 +6,18 @@ from its own generator spawned as SeedSequence(entropy=seed, spawn_key=
 (chunk,)).  `mc_counts` decodes every cell on each chunk as soon as it is
 drawn and keeps only integer event counts, which sum to the same totals in
 any order; so chunks run on worker threads, cells that share a gain
-ensemble share its draws, and memory holds one chunk per worker whatever
-the trial count.  `mc_gains` concatenates the same chunks in chunk order.
+ensemble share its draws, and memory holds one chunk of gains per worker
+whatever the trial count.  `mc_gains` concatenates the same chunks in chunk
+order.
+
+Within a chunk, gains are drawn in blocks of _BLOCK rows (`_chunk_gains`
+gives the draw order), so memory holds one block of envelope draws per
+worker besides the chunk's gains.
+Integer Nakagami shapes up to _PRODUCT_MAX draw their Gamma variates
+exactly as -log of a product of uniforms, which beats `standard_gamma`
+there; other shapes call `standard_gamma` (`_unit_gamma`).  The stream is
+part of the package version: the same version, config and seed give the
+same bytes.
 
 Two gain modes exist because the analytic model treats the two users'
 combined channels as independent, while physically both cascades share the
@@ -23,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import system
-from .channel import NakagamiParams
 
 GAIN_MODES = ("independent_gains", "shared_h")
 
 _CHUNK = 1 << 16  # fixed chunk size, part of the determinism contract
-_BLOCK = 1 << 12  # rows of second-hop envelopes drawn at a time; divides _CHUNK
+_BLOCK = 1 << 12  # rows of envelopes drawn at a time; divides _CHUNK
+_PRODUCT_MAX = 4  # integer Gamma shapes up to this draw as products of uniforms
 
 
 @dataclass(frozen=True)
@@ -93,32 +103,44 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _envelopes(rng: np.random.Generator, params: NakagamiParams, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with Nakagami envelopes, sqrt of Gamma(m, omega/m) draws."""
-    rng.standard_gamma(params.m, size=out.shape, out=out)
-    out *= params.omega / params.m
-    return np.sqrt(out, out=out)
+def _unit_gamma(rng: np.random.Generator, m: float, shape: tuple) -> np.ndarray:
+    """Gamma(m, 1) draws of the given shape.
 
-
-def _cascade_sums(rng: np.random.Generator, h: np.ndarray, params: NakagamiParams) -> np.ndarray:
-    """Row sums of h * g, the second-hop envelopes g drawn in row blocks."""
-    sums = np.empty(h.shape[0])
-    g = np.empty((_BLOCK, h.shape[1]))
-    for start in range(0, h.shape[0], _BLOCK):
-        _envelopes(rng, params, g)
-        g *= h[start : start + _BLOCK]
-        sums[start : start + _BLOCK] = g.sum(axis=1)
-    return sums
+    An integer m <= _PRODUCT_MAX is drawn exactly as -log of the product of
+    m factors 1 - U (U from `rng.random`, one block of uniforms per factor),
+    a sum of m unit exponentials; each factor lies in (0, 1], so every draw
+    is finite.  Other shapes call `rng.standard_gamma`.
+    """
+    if m == int(m) and m <= _PRODUCT_MAX:
+        u = rng.random((int(m), *shape))
+        p = np.subtract(1.0, u, out=u).prod(axis=0)
+        return np.negative(np.log(p, out=p), out=p)
+    return rng.standard_gamma(m, size=shape)
 
 
 def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int):
-    """(G_t, G_r) of one full chunk, drawn as h, t's hop, [fresh h,] r's hop."""
+    """(G_t, G_r) of one full chunk, drawn in blocks of _BLOCK rows.
+
+    Each block draws the surface-side Gamma(m, 1) matrix x, then t's hop
+    y_t, then (with `independent_gains`) a fresh x, then r's hop y_r, and
+    adds the row sums of sqrt(x * y) to the user's chunk sums.  The
+    envelope scales sqrt(omega/m) of both hops multiply each user's sums
+    once at the end, so memory holds one block of draws at a time.
+    """
     rng = _chunk_rng(mc.seed, index)
-    h = _envelopes(rng, config.fading_ris, np.empty((_CHUNK, config.n_elements)))
-    g_t = _cascade_sums(rng, h, config.fading_t)
-    if mc.gain_mode == "independent_gains":
-        _envelopes(rng, config.fading_ris, h)
-    return g_t, _cascade_sums(rng, h, config.fading_r)
+    ris, hops = config.fading_ris, (config.fading_t, config.fading_r)
+    shape = (_BLOCK, config.n_elements)
+    sums = np.empty((2, _CHUNK))
+    for start in range(0, _CHUNK, _BLOCK):
+        x = _unit_gamma(rng, ris.m, shape)
+        for user, hop in enumerate(hops):
+            if user and mc.gain_mode == "independent_gains":
+                x = _unit_gamma(rng, ris.m, shape)
+            xy = x * _unit_gamma(rng, hop.m, shape)
+            sums[user, start : start + _BLOCK] = np.sqrt(xy, out=xy).sum(axis=1)
+    for user, hop in enumerate(hops):
+        sums[user] *= math.sqrt(ris.omega / ris.m * hop.omega / hop.m)
+    return sums[0], sums[1]
 
 
 def mc_gains(config: system.SystemConfig, mc: McConfig):

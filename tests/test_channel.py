@@ -211,3 +211,12 @@ def test_combined_gain_sample_moments():
     var1 = cascade_moment(2.0, NAK2, NAK2) - mu1**2
     assert abs(np.mean(g) - 30 * mu1) < 0.005 * 30 * mu1
     assert abs(np.var(g) - 30 * var1) < 0.05 * 30 * var1
+
+
+@pytest.mark.parametrize("link1, link2, n, seed", [(NAK2, NAK2, 30, 8), (NakagamiParams(1.5, 0.7), NAK2, 5, 9)])
+def test_combined_gain_sample_matches_three_array_form(link1, link2, n, seed):
+    # the in-place form draws and multiplies exactly as the plain expression
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    h = np.sqrt(rng.gamma(link1.m, link1.omega / link1.m, size=(5000, n)))
+    g = np.sqrt(rng.gamma(link2.m, link2.omega / link2.m, size=(5000, n)))
+    assert np.array_equal(combined_gain_sample(link1, link2, n, 5000, seed), (h * g).sum(axis=1))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from starwpn import analytics, system
-from starwpn.channel import NakagamiParams, gauss_hermite_rule
+from starwpn import analytics, montecarlo, system
+from starwpn.channel import NakagamiParams, combined_gain_sample, gauss_hermite_rule
 from starwpn.montecarlo import (
     AoiTrace,
     McConfig,
@@ -55,6 +55,34 @@ def test_gain_mode_correlation():
     assert np.corrcoef(g_t, g_r)[0, 1] > 0.2
     g_t, g_r = mc_gains(cfg, McConfig(trials=10**6, seed=42, gain_mode="independent_gains"))
     assert abs(np.corrcoef(g_t, g_r)[0, 1]) < 0.01
+
+
+# shapes 1, 2 and 4 take the uniform-product path, 1.5 takes standard_gamma
+SAMPLER_SHAPES = (1.0, 2.0, 4.0, 1.5)
+
+
+@pytest.mark.parametrize("m", SAMPLER_SHAPES)
+def test_unit_gamma_moments_and_finite(m):
+    rng = np.random.default_rng(12)
+    x = montecarlo._unit_gamma(rng, m, (1000, 1000))
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    # Gamma(m, 1) has mean = variance = m; five standard errors each, the
+    # sample variance's from the fourth central moment 3m^2 + 6m
+    assert abs(x.mean() - m) < 5.0 * np.sqrt(m / x.size)
+    assert abs(x.var() - m) < 5.0 * np.sqrt((2.0 * m * m + 6.0 * m) / x.size)
+
+
+def test_gains_match_independent_sampler():
+    # two-sample KS of mc_gains' G_t against channel.combined_gain_sample,
+    # which draws through rng.gamma, at N = 1 where a sampler fault shows
+    # undiluted by the sum; Bonferroni over the four shapes
+    trials = 2 * 10**5
+    for m in SAMPLER_SHAPES:
+        nak = NakagamiParams(m=m, omega=1.3)
+        g_t, g_r = mc_gains(make_config(n=1, fading=nak), McConfig(trials=trials, seed=17))
+        assert np.all(np.isfinite(g_t)) and np.all(np.isfinite(g_r))
+        ref = combined_gain_sample(nak, nak, 1, trials, seed=18)
+        assert stats.ks_2samp(g_t, ref).pvalue > 0.001 / len(SAMPLER_SHAPES), m
 
 
 def test_gains_deterministic_and_chunk_stable():
