@@ -13,7 +13,9 @@ disjoint events:
                SNR still misses g
 
 Each event is the probability that the own gain lies in a window of a and b,
-integrated against the other user's quartic-gain density.  The two
+integrated against the other user's quartic-gain density.  The law of the
+quartic gain (its survival, window mass, quantiles and density) comes from
+channel; this module only integrates it.  The two
 decodable-first probabilities (own gain above b), integrals over (0, inf),
 use a Gauss-Hermite rule after a log substitution (the rule is centered and
 scaled per integrand from a two-stage scan, 93 points at step 1 and then 41
@@ -51,13 +53,13 @@ unchecked.  Probabilities are clamped to [0, 1] only after the check passes;
 clamp events are counted in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
-input montecarlo.mc_counts takes, and groups them by NOMA flag and channel
-law (N and the three fading laws), so a group shares one pair of Gamma fits.
-A NOMA group goes to noma_metrics_batch, which feeds the checked evaluator in
-blocks of _ROW_BLOCK rows to bound its working memory; an orthogonal group is
-one vectorized Gamma CDF and survival evaluation.  outage, success_prob and
-perf_report are one-cell calls of it, and the CLI and the optimizer pass
-their whole cell lists.
+input montecarlo.mc_counts takes, and groups them by channel law (N and the
+three fading laws) with system.cell_groups, so a group shares one pair of
+Gamma fits.  A group's NOMA cells go to noma_metrics_batch, which feeds the
+checked evaluator in blocks of _ROW_BLOCK rows to bound its working memory;
+its orthogonal cells are one vectorized Gamma CDF and survival evaluation.
+outage, success_prob and perf_report are one-cell calls of it, and the CLI
+and the optimizer pass their whole cell lists.
 """
 
 import math
@@ -65,11 +67,11 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import system
 from .channel import (
-    GammaApprox, QuadratureRule, gamma_fit, gauss_hermite_rule, log_quartic_gain_pdf, quartic_gain_cdf,
+    QuadratureRule, gamma_fit, gauss_hermite_rule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_mass,
+    quartic_gain_quantiles, quartic_gain_sf,
 )
 
 __all__ = [
@@ -93,8 +95,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class ClampStats:
-    """Counters for probability clamping; purely diagnostic.  Worker threads
-    add to them, so every update holds the lock."""
+    """Counters for probability clamping; purely diagnostic.  Callers may
+    evaluate closed forms on any thread, so every update holds the lock."""
 
     events: int = 0
     checked: int = 0
@@ -150,34 +152,6 @@ _CHECK_REL = 1e-7
 _ROW_BLOCK = 16  # NOMA rows per kernel call; bounds the working memory
 
 
-def _surv_int(fit: GammaApprox, x):
-    """Survival of the quartic gain, Pr[G^4 > x]."""
-    z = fit.theta * np.power(np.maximum(x, 0.0), 0.25)
-    return special.gammaincc(fit.sum_shape, z)
-
-
-def _surv_diff(fit: GammaApprox, w1, w2):
-    """F(w2) - F(w1) for w2 >= w1, stable in both tails.
-
-    Deep in the right tail both CDFs are 1 up to roundoff, so the difference
-    is formed from survivals there, and only there; empty intervals (w1 > w2,
-    possible for thresholds below one) and roundoff negatives clamp to 0.
-    """
-    w1, w2 = np.broadcast_arrays(w1, w2)
-    pos = w1 > 0.0  # elsewhere F(w1) = 0 and is not evaluated
-    z1 = np.zeros(w1.shape)
-    z1[pos] = fit.theta * np.power(w1[pos], 0.25)
-    z2 = fit.theta * np.power(np.maximum(w2, 0.0), 0.25)
-    right = np.minimum(z1, z2) > fit.sum_shape
-    left = ~right
-    out = np.empty(z1.shape)
-    out[right] = special.gammaincc(fit.sum_shape, z1[right]) - special.gammaincc(fit.sum_shape, z2[right])
-    out[left] = special.gammainc(fit.sum_shape, z2[left])
-    lower = left & pos
-    out[lower] -= special.gammainc(fit.sum_shape, z1[lower])
-    return np.maximum(out, 0.0)
-
-
 def _gh_log_integral(rule: QuadratureRule, log_fn, rows: int) -> np.ndarray:
     """Integrate h(y) over (0, inf) per row, h given in log space.
 
@@ -227,23 +201,11 @@ def _log_uniform_edges(lo: np.ndarray, hi: np.ndarray, npanel: int) -> np.ndarra
     return lo[:, None] * (hi / lo)[:, None] ** frac[None, :]
 
 
-def _support(fit: GammaApprox):
-    """(y_lo, y_hi): the quartic gain's _TAIL_MASS lower and upper quantiles.
-
-    Outside [y_lo, y_hi] the density holds less than 2 * _TAIL_MASS mass, so
-    every panel range is clipped to it.
-    """
-    y_lo = (special.gammaincinv(fit.sum_shape, _TAIL_MASS) / fit.theta) ** 4
-    y_hi = (special.gammainccinv(fit.sum_shape, _TAIL_MASS) / fit.theta) ** 4
-    return float(y_lo), float(y_hi)
-
-
 def _s_int(fit_q, fit_p, cq, cp, g, rule):
     """Pr[c_q X >= g (c_p Y + 1)]: survival kernel integrated over Y's density."""
 
     def log_fn(y):
-        arg = (g[:, None] * (cp[:, None] * y + 1.0)) / cq[:, None]
-        q = special.gammaincc(fit_q.sum_shape, fit_q.theta * np.power(arg, 0.25))
+        q = quartic_gain_sf(fit_q, (g[:, None] * (cp[:, None] * y + 1.0)) / cq[:, None])
         return np.log(np.maximum(q, _TINY_LOG)) + log_quartic_gain_pdf(fit_p, y)
 
     return _gh_log_integral(rule, log_fn, g.size)
@@ -274,10 +236,10 @@ def _window_int(kernel, fit_q, fit_p, support_p, cq, cp, g, npanel, lower=None):
     g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * x
     b = g * (cpy + 1.0) / cq
     if kernel == "first":
-        kern = _surv_int(fit_q, b)
+        kern = quartic_gain_sf(fit_q, b)
     else:
         a = (cpy - g) / (cq * g)
-        kern = _surv_diff(fit_q, a, b) if kernel == "deadlock" else _surv_diff(fit_q, b, a)
+        kern = quartic_gain_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_mass(fit_q, b, a)
     return (kern * np.exp(log_quartic_gain_pdf(fit_p, x)) * w).sum(axis=-1)
 
 
@@ -328,7 +290,7 @@ def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     raises QuadratureError.  Each row returns its K15 value, so a row's
     values do not depend on the rest of the batch.
     """
-    supports = (_support(fit_t), _support(fit_r))
+    supports = (quartic_gain_quantiles(fit_t, _TAIL_MASS), quartic_gain_quantiles(fit_r, _TAIL_MASS))
     s1 = _s_int(fit_t, fit_r, c_t, c_r, g, rule)  # t decodable first
     s2 = _s_int(fit_r, fit_t, c_r, c_t, g, rule)  # r decodable first
     out = np.empty((3, g.size))
@@ -377,32 +339,26 @@ def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
     """Checked (p_out_t, p_out_r, phi) of every (scheme, config, policy) cell.
 
     Returns a (len(cells), 3) array in the order given.  Cells are grouped by
-    NOMA flag and channel law, and each group is evaluated in one call.  NOMA
-    groups go to noma_metrics_batch; an orthogonal scheme's users fail
-    independently, so its outages are per-user Gamma CDFs and its success
-    probability their product of survivals.  quad=None means a 30-node
+    channel law (system.cell_groups), and each group's NOMA cells are
+    evaluated in one call of noma_metrics_batch; an orthogonal scheme's users
+    fail independently, so its outages are per-user Gamma CDFs and its
+    success probability their product of survivals.  quad=None means a 30-node
     Gauss-Hermite rule.
     """
     if quad is None:
         quad = gauss_hermite_rule(30)
-    groups = {}
-    for i, (scheme, config, policy) in enumerate(cells):
-        key = (system.scheme_spec(scheme).noma, config.channel_law)
-        rows = groups.setdefault(key, (config, []))[1]
-        rows.append((i, *system.snr_coefficients(scheme, policy, config), config.snr_threshold))
     out = np.empty((len(cells), 3))
-    for (noma, _), (config, rows) in groups.items():
-        index, c_t, c_r, g = (np.array(col) for col in zip(*rows))
+    for config, index, noma, c_t, c_r, g in system.cell_groups(cells):
         fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
         fit_r = gamma_fit(config.fading_ris, config.fading_r, config.n_elements)
-        if noma:
-            vals = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, quad)
-        else:
-            w_t, w_r = g / c_t, g / c_r
+        if noma.any():
+            out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma], quad).T
+        orth = ~noma
+        if orth.any():
+            w_t, w_r = g[orth] / c_t[orth], g[orth] / c_r[orth]
             vals = np.stack((quartic_gain_cdf(fit_t, w_t), quartic_gain_cdf(fit_r, w_r),
-                             _surv_int(fit_t, w_t) * _surv_int(fit_r, w_r)))
-            vals = _clamp_probs(vals, "orthogonal closed form")
-        out[index] = vals.T
+                             quartic_gain_sf(fit_t, w_t) * quartic_gain_sf(fit_r, w_r)))
+            out[index[orth]] = _clamp_probs(vals, "orthogonal closed form").T
     return out
 
 

@@ -4,8 +4,10 @@ A surface with N elements produces the co-phased sum G = sum_i h_i * g_i of
 products of two independent Nakagami-m envelopes.  Moment matching fits a
 Gamma distribution to a single product term; the sum is then Gamma with the
 shape scaled by N, and the received power after energy harvesting enters the
-SNR through G**4.  Everything downstream (outage, throughput, AoI) consumes
-the fitted parameters produced here.
+SNR through G**4.  This module owns the fitted law of G**4: its CDF,
+survival, interval mass, tail quantiles and density, all written in the one
+Gamma argument theta * x^(1/4).  Everything downstream (outage, throughput,
+AoI) consumes the law through these functions.
 """
 
 from dataclasses import dataclass
@@ -104,15 +106,50 @@ def gamma_fit(link1: NakagamiParams, link2: NakagamiParams, n_elements: int) -> 
     return GammaApprox(k=k, theta=theta, n_elements=n_elements)
 
 
+def _quartic_arg(fit: GammaApprox, x) -> np.ndarray:
+    """The Gamma argument theta * x^(1/4) of the quartic gain at x; negative x maps to 0."""
+    return fit.theta * np.power(np.maximum(np.asarray(x, dtype=float), 0.0), 0.25)
+
+
 def quartic_gain_cdf(fit: GammaApprox, x) -> np.ndarray:
     """CDF of G^4 where G is the co-phased sum, continuous-shape form.
 
     Pr[G^4 <= x] = P(N*k, theta * x^(1/4)) with P the regularized lower
     incomplete gamma function.  Vectorized in x; negative x maps to 0.
     """
-    x = np.asarray(x, dtype=float)
-    z = fit.theta * np.power(np.maximum(x, 0.0), 0.25)
-    return special.gammainc(fit.sum_shape, z)
+    return special.gammainc(fit.sum_shape, _quartic_arg(fit, x))
+
+
+def quartic_gain_sf(fit: GammaApprox, x) -> np.ndarray:
+    """Survival Pr[G^4 > x], formed directly, so it stays positive where 1 - CDF underflows."""
+    return special.gammaincc(fit.sum_shape, _quartic_arg(fit, x))
+
+
+def quartic_gain_mass(fit: GammaApprox, w1, w2) -> np.ndarray:
+    """Pr[w1 < G^4 <= w2] = F(w2) - F(w1), stable in both tails.
+
+    Deep in the right tail both CDFs are 1 up to roundoff, so the difference
+    is formed from survivals there, and only there.  F(w1) = 0 for w1 <= 0
+    and is not evaluated; empty intervals (w1 >= w2) and roundoff negatives
+    clamp to 0.
+    """
+    z1, z2 = np.broadcast_arrays(_quartic_arg(fit, w1), _quartic_arg(fit, w2))
+    nk = fit.sum_shape
+    right = np.minimum(z1, z2) > nk
+    left = ~right
+    lower = left & (z1 > 0.0)
+    out = np.empty(z1.shape)
+    out[right] = special.gammaincc(nk, z1[right]) - special.gammaincc(nk, z2[right])
+    out[left] = special.gammainc(nk, z2[left])
+    out[lower] -= special.gammainc(nk, z1[lower])
+    return np.maximum(out, 0.0)
+
+
+def quartic_gain_quantiles(fit: GammaApprox, mass: float):
+    """(x_lo, x_hi) with Pr[G^4 < x_lo] = Pr[G^4 > x_hi] = mass."""
+    x_lo = (special.gammaincinv(fit.sum_shape, mass) / fit.theta) ** 4
+    x_hi = (special.gammainccinv(fit.sum_shape, mass) / fit.theta) ** 4
+    return float(x_lo), float(x_hi)
 
 
 def quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
@@ -132,7 +169,7 @@ def log_quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
     xs = np.maximum(x, 1e-300)
     return (
         nk * np.log(fit.theta)
-        - fit.theta * np.power(xs, 0.25)
+        - _quartic_arg(fit, xs)
         + (nk - 4.0) / 4.0 * np.log(xs)
         - np.log(4.0)
         - special.gammaln(nk)

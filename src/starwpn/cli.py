@@ -74,15 +74,7 @@ DEFAULTS = {
         "gain_mode": "independent_gains",
     },
     "ga": {
-        "population": "50",
-        "generations": "100",
-        "bits_per_var": "16",
-        "selection_q": "0.8",
-        "crossover_p": "0.8",
-        "mutation_p": "0.01",
-        "penalty_coef": "1000.0",
-        "seed": "20240811",
-        "elitism": "1",
+        **{f.name: str(f.default) for f in dataclasses.fields(optimizer.GaConfig)},
         "problems": "p1,p2",
         "n_grid": "10,20,30,40,50",
     },
@@ -175,9 +167,13 @@ def build_system(cfg: dict) -> system.SystemConfig:
     p_ap = _get_float(cfg, "system", "p_ap_watts")
     snr_db = _get_float(cfg, "system", "snr_db")
     try:
+        n0 = p_ap / 10.0 ** (snr_db / 10.0)
+    except ArithmeticError:  # 10^(snr_db/10) overflows, or underflows to a zero divisor
+        raise ConfigError(f"system.snr_db = {snr_db} gives no finite positive noise power") from None
+    try:
         return system.SystemConfig(
             p_ap=p_ap,
-            n0=p_ap / 10.0 ** (snr_db / 10.0),
+            n0=n0,
             d0=_get_float(cfg, "system", "d0_m"),
             d_t=_get_float(cfg, "system", "d_t_m"),
             d_r=_get_float(cfg, "system", "d_r_m"),

@@ -158,33 +158,28 @@ def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
     """McCounts of every (scheme, config, policy) cell, in the order given.
 
     Cells whose configs agree on the channel law (N and the three fading
-    laws, `SystemConfig.channel_law`) share one gain ensemble.  Each chunk
-    of an ensemble is drawn once, every cell of the ensemble is decoded on
-    it once, and the chunk is dropped; chunks run on `threads` workers.
+    laws, `system.cell_groups`) share one gain ensemble.  Each chunk of an
+    ensemble is drawn once, every cell of the ensemble is decoded on it
+    once, and the chunk is dropped; chunks run on `threads` workers.
     """
-    ensembles = {}
-    for i, (scheme, config, policy) in enumerate(cells):
-        decoders = ensembles.setdefault(config.channel_law, (config, []))[1]
-        c_t, c_r = system.snr_coefficients(scheme, policy, config)
-        decoders.append((i, system.scheme_spec(scheme).noma, c_t, c_r, config.snr_threshold))
     chunks = [(idx, min(_CHUNK, mc.trials - start)) for idx, start in enumerate(range(0, mc.trials, _CHUNK))]
-    tasks = [(config, decoders, chunk) for config, decoders in ensembles.values() for chunk in chunks]
+    tasks = [(group, chunk) for group in system.cell_groups(cells) for chunk in chunks]
 
     def count(task):
-        config, decoders, (idx, rows) = task
-        q_t, q_r = (g[:rows] ** 4 for g in _chunk_gains(config, mc, idx))
+        (config, index, *decoders), (idx, rows) = task
+        q_t, q_r = (x[:rows] ** 4 for x in _chunk_gains(config, mc, idx))
         out = []
-        for _, noma, c_t, c_r, g in decoders:
+        for noma, c_t, c_r, g in zip(*decoders):
             gamma_t, gamma_r = c_t * q_t, c_r * q_r
             t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g) if noma else (gamma_t >= g, gamma_r >= g)
             ok_t, ok_r = np.count_nonzero(t_ok), np.count_nonzero(r_ok)
             out.append((rows - ok_t, rows - ok_r, np.count_nonzero(t_ok & r_ok)))
-        return out
+        return index, out
 
     totals = np.zeros((len(cells), 3), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for (_, decoders, _), counts in zip(tasks, pool.map(count, tasks)):
-            totals[[d[0] for d in decoders]] += counts
+        for index, counts in pool.map(count, tasks):
+            totals[index] += counts
     return [McCounts(mc.trials, *map(int, row)) for row in totals]
 
 

@@ -26,9 +26,14 @@ from .channel import NakagamiParams
 _SUM_TOL = 1e-9
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie strictly inside (0,1), got {value}")
+def _check_policy(policy, *sum_groups) -> None:
+    """Every field of `policy` lies strictly inside (0,1), and each group of field names sums to 1."""
+    for name, value in vars(policy).items():
+        if not (0.0 < value < 1.0):
+            raise ValueError(f"{name} must lie strictly inside (0,1), got {value}")
+    for names in sum_groups:
+        if abs(sum(getattr(policy, name) for name in names) - 1.0) > _SUM_TOL:
+            raise ValueError(f"{' + '.join(names)} must equal 1")
 
 
 @dataclass(frozen=True)
@@ -70,11 +75,14 @@ class SystemConfig:
                 raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-
-    @property
-    def channel_law(self) -> tuple:
-        """(N, fading_ris, fading_t, fading_r): all the combined gains' law depends on."""
-        return (self.n_elements, self.fading_ris, self.fading_t, self.fading_r)
+        for user in ("t", "r"):
+            try:  # the received power P * l_x^2 that snr_coefficients forms
+                usable = 0 < self.p_ap * pathloss(self, user) ** 2 < math.inf
+            except ArithmeticError:  # a power overflows, or underflows to a zero divisor
+                usable = False
+            if not usable:
+                raise ValueError(f"the path loss of user {user} leaves no finite positive received power: "
+                                 f"p_ap, d0, d_{user}, exp0 or exp_{user} is out of range")
 
     @property
     def snr_threshold(self) -> float:
@@ -97,12 +105,7 @@ class TepPolicy:
     beta_r: float
 
     def __post_init__(self):
-        for name in ("alpha_t", "alpha_r", "alpha_ap", "beta_t", "beta_r"):
-            _check_fraction(name, getattr(self, name))
-        if abs(self.alpha_t + self.alpha_r + self.alpha_ap - 1.0) > _SUM_TOL:
-            raise ValueError("alpha_t + alpha_r + alpha_ap must equal 1")
-        if abs(self.beta_t + self.beta_r - 1.0) > _SUM_TOL:
-            raise ValueError("beta_t + beta_r must equal 1")
+        _check_policy(self, ("alpha_t", "alpha_r", "alpha_ap"), ("beta_t", "beta_r"))
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,7 @@ class EepPolicy:
     beta_r: float
 
     def __post_init__(self):
-        for name in ("alpha_et", "alpha_it", "beta_t", "beta_r"):
-            _check_fraction(name, getattr(self, name))
-        if abs(self.alpha_et + self.alpha_it - 1.0) > _SUM_TOL:
-            raise ValueError("alpha_et + alpha_it must equal 1")
-        if abs(self.beta_t + self.beta_r - 1.0) > _SUM_TOL:
-            raise ValueError("beta_t + beta_r must equal 1")
+        _check_policy(self, ("alpha_et", "alpha_it"), ("beta_t", "beta_r"))
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,7 @@ class TdmaPolicy:
     alpha_ap_r: float
 
     def __post_init__(self):
-        for name in ("alpha_t", "alpha_r", "alpha_ap_t", "alpha_ap_r"):
-            _check_fraction(name, getattr(self, name))
-        if abs(self.alpha_ap_t + self.alpha_ap_r - (1.0 - self.alpha_t - self.alpha_r)) > _SUM_TOL:
-            raise ValueError("alpha_ap_t + alpha_ap_r must equal 1 - alpha_t - alpha_r")
+        _check_policy(self, ("alpha_t", "alpha_r", "alpha_ap_t", "alpha_ap_r"))
 
 
 def pathloss(config: SystemConfig, user: str) -> float:
@@ -217,6 +212,24 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
     e_t, e_r = spec.snr_scale(policy, k_t, k_r)
     s_t, s_r = spec.shares(policy)
     return e_t / (s_t * config.n0), e_r / (s_r * config.n0)
+
+
+def cell_groups(cells) -> list:
+    """(scheme, config, policy) cells grouped by channel law, in order of first appearance.
+
+    The channel law is all the combined gains' law depends on: N and the
+    three fading laws.  Each group is a tuple (config, index, noma, c_t,
+    c_r, g): the first config of the law, then per cell of the group, as
+    arrays in cell order, its position in `cells`, its scheme's NOMA flag,
+    its SNR coefficients and its decoding threshold.  The closed forms and
+    the Monte Carlo engine both evaluate a whole group against one law.
+    """
+    groups = {}
+    for i, (scheme, config, policy) in enumerate(cells):
+        law = (config.n_elements, config.fading_ris, config.fading_t, config.fading_r)
+        rows = groups.setdefault(law, (config, []))[1]
+        rows.append((i, scheme_spec(scheme).noma, *snr_coefficients(scheme, policy, config), config.snr_threshold))
+    return [(config, *(np.array(col) for col in zip(*rows))) for config, rows in groups.values()]
 
 
 def uplink_snrs(scheme: str, policy, config: SystemConfig, g_t, g_r):

@@ -15,7 +15,10 @@ from starwpn.channel import (
     gauss_hermite_rule,
     log_quartic_gain_pdf,
     quartic_gain_cdf,
+    quartic_gain_mass,
     quartic_gain_pdf,
+    quartic_gain_quantiles,
+    quartic_gain_sf,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
@@ -171,6 +174,37 @@ def test_log_pdf_extreme_arguments_finite():
     vals = log_quartic_gain_pdf(fit, np.array([1e-280, 1e-12, 1.0, 1e12, 1e280]))
     assert np.all(np.isfinite(vals))
     assert np.exp(vals[0]) == 0.0 or vals[0] < -500  # deep left tail underflows cleanly
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_quartic_gain_survival_and_mass_in_both_tails(n):
+    fit = gamma_fit(NAK2, NAK2, n)
+    x_lo, x_hi = quartic_gain_quantiles(fit, 1e-28)
+    x = np.geomspace(x_lo / 1e3, x_hi * 16.0, 300)
+    cdf, sf = quartic_gain_cdf(fit, x), quartic_gain_sf(fit, x)
+    assert np.all(np.abs(cdf + sf - 1.0) < 1e-14)
+    beyond = x > x_hi  # 1 - cdf underflows to 0 there, the survival does not
+    assert np.all(1.0 - cdf[beyond] == 0.0) and np.all(sf[beyond] > 0.0)
+
+    switch = (fit.sum_shape / fit.theta) ** 4  # the mass is formed from survivals above this
+    head, tail = x[x < switch], x[x > switch]
+    np.testing.assert_allclose(quartic_gain_mass(fit, head[:-1], head[1:]),
+                               quartic_gain_cdf(fit, head[1:]) - quartic_gain_cdf(fit, head[:-1]), rtol=1e-12)
+    mass = quartic_gain_mass(fit, tail[:-1], tail[1:])
+    np.testing.assert_allclose(mass, quartic_gain_sf(fit, tail[:-1]) - quartic_gain_sf(fit, tail[1:]), rtol=1e-12)
+    assert np.all(mass[tail[:-1] > x_hi] > 0.0)
+
+    assert np.all(quartic_gain_mass(fit, x, x) == 0.0)
+    assert np.all(quartic_gain_mass(fit, x[1:], x[:-1]) == 0.0)
+    for w1 in (0.0, -1.0):
+        assert np.array_equal(quartic_gain_mass(fit, w1, x), cdf)
+
+    for tail_mass in (1e-28, 1e-6, 0.25):
+        q_lo, q_hi = quartic_gain_quantiles(fit, tail_mass)
+        assert q_lo < q_hi
+        assert quartic_gain_cdf(fit, q_lo) == pytest.approx(tail_mass, rel=1e-10)
+        assert quartic_gain_sf(fit, q_hi) == pytest.approx(tail_mass, rel=1e-10)
+        assert quartic_gain_mass(fit, q_lo, q_hi) == pytest.approx(1.0 - 2.0 * tail_mass, rel=1e-10)
 
 
 def test_gauss_hermite_rule_basics():

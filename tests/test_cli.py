@@ -1,5 +1,6 @@
 """Config loading, sweep execution, CSV/manifest output, and exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -314,6 +315,22 @@ engine = both
     assert (c / "repro.csv").read_bytes() == (a / "repro.csv").read_bytes()
 
 
+# CSV bytes of the analytic-only presets; a change that moves closed-form
+# numbers on purpose re-pins these and says why
+ANALYTIC_PRESET_SHA256 = {
+    "fig7": "1b62dc2a4ec9c9a1cf3ae9bc718f6596cfd9fe157591d141f716dbc9edae4d58",
+    "fig8": "cb9e5713ce5a33441be9a296ed1fa3afc05a120005668c1fdda9cca629e0e0f4",
+    "fig10": "911489aed1af73b35337a6463cabccbf63077b779ccc53670e17610be45ec30b",
+}
+
+
+@pytest.mark.parametrize("preset", ANALYTIC_PRESET_SHA256)
+def test_analytic_preset_bytes_are_pinned(tmp_path, preset):
+    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
+    assert digest == ANALYTIC_PRESET_SHA256[preset]
+
+
 def test_main_seed_and_set_overrides(tmp_path):
     ini = write_ini(tmp_path)
     out = tmp_path / "o1"
@@ -383,6 +400,19 @@ def test_main_exit_codes(tmp_path, capsys):
     blocker.write_text("not a directory")
     assert main(["run", ini, "--out", str(blocker / "sub")]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["system.snr_db=-inf", "system.snr_db=-4000", "system.snr_db=4000", "system.d0_m=1e-200",
+     "system.d0_m=1e200", "system.exp0=1000", "system.d_t_m=1e-150"],
+)
+def test_main_rejects_unusable_noise_power_and_path_loss(tmp_path, capsys, override):
+    # each gives a noise power, path loss or received power that is 0 or overflows
+    for command, preset in (("run", "fig7"), ("optimize", "fig11")):
+        assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path / command)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -141,7 +141,9 @@ def _reference_counts(scheme, cfg, pol, gains):
 @pytest.mark.parametrize("gain_mode", ["independent_gains", "shared_h"])
 def test_mc_counts_match_reference_decode(gain_mode):
     # two ensembles (N = 8 and N = 12), all three schemes, a partial last
-    # chunk; the counts must not depend on the worker count
+    # chunk; the counts must not depend on the worker count, and each count
+    # lands on its own cell whether the ensembles' cells come grouped or
+    # alternating
     trials = 3 * 2**16 + 123
     mc = McConfig(trials=trials, seed=77, gain_mode=gain_mode)
     cells = [
@@ -150,14 +152,15 @@ def test_mc_counts_match_reference_decode(gain_mode):
         for snr in (45.0, 55.0)
         for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA))
     ]
-    want = []
-    for n in (8, 12):
-        gains = mc_gains(make_config(n=n), mc)
-        want += [_reference_counts(s, c, p, gains) for s, c, p in cells if c.n_elements == n]
-    for threads in (1, 2):
-        got = mc_counts(cells, mc, threads=threads)
-        assert [(c.out_t, c.out_r, c.both_ok) for c in got] == want
-        assert all(c.trials == trials for c in got)
+    half = len(cells) // 2
+    interleaved = [cell for pair in zip(cells[:half], cells[half:]) for cell in pair]
+    gains = {n: mc_gains(make_config(n=n), mc) for n in (8, 12)}
+    for order in (cells, interleaved):
+        want = [_reference_counts(s, c, p, gains[c.n_elements]) for s, c, p in order]
+        for threads in (1, 2):
+            got = mc_counts(order, mc, threads=threads)
+            assert [(c.out_t, c.out_r, c.both_ok) for c in got] == want
+            assert all(c.trials == trials for c in got)
     assert any(0 < w[0] < trials for w in want)  # the comparison is not trivial
 
 

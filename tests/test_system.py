@@ -70,6 +70,10 @@ def test_config_validation():
     for key in ("p_ap", "n0", "d0", "d_t", "d_r", "exp0", "exp_t", "exp_r", "rate"):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             make_config(**{key: np.inf})
+    # finite distances and exponents whose path loss or received power underflows or overflows
+    for key, value in (("d0", 1e-200), ("d0", 1e100), ("d_t", 1e200), ("d_r", 1e-150), ("exp0", 1000.0)):
+        with pytest.raises(ValueError, match="path loss"):
+            make_config(**{key: value})
 
 
 def test_uplink_snr_tep_unit_case():
