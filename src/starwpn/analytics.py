@@ -15,22 +15,20 @@ disjoint events:
 Each event is the probability that the own gain lies in a window of a and b,
 integrated against the other user's quartic-gain density.  The law of the
 quartic gain (its survival, window mass, quantiles and density) comes from
-channel; this module only integrates it.  The two
-decodable-first probabilities (own gain above b), integrals over (0, inf),
-use a Gauss-Hermite rule after a log substitution (the rule is centered and
-scaled per integrand from a two-stage scan, 93 points at step 1 and then 41
-around the bump, keeping the fixed-order rule accurate across twenty decades
-of SNR); they do not depend on any panel count and are computed once per
-row.  Every other piece is one call of _window_int: the own gain above b, in
-[a, b] or in [b, a], on composite Gauss-Kronrod (QK15) panels over one of
-two ranges clipped to the density's support, its _TAIL_MASS (1e-28) lower
-and upper quantiles y_lo and y_hi.  The head (0, g/c_o) gets log-uniform
-panels on [max(y_lo, 2^-96 * upper), upper], upper = min(g/c_o, y_hi), which
-refine toward the integrable endpoint x^((nk-4)/4), plus one panel from 0; a
-tail [lower, y_hi] gets log-uniform panels, of zero width when the range is
-empty.  Here nk = N*k is the continuous Gamma shape of the co-phased sum.
-Sums, densities, and kernels are combined in log space and exponentiated
-once, so N = 30 (Gamma shape around 107) stays within double range.
+channel; this module only integrates it, on composite Gauss-Kronrod (QK15)
+panels over the density's support, its TAIL_MASS (1e-28) lower and upper
+quantiles y_lo and y_hi.  One layout, _panels, serves every integral: a
+head (0, s) of a panel on [0, lo] and log-uniform panels on [lo, s], and a
+tail [s, top] of log-uniform panels, split at the kernel's edge s.  Inside
+a log-uniform panel the nodes are uniform in ln y, where the density's
+integrable endpoint y^((nk-4)/4) (nk = N*k, the Gamma shape of the
+co-phased sum) is a smooth exponential.  The tail runs until the density
+above s keeps TAIL_MASS of its own mass, so a tail from near or past y_hi
+is not cut off.  User x's decodable-first kernel (own gain above b) is
+integrated once, split at s = g/c_o: the head H_x (the other user, decoded
+next, misses g) and the tail T_x (it clears g) are sums of non-negative
+terms.  So phi = T_t + T_r - overlap never cancels, p_out_t = deadlock +
+H_r, and the deadlock is 1 - (H_t + T_t) - (H_r + T_r) + overlap.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
 longer exclusive; the overlap (both cross SINRs clear g, own gain in [b, a])
@@ -39,18 +37,20 @@ inclusion-exclusion.
 
 When the deadlock probability obtained by inclusion-exclusion falls under
 1e-5 it is dominated by cancellation noise, so it is recomputed directly,
-as the [a, b] window integrated over the head and over the tail y > g/c_o.
+as the [a, b] window integrated on the nodes of the decodable-first pass
+split at g/c_r; for g < 1 the window closes at y = g/(c_r*(1 - g)), where
+its own tail ends.
 
 Every row is checked by its embedded Gauss rule: one pass at 16 panels per
 piece gives each of p_out_t, p_out_r and phi by the 7-point Gauss and the
 15-point Kronrod rule, and a row where the two differ by more than
 max(_CHECK_ABS, _CHECK_REL * |K15|) is redone at 32, 64, 128 and 256 panels;
 past that, QuadratureError is raised.  The K15 value is returned, so a row's
-value does not depend on the rows evaluated with it.  The check does not see
-the Gauss-Hermite terms, which are the same at every panel count: at N = 1
-the 30-node rule puts up to about 3.3e-8 into p_out_t and 1e-8 into phi,
-unchecked.  Probabilities are clamped to [0, 1] only after the check passes;
-clamp events are counted in `clamp_stats`.
+value does not depend on the rows evaluated with it.  Every term of a row is
+a panel sum, so the check sees all of them, at N = 1 too.  No integral
+reads a Gauss-Hermite rule; the public functions still accept one.
+Probabilities are clamped to [0, 1] only after the check passes; clamp
+events are counted in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
 input montecarlo.mc_counts takes, and groups them by channel law (N and the
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import system
 from .channel import (
-    QuadratureRule, gamma_fit, gauss_hermite_rule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_mass,
+    TAIL_MASS, QuadratureRule, gamma_fit, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_mass,
     quartic_gain_quantiles, quartic_gain_sf,
 )
 
@@ -141,10 +141,8 @@ _GK_W = ((0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.381830050505
           0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782))
 _GK_NODES = np.concatenate((np.negative(_GK_X), _GK_X[-2::-1]))
 _GK_WEIGHTS = np.concatenate((_GK_W, np.array(_GK_W)[:, -2::-1]), axis=1)
-_EDGE_FLOOR = 2.0**-96  # lowest log-uniform edge relative to the upper limit
-_TINY_LOG = 1e-300
+_EDGE_FLOOR = 2.0**-96  # lowest log-uniform head edge, relative to y_hi
 _DEADLOCK_SWITCH = 1e-5  # below this, inclusion-exclusion is noise-dominated
-_TAIL_MASS = 1e-28  # density mass ignored in each tail beyond the panel range
 _PANELS_FIRST = 16  # every row starts at 16 Gauss-Kronrod panels ...
 _PANELS_LAST = 256  # ... and failing rows double up to 256
 _CHECK_ABS = 1e-9
@@ -152,125 +150,116 @@ _CHECK_REL = 1e-7
 _ROW_BLOCK = 16  # NOMA rows per kernel call; bounds the working memory
 
 
-def _gh_log_integral(rule: QuadratureRule, log_fn, rows: int) -> np.ndarray:
-    """Integrate h(y) over (0, inf) per row, h given in log space.
+def _panels(fit_p, support_p, start, npanel, head=True, stop=np.inf):
+    """QK15 nodes y (rows, n) and density-weighted (G7, K15) weights (2, rows, n) on the other user's gain.
 
-    Substituting y = e^v gives an integrand concentrated around a single
-    bump in v (log-concave for Gamma shapes N*k >= 1).  A scan at step 1
-    over e^-46..e^46 locates its center and width, a second scan over
-    center +- clip(6 * max(width, 0.5), 3, 46) refines them, and the
-    Gauss-Hermite rule is applied on the recentered, rescaled axis.
+    The tail [start, top] is raised to y_lo at its start and ends at stop or
+    where TAIL_MASS of the density's mass above start remains, whichever
+    comes first, so that a tail from near or past y_hi is not cut off (top =
+    start where that mass underflows).  With head, the head
+    (0, min(start, y_hi)) comes first, as a panel on [0, lo],
+    lo = min(max(y_lo, y_hi * 2^-96), start), and log-uniform panels on
+    [lo, min(start, y_hi)]; head and tail share the other npanel - 1 panels
+    in proportion to their log-lengths, at least four each (one for an
+    empty range).  Without head, the tail gets all npanel panels.  On the
+    log-uniform panels the nodes are uniform in ln y, where the density's
+    power-law end y^((nk-4)/4) is a smooth exponential.  Also returns the
+    number of head panels per row (rows, 1), counting [0, lo]; they come
+    first.
     """
-    center, half, dead = np.zeros(rows), np.full(rows, 46.0), np.zeros(rows, dtype=bool)
-    for points in (93, 41):
-        v = center[:, None] + half[:, None] * np.linspace(-1.0, 1.0, points)
-        scan = log_fn(np.exp(v)) + v
-        scan = np.where(np.isfinite(scan), scan, -np.inf)
-        peak = scan.max(axis=1)
-        dead |= ~np.isfinite(peak)
-        w = np.exp(scan - np.where(dead, 0.0, peak)[:, None])
-        sw = w.sum(axis=1)
-        sw = np.where(sw > 0, sw, 1.0)
-        center = (w * v).sum(axis=1) / sw
-        width = np.sqrt(np.maximum((w * (v - center[:, None]) ** 2).sum(axis=1) / sw, 0.0))
-        half = np.clip(6.0 * np.maximum(width, 0.5), 3.0, 46.0)
-    scale = np.clip(width * np.sqrt(2.0), 0.05, 8.0)
-
-    x = center[:, None] + scale[:, None] * rule.nodes[None, :]
-    lv = log_fn(np.exp(x)) + x + rule.nodes[None, :] ** 2
-    lv = np.where(np.isfinite(lv), lv, -np.inf)
-    mx = lv.max(axis=1)
-    ok = np.isfinite(mx) & ~dead
-    mx_safe = np.where(ok, mx, 0.0)
-    out = scale * np.exp(mx_safe) * (rule.weights[None, :] * np.exp(lv - mx_safe[:, None])).sum(axis=1)
-    return np.where(ok, out, 0.0)
-
-
-def _panel_nodes(edges: np.ndarray):
-    """Composite Gauss-Kronrod nodes (rows, n) and (G7, K15) weights (2, rows, n) for per-row edges."""
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    x = mid[:, :, None] + half[:, :, None] * _GK_NODES
-    w = half[:, :, None] * _GK_WEIGHTS[:, None, None, :]
-    rows = edges.shape[0]
-    return x.reshape(rows, -1), w.reshape(2, rows, -1)
+    y_lo, y_hi = support_p
+    rows = start.size
+    start = np.maximum(start, y_lo)
+    beyond = TAIL_MASS * quartic_gain_sf(fit_p, start)
+    top = np.where(beyond > 0.0, quartic_gain_isf(fit_p, beyond), start)
+    u_start = np.log(start)
+    u_tail = np.log(np.maximum(np.minimum(top, stop), start)) - u_start
+    n = npanel - 1 if head else npanel
+    if head:
+        split = np.minimum(start, y_hi)
+        lo = np.minimum(max(y_lo, y_hi * _EDGE_FLOOR), split)
+        u_lo, u_head = np.log(lo), np.log(split / lo)
+        share = u_head / np.where(u_head + u_tail > 0.0, u_head + u_tail, 1.0)
+        n_head = np.clip(np.rint(n * share), np.where(u_head > 0.0, 4, 1), n - np.where(u_tail > 0.0, 4, 1))
+    else:
+        u_lo, u_head, n_head = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+    j = np.arange(n)
+    in_head = j < n_head[:, None]
+    width = np.where(in_head, (u_head / np.maximum(n_head, 1.0))[:, None], (u_tail / (n - n_head))[:, None])
+    left = np.where(in_head, u_lo[:, None] + j * width, u_start[:, None] + (j - n_head[:, None]) * width)
+    y = np.exp((left + 0.5 * width)[:, :, None] + 0.5 * width[:, :, None] * _GK_NODES)
+    w = 0.5 * width[:, :, None] * _GK_WEIGHTS[:, None, None, :] * y
+    if head:  # the [0, lo] panel, linear in y
+        y = np.concatenate(((0.5 * lo)[:, None, None] * (1.0 + _GK_NODES), y), axis=1)
+        w = np.concatenate(((0.5 * lo)[:, None, None] * _GK_WEIGHTS[:, None, None, :], w), axis=2)
+        n_head = n_head + 1
+    y = y.reshape(rows, -1)
+    return y, w.reshape(2, rows, -1) * np.exp(log_quartic_gain_pdf(fit_p, y)), n_head[:, None]
 
 
-def _log_uniform_edges(lo: np.ndarray, hi: np.ndarray, npanel: int) -> np.ndarray:
-    frac = np.linspace(0.0, 1.0, npanel + 1)
-    return lo[:, None] * (hi / lo)[:, None] ** frac[None, :]
+def _first_int(fit_q, cq, cp, g, y, wf, n_head):
+    """(G7, K15) integrals, each (2, rows), of the own decodable-first kernel over the head and the tail.
+
+    Given the other user's quartic gain y, the own gain clears
+    b = g (c_p y + 1) / c_q with probability Q_q(b); y, wf and n_head are
+    _panels(fit_p, ..., g / c_p, npanel).  Both are sums of non-negative
+    terms.
+    """
+    kern = quartic_gain_sf(fit_q, g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None])
+    panels = (kern * wf).reshape(2, g.size, -1, _GK_NODES.size).sum(axis=-1)
+    head = np.arange(panels.shape[-1]) < n_head
+    return np.where(head, panels, 0.0).sum(axis=-1), np.where(head, 0.0, panels).sum(axis=-1)
 
 
-def _s_int(fit_q, fit_p, cq, cp, g, rule):
-    """Pr[c_q X >= g (c_p Y + 1)]: survival kernel integrated over Y's density."""
-
-    def log_fn(y):
-        q = quartic_gain_sf(fit_q, (g[:, None] * (cp[:, None] * y + 1.0)) / cq[:, None])
-        return np.log(np.maximum(q, _TINY_LOG)) + log_quartic_gain_pdf(fit_p, y)
-
-    return _gh_log_integral(rule, log_fn, g.size)
-
-
-def _window_int(kernel, fit_q, fit_p, support_p, cq, cp, g, npanel, lower=None):
+def _window_int(kernel, fit_q, cq, cp, g, y, wf):
     """(G7, K15) integrals over the other user's quartic gain y of an SIC window kernel.
 
     Given y, the own cross SINR clears g above b = g (c_p y + 1) / c_q and
     the other user's clears it below a = (c_p y - g) / (c_q g).  kernel is
-    the probability that the own gain lies above b ("first", decodable
-    first), in [a, b] ("deadlock") or in [b, a] ("overlap").  The range picks
-    the panels: lower=None is the head (0, g/c_p), with npanel - 1
-    log-uniform panels on [lo, upper], upper = min(g/c_p, y_hi) and
-    lo = max(y_lo, upper * 2^-96), plus one panel on [0, lo]; otherwise the
-    tail [lower, y_hi] in npanel log-uniform panels, which an empty range
-    collapses to zero width at y_hi, so that it integrates to exactly 0.
+    the probability that the own gain lies in [a, b] ("deadlock") or in
+    [b, a] ("overlap"); y and wf are nodes and weights of _panels.
     """
-    y_lo, y_hi = support_p
-    if lower is None:
-        upper = np.minimum(g / cp, y_hi)
-        lo = np.minimum(np.maximum(y_lo, upper * _EDGE_FLOOR), upper)
-        edges = np.concatenate((np.zeros((g.size, 1)), _log_uniform_edges(lo, upper, npanel - 1)), axis=1)
-    else:
-        hi = np.full_like(g, y_hi)
-        edges = _log_uniform_edges(np.minimum(np.maximum(lower, y_lo), hi), hi, npanel)
-    x, w = _panel_nodes(edges)
-    g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * x
+    g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * y
     b = g * (cpy + 1.0) / cq
-    if kernel == "first":
-        kern = quartic_gain_sf(fit_q, b)
-    else:
-        a = (cpy - g) / (cq * g)
-        kern = quartic_gain_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_mass(fit_q, b, a)
-    return (kern * np.exp(log_quartic_gain_pdf(fit_p, x)) * w).sum(axis=-1)
+    a = (cpy - g) / (cq * g)
+    kern = quartic_gain_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_mass(fit_q, b, a)
+    return (kern * wf).sum(axis=-1)
 
 
-def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, s1, s2, npanel):
+def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, npanel):
     """Batched raw (p_out_t, p_out_r, phi) at one panel count, by G7 and K15.
 
-    c_t, c_r, g, s1, s2 are equal-length 1-D arrays, s1 and s2 the two
-    decodable-first probabilities (_s_int, which does not depend on the
-    panel count); the Gamma fits and their supports are shared by the
-    whole batch.  Returns a (2, 3, rows) array, not yet clamped; the K15
-    deadlock picks the direct branch for both rules.
+    c_t, c_r and g are equal-length 1-D arrays; the Gamma fits and their
+    supports are shared by the whole batch.  Returns a (2, 3, rows) array,
+    not yet clamped; the K15 deadlock picks the direct branch for both
+    rules.
     """
     sup_t, sup_r = supports
-    c_ab = _window_int("first", fit_t, fit_r, sup_r, c_t, c_r, g, npanel)
-    c_ba = _window_int("first", fit_r, fit_t, sup_t, c_r, c_t, g, npanel)
+    on_r = _panels(fit_r, sup_r, g / c_r, npanel)  # r's gain, split at g/c_r
+    on_t = _panels(fit_t, sup_t, g / c_t, npanel)  # t's gain, split at g/c_t
+    h_t, t_t = _first_int(fit_t, c_t, c_r, g, *on_r)  # t decodable first, r then fails or not
+    h_r, t_r = _first_int(fit_r, c_r, c_t, g, *on_t)  # r decodable first, t then fails or not
     overlap = np.zeros((2, g.size))  # both decodable first: possible only for g < 1
     sub = g < 1.0
     if sub.any():
         cts, crs, gs = c_t[sub], c_r[sub], g[sub]
-        lower = gs / (cts * (1.0 - gs))
-        overlap[:, sub] = _window_int("overlap", fit_r, fit_t, sup_t, crs, cts, gs, npanel, lower=lower)
+        y, wf, _ = _panels(fit_t, sup_t, gs / (cts * (1.0 - gs)), npanel, head=False)
+        overlap[:, sub] = _window_int("overlap", fit_r, crs, cts, gs, y, wf)
 
-    deadlock = 1.0 - s1 - s2 + overlap
+    deadlock = 1.0 - (h_t + t_t) - (h_r + t_r) + overlap
     small = deadlock[1] <= _DEADLOCK_SWITCH
-    if small.any():
-        args = ("deadlock", fit_t, fit_r, sup_r, c_t[small], c_r[small], g[small], npanel)
-        deadlock[:, small] = _window_int(*args) + _window_int(*args, lower=g[small] / c_r[small])
+    if small.any():  # directly, on the nodes of t's decodable-first pass ...
+        cts, crs, gs = c_t[small], c_r[small], g[small]
+        y, wf = on_r[0][small], on_r[1][:, small]
+        shut = gs < 1.0  # ... but for g < 1 the window closes at g/(c_r (1 - g)), which ends the tail
+        if shut.any():
+            g1, cr1 = gs[shut], crs[shut]
+            y[shut], wf[:, shut], _ = _panels(fit_r, sup_r, g1 / cr1, npanel, stop=g1 / (cr1 * (1.0 - g1)))
+        deadlock[:, small] = _window_int("deadlock", fit_t, cts, crs, gs, y, wf)
 
-    p_t = deadlock + c_ba  # preempted term integrates over the own gain
-    p_r = deadlock + c_ab
-    phi = (s1 - c_ab) + (s2 - c_ba) - overlap
+    p_t = deadlock + h_r  # preempted term integrates over the own gain
+    p_r = deadlock + h_t
+    phi = t_t + t_r - overlap
     return np.stack((p_t, p_r, phi), axis=1)
 
 
@@ -281,7 +270,7 @@ def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
+def _noma_rows(fit_t, fit_r, supports, c_t, c_r, g) -> np.ndarray:
     """Checked, clamped (p_out_t, p_out_r, phi) as a (3, rows) array.
 
     Every row starts with one 16-panel Gauss-Kronrod pass; rows whose G7
@@ -290,14 +279,11 @@ def _noma_rows(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     raises QuadratureError.  Each row returns its K15 value, so a row's
     values do not depend on the rest of the batch.
     """
-    supports = (quartic_gain_quantiles(fit_t, _TAIL_MASS), quartic_gain_quantiles(fit_r, _TAIL_MASS))
-    s1 = _s_int(fit_t, fit_r, c_t, c_r, g, rule)  # t decodable first
-    s2 = _s_int(fit_r, fit_t, c_r, c_t, g, rule)  # r decodable first
     out = np.empty((3, g.size))
     todo = np.arange(g.size)
     npanel = _PANELS_FIRST
     while todo.size:
-        g7, k15 = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], s1[todo], s2[todo], npanel)
+        g7, k15 = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], npanel)
         miss = np.abs(g7 - k15) > np.maximum(_CHECK_ABS, _CHECK_REL * np.abs(k15))
         redo = miss.any(axis=0)
         out[:, todo[~redo]] = k15[:, ~redo]
@@ -318,15 +304,16 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     per-row arrays (g may be a scalar).  Rows are evaluated in blocks of
     _ROW_BLOCK, which bounds the kernel's working memory; a row's values do
     not depend on its block.  Raises QuadratureError if a row does not
-    converge.
+    converge.  rule is accepted and not read.
     """
     c_t = np.atleast_1d(np.asarray(c_t, dtype=float))
     c_r = np.atleast_1d(np.asarray(c_r, dtype=float))
     g = np.broadcast_to(np.asarray(g, dtype=float), c_t.shape).copy()
+    supports = (quartic_gain_quantiles(fit_t), quartic_gain_quantiles(fit_r))
     out = np.empty((3, c_t.size))
     for start in range(0, c_t.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        out[:, rows] = _noma_rows(fit_t, fit_r, c_t[rows], c_r[rows], g[rows], rule)
+        out[:, rows] = _noma_rows(fit_t, fit_r, supports, c_t[rows], c_r[rows], g[rows])
     return out
 
 
@@ -342,11 +329,9 @@ def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
     channel law (system.cell_groups), and each group's NOMA cells are
     evaluated in one call of noma_metrics_batch; an orthogonal scheme's users
     fail independently, so its outages are per-user Gamma CDFs and its
-    success probability their product of survivals.  quad=None means a 30-node
-    Gauss-Hermite rule.
+    success probability their product of survivals.  quad, a Gauss-Hermite
+    rule, is accepted and not read: every integral is a checked panel sum.
     """
-    if quad is None:
-        quad = gauss_hermite_rule(30)
     out = np.empty((len(cells), 3))
     for config, index, noma, c_t, c_r, g in system.cell_groups(cells):
         fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)

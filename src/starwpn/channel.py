@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+TAIL_MASS = 1e-28  # density mass left out in each tail of the quartic gain's support
+
 
 @dataclass(frozen=True)
 class NakagamiParams:
@@ -145,11 +147,16 @@ def quartic_gain_mass(fit: GammaApprox, w1, w2) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def quartic_gain_quantiles(fit: GammaApprox, mass: float):
-    """(x_lo, x_hi) with Pr[G^4 < x_lo] = Pr[G^4 > x_hi] = mass."""
-    x_lo = (special.gammaincinv(fit.sum_shape, mass) / fit.theta) ** 4
-    x_hi = (special.gammainccinv(fit.sum_shape, mass) / fit.theta) ** 4
-    return float(x_lo), float(x_hi)
+def quartic_gain_quantiles(fit: GammaApprox, mass: float = TAIL_MASS):
+    """(x_lo, x_hi) with Pr[G^4 < x_lo] = Pr[G^4 > x_hi] = mass; by default the support the closed forms use."""
+    with np.errstate(over="ignore", under="ignore"):  # an extreme fit maps to 0 or inf, which callers reject
+        x_lo = (special.gammaincinv(fit.sum_shape, mass) / fit.theta) ** 4
+        return float(x_lo), float(quartic_gain_isf(fit, mass))
+
+
+def quartic_gain_isf(fit: GammaApprox, mass) -> np.ndarray:
+    """x with Pr[G^4 > x] = mass, vectorized; mass 0 maps to inf."""
+    return (special.gammainccinv(fit.sum_shape, mass) / fit.theta) ** 4
 
 
 def quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:

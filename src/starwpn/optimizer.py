@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, system
-from .channel import QuadratureRule, gauss_hermite_rule
+from .channel import QuadratureRule
 
 VAR_LO = 0.01
 VAR_HI = 0.99
@@ -236,8 +236,6 @@ def ga_run(
     if not (delta_th > 1.0):
         raise ValueError(f"delta_th must exceed 1, got {delta_th}")
     scheme = _problem_scheme(problem)
-    if quad is None:
-        quad = gauss_hermite_rule(30)
     width = 2 * ga.bits_per_var
     rng = np.random.default_rng(np.random.SeedSequence(ga.seed))
     pop = rng.integers(0, 2, size=(ga.population, width), dtype=np.uint8)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import NakagamiParams
+from .channel import NakagamiParams, gamma_fit, quartic_gain_quantiles
 
 _SUM_TOL = 1e-9
 
@@ -83,6 +83,11 @@ class SystemConfig:
             if not usable:
                 raise ValueError(f"the path loss of user {user} leaves no finite positive received power: "
                                  f"p_ap, d0, d_{user}, exp0 or exp_{user} is out of range")
+            # the closed forms integrate over this support of the fitted quartic gain
+            fit = gamma_fit(self.fading_ris, getattr(self, f"fading_{user}"), self.n_elements)
+            if not all(0 < x < math.inf for x in quartic_gain_quantiles(fit)):
+                raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "
+                                 f"m_ris, omega_ris, m_{user} or omega_{user} is out of range")
 
     @property
     def snr_threshold(self) -> float:

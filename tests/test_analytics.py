@@ -21,7 +21,7 @@ from starwpn.analytics import (
     sum_throughput,
     user_throughput,
 )
-from starwpn.channel import NakagamiParams, gamma_fit, gauss_hermite_rule, quartic_gain_pdf
+from starwpn.channel import NakagamiParams, gamma_fit, gauss_hermite_rule, quartic_gain_pdf, quartic_gain_quantiles
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
 QUAD = gauss_hermite_rule(30)
@@ -41,17 +41,20 @@ def make_config(snr_db=40.0, rate=1.0, n=30, **over):
     return system.SystemConfig(**base)
 
 
-def quad_expect(fit, kern, lo, hi, interior=()):
+def quad_expect(fit, kern, lo, hi, interior=(), epsabs=1e-16):
     """Integral of kern(y) against the quartic-gain density over [lo, hi], by QUADPACK.
 
     With y = u^4 the density is the Gamma(N*k, theta) density of u.  The
-    range is cut where u's upper tail holds 1e-30, and an empty range
-    gives 0.  The amplitude's bulk is always a breakpoint.
+    range is cut where u's upper tail holds 1e-30 of the mass above lo, so
+    that a range starting far in the tail keeps its relative accuracy; a
+    range with no mass in double precision, or an empty one, gives 0.  The
+    amplitude's bulk is always a breakpoint.
     """
     nk, theta = fit.sum_shape, fit.theta
     log_norm = nk * math.log(theta) - special.gammaln(nk)
     a = lo ** 0.25
-    b = min(hi ** 0.25, special.gammainccinv(nk, 1e-30) / theta)
+    above = 1e-30 * special.gammaincc(nk, theta * a)
+    b = min(hi ** 0.25, special.gammainccinv(nk, above) / theta) if above > 0.0 else a
     if not a < b:
         return 0.0
     bulk = [special.gammaincinv(nk, q) / theta for q in (1e-6, 0.5, 1.0 - 1e-6)]
@@ -62,7 +65,7 @@ def quad_expect(fit, kern, lo, hi, interior=()):
             return 0.0
         return kern(u**4) * math.exp(log_norm + (nk - 1.0) * math.log(u) - theta * u)
 
-    args = dict(limit=400, epsabs=1e-16, epsrel=1e-11)
+    args = dict(limit=400, epsabs=epsabs, epsrel=1e-11)
     return sum(integrate.quad(f, u0, u1, **args)[0] for u0, u1 in zip([a] + pts, pts + [b]))
 
 
@@ -70,8 +73,19 @@ def quad_oracle_noma(config, c_t, c_r):
     """Adaptive-quadrature re-evaluation of the SIC outage decomposition.
 
     Same probabilistic decomposition, entirely different numerics: QUADPACK
-    on the Gamma (amplitude) axis u = y^(1/4), instead of scanned
-    Gauss-Hermite plus Gauss-Kronrod panels on the quartic-gain axis.
+    on the Gamma (amplitude) axis u = y^(1/4), instead of Gauss-Kronrod
+    panels on the quartic-gain axis.
+
+    Blind spot: the deadlock is integrated over the reflected user's gain y
+    with breakpoints at g/(2 c_r), g/c_r and around the trapped-window bump.
+    Just above g/c_r the window is a sliver of the transmitted user's gain,
+    so where c_t is tiny the tail piece misses it and p_out_r collapses to
+    1 - Q_r(g/c_r).  At criterion 9's EEP draw with N = 5, R = 1.5757,
+    c_t = 1.394e-8 and c_r = 2.193e-3 this gives 0.8122915 where an
+    integral of 1 - Pr[r decodable first] over the transmitted user's gain
+    gives 0.8123002 (test_direct_deadlock_blind_spot).  The kernel forms the
+    deadlock by inclusion-exclusion above _DEADLOCK_SWITCH, so it does not
+    share this blind spot there.
     """
     g = config.snr_threshold
     fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
@@ -120,14 +134,15 @@ def test_outage_tep_matches_adaptive_quadrature():
 
     # t near the surface, r far from it: the deadlock is under
     # _DEADLOCK_SWITCH and g/c_r lies past y_hi, so the direct deadlock's tail
-    # range is empty.  phi is not compared: formed as s1 - c_ab + s2 - c_ba,
-    # it cancels to 0 here against the oracle's 7.4e-31.
+    # range is empty.  phi, 1.745e-30, is a tail integral from g/c_r, beyond
+    # the density's 1e-28 quantile: it must keep its relative accuracy there
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
-    ref_t, ref_r, _ = quad_oracle_noma(cfg, c_t, c_r)
+    ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
     p_t, p_r = outage("tep", cfg, TEP, QUAD)
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
+    assert abs(success_prob("tep", cfg, TEP, QUAD) - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_eep_matches_adaptive_quadrature():
@@ -142,14 +157,15 @@ def test_outage_eep_matches_adaptive_quadrature():
 
     # t near the surface, r far from it: the deadlock is under
     # _DEADLOCK_SWITCH and g/c_r lies past y_hi, so the direct deadlock's tail
-    # range is empty.  phi is not compared: formed as s1 - c_ab + s2 - c_ba,
-    # it cancels to 0 here against the oracle's 7.4e-101.
+    # range is empty.  phi, 1.085e-34, is a tail integral from g/c_r, beyond
+    # the density's 1e-28 quantile: it must keep its relative accuracy there
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
-    ref_t, ref_r, _ = quad_oracle_noma(cfg, c_t, c_r)
+    ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
     p_t, p_r = outage("eep", cfg, EEP, QUAD)
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
+    assert abs(success_prob("eep", cfg, EEP, QUAD) - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_below_unity_threshold_matches_quadrature():
@@ -173,6 +189,60 @@ def test_outage_below_unity_threshold_matches_quadrature():
     # success of both plus either outage still cannot exceed one
     assert phi <= 1.0 - max(p_t, p_r) + 1e-9
 
+    # both users far, N = 5, R = 0.05: g/(c_t (1 - g)) lies past t's 1e-28
+    # quantile, and the overlap there is 29 % of phi = T_t + T_r - overlap.
+    # Each piece is integrated by QUADPACK with a relative tolerance only,
+    # since phi is 1.8e-47
+    cfg = make_config(snr_db=39.0, rate=0.05, n=5, d_t=15.0, d_r=10.0)
+    c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
+    g = cfg.snr_threshold
+    fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, 5)
+    fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, 5)
+    tails = 0.0
+    for fq, fp, cq, cp in ((fit_t, fit_r, c_t, c_r), (fit_r, fit_t, c_r, c_t)):
+        def first(y, fq=fq, cq=cq, cp=cp):
+            return special.gammaincc(fq.sum_shape, fq.theta * (g * (cp * y + 1.0) / cq) ** 0.25)
+
+        tails += quad_expect(fp, first, g / cp, math.inf, [2 * g / cp], epsabs=0.0)
+
+    def both_first(y):  # r's gain in [b, a], given t's gain y
+        b, a = (fit_r.theta * np.array([g * (c_t * y + 1.0) / c_r, (c_t * y - g) / (c_r * g)]) ** 0.25)
+        return special.gammaincc(fit_r.sum_shape, b) - special.gammaincc(fit_r.sum_shape, a)
+
+    lower = g / (c_t * (1.0 - g))
+    assert lower > quartic_gain_quantiles(fit_t)[1]
+    overlap = quad_expect(fit_t, both_first, lower, math.inf, [2 * lower], epsabs=0.0)
+    assert overlap > 0.25 * (tails - overlap)
+    assert abs(success_prob("tep", cfg, TEP, QUAD) - (tails - overlap)) < 1e-5 * (tails - overlap)
+
+
+def test_direct_deadlock_below_unity_threshold():
+    # R < 1, N = 2, 5 and 30: the deadlock is under _DEADLOCK_SWITCH and is
+    # integrated directly.  For g < 1 its window [a, b] closes at
+    # y = g/(c_r (1 - g)), which ends its tail.  QUADPACK integrates the
+    # same window over r's gain up to that point
+    rows = [(2, 55.0, 0.5, dict(d0=3.0)), (5, 30.0, 0.5, dict(d0=3.0)), (5, 50.0, 0.5, dict(d0=10.0)),
+            (30, 30.0, 0.1, dict(d_t=5.0, d_r=5.0))]
+    for n, snr_db, rate, geometry in rows:
+        cfg = make_config(snr_db=snr_db, rate=rate, n=n, **geometry)
+        c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
+        g = cfg.snr_threshold
+        fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, n)
+        fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, n)
+
+        def window(y):  # t's gain in [a, b], given r's gain y
+            a, b = fit_t.theta * np.array([max(c_r * y - g, 0.0) / (c_t * g), g * (c_r * y + 1.0) / c_t]) ** 0.25
+            return special.gammainc(fit_t.sum_shape, b) - special.gammainc(fit_t.sum_shape, a)
+
+        def r_first(x):  # r decodable first, given t's gain x
+            return special.gammaincc(fit_r.sum_shape, fit_r.theta * (g * (c_t * x + 1.0) / c_r) ** 0.25)
+
+        deadlock = (quad_expect(fit_r, window, 0.0, g / c_r, [g / (2 * c_r)])
+                    + quad_expect(fit_r, window, g / c_r, g / (c_r * (1.0 - g))))
+        assert deadlock < analytics._DEADLOCK_SWITCH
+        ref_t = deadlock + quad_expect(fit_t, r_first, 0.0, g / c_t, [g / (2 * c_t)])
+        assert abs(outage("tep", cfg, TEP, QUAD)[0] - ref_t) < 1e-10 * ref_t
+
 
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("scheme", ["tep", "eep"])
@@ -180,9 +250,8 @@ def test_small_n_matches_adaptive_quadrature(scheme, n):
     # few elements give the widest densities, where panel doubling fires; a
     # short AP-surface hop (3 m) keeps the outages away from one.  At N = 1
     # the default 30 m hop is checked too: there every outage is 1, and the
-    # oracle's deadlock tail range is empty.  phi is compared at N = 5 only,
-    # because at N = 1 the kernel's 30-node Gauss-Hermite terms are off by up
-    # to about 1e-8 in phi (4.5624e-8 at TEP, 30 dB, 3 m).
+    # oracle's deadlock tail range is empty.  Every value is also within
+    # 1e-9 absolute (phi is 4.5624e-8 at TEP, 30 dB, 3 m).
     pol = {"tep": TEP, "eep": EEP}[scheme]
     cases = [(30.0, 3.0), (40.0, 3.0)]
     if n == 1:
@@ -192,11 +261,11 @@ def test_small_n_matches_adaptive_quadrature(scheme, n):
         c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
         ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
         p_t, p_r = outage(scheme, cfg, pol, QUAD)
+        phi = success_prob(scheme, cfg, pol, QUAD)
         assert abs(p_t - ref_t) < 1e-7 * ref_t
         assert abs(p_r - ref_r) < 1e-7 * ref_r
-        if n > 1:
-            phi = success_prob(scheme, cfg, pol, QUAD)
-            assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
+        assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
+        assert max(abs(p_t - ref_t), abs(p_r - ref_r), abs(phi - ref_phi)) < 1e-9
 
 
 def test_frozen_reference_values():
@@ -449,7 +518,7 @@ def test_batch_doubles_panels_only_where_needed(monkeypatch):
         return out
 
     monkeypatch.setattr(analytics, "_noma_core", spy)
-    cases = [("tep", 30.0, 2.0, 3.0), ("eep", 40.0, 2.0, 3.0), ("tep", 30.0, 2.0, 30.0)]
+    cases = [("tep", 30.0, 2.0, 3.0), ("eep", 40.0, 2.0, 3.0), ("tep", 30.0, 2.0, 30.0), ("tep", 40.0, 4.0, 3.0)]
     fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=1)
     seen.clear()
     p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
@@ -481,13 +550,16 @@ def test_gauss_kronrod_table_exactness():
 
 
 def test_decodable_first_matches_adaptive_quadrature():
-    # the two-stage scan places the Gauss-Hermite rule of _s_int; QUADPACK on
-    # the amplitude axis integrates the same survival kernel.  N = 40 with
-    # m = 4 on every link is the narrowest density criterion 9 draws.  N = 1
-    # is left out: there the 30-node rule puts up to 3.3e-8 into p_out_t (an
-    # open finding in CHANGES.md), which the placement does not change.
+    # the head H and the tail T of the own decodable-first kernel come from
+    # one panel set split at g/c_p; QUADPACK on the amplitude axis integrates
+    # the same survival kernel below and above g/c_p.  At the first pass and
+    # at twice its panels, H + T is within 1e-10 relative of QUADPACK.  N = 40
+    # with m = 4 on every link is the narrowest density criterion 9 draws,
+    # N = 1 the widest.
     nak4 = NakagamiParams(m=4.0, omega=1.0)
-    links = [(40, dict(fading_ris=nak4, fading_t=nak4, fading_r=nak4)), (30, {}), (5, {})]
+    links = [(40, dict(fading_ris=nak4, fading_t=nak4, fading_r=nak4)), (30, {}), (5, {}), (1, {}),
+             (1, dict(d0=3.0))]
+    checked = 0
     for n, fading in links:
         for snr_db in (-10.0, 20.0, 40.0, 55.0):
             for rate in (0.5, 2.0):
@@ -497,15 +569,99 @@ def test_decodable_first_matches_adaptive_quadrature():
                 fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, n)
                 fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, n)
                 for fq, fp, cq, cp in ((fit_t, fit_r, c_t, c_r), (fit_r, fit_t, c_r, c_t)):
-                    got = analytics._s_int(fq, fp, np.array([cq]), np.array([cp]), np.array([g]), QUAD)[0]
 
                     def kern(y):
                         return special.gammaincc(fq.sum_shape, fq.theta * (g * (cp * y + 1.0) / cq) ** 0.25)
 
                     ref = quad_expect(fp, kern, 0.0, g / cp, [g / (2 * cp)]) + quad_expect(
                         fp, kern, g / cp, math.inf, [2 * g / cp])
-                    if ref > 1e-12:
-                        assert abs(got - ref) < 1e-10 * ref, (n, snr_db, rate, got, ref)
+                    if ref <= 1e-12:
+                        continue
+                    checked += 1
+                    for npanel in (analytics._PANELS_FIRST, 2 * analytics._PANELS_FIRST):
+                        panels = analytics._panels(fp, quartic_gain_quantiles(fp), np.array([g / cp]), npanel)
+                        head, tail = analytics._first_int(fq, np.array([cq]), np.array([cp]), np.array([g]), *panels)
+                        got = head[1, 0] + tail[1, 0]
+                        assert abs(got - ref) < 1e-10 * ref, (n, snr_db, rate, npanel, got, ref)
+    assert checked > 30
+
+
+@pytest.mark.parametrize("snr_db, scheme, rate", [(40.0, "tep", 4.94), (40.0, "eep", 4.82), (20.0, "eep", 1.0)])
+def test_tiny_phi_matches_adaptive_quadrature(snr_db, scheme, rate):
+    # fig7 at 40 dB and fig4 at 20 dB, N = 30: phi is 1.1e-16, 4.8e-15 and
+    # 8.4e-24, far under the outages.  It is summed from two tail integrals,
+    # never formed as a difference of terms of order one, so it keeps its
+    # relative accuracy and the AoI 1/phi with it
+    cfg = make_config(snr_db=snr_db, rate=rate)
+    pol = {"tep": TEP, "eep": EEP}[scheme]
+    ref_phi = quad_oracle_noma(cfg, *system.snr_coefficients(scheme, pol, cfg))[2]
+    assert 0.0 < ref_phi < 1e-14
+    assert abs(success_prob(scheme, cfg, pol, QUAD) - ref_phi) < 1e-5 * ref_phi
+
+
+def _criterion9_cells():
+    """The 500 (scheme, config, policy) draws of acceptance criterion 9's sweep, in its order."""
+    rng = np.random.default_rng(987654321)
+    cells = []
+    for i in range(500):
+        scheme = ("tep", "eep", "tdma")[i % 3]
+        snr_db, d_t, d_r = rng.uniform(-10.0, 55.0), float(rng.uniform(1.0, 15.0)), float(rng.uniform(1.0, 15.0))
+        n = int(rng.integers(1, 41))
+        fading = [NakagamiParams(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 2.0))) for _ in range(3)]
+        cfg = make_config(snr_db=snr_db, rate=float(rng.uniform(0.25, 6.0)), n=n, d_t=d_t, d_r=d_r,
+                          fading_ris=fading[0], fading_t=fading[1], fading_r=fading[2])
+        if scheme == "tep":
+            a, b = float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.05, 0.9))
+            pol = system.TepPolicy(a / 2.0, a / 2.0, 1.0 - a, b, 1.0 - b)
+        elif scheme == "eep":
+            a, b = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
+            pol = system.EepPolicy(a, 1.0 - a, b, 1.0 - b)
+        else:
+            a, c = float(rng.uniform(0.05, 0.45)), float(rng.uniform(0.1, 0.9))
+            pol = system.TdmaPolicy(a, a, (1.0 - 2.0 * a) * c, (1.0 - 2.0 * a) * (1.0 - c))
+        cells.append((scheme, cfg, pol))
+    return cells
+
+
+def test_first_pass_agrees_with_doubled_panels(monkeypatch):
+    # criterion 9's 334 NOMA draws, N = 1 to 40: a checked row that starts at
+    # 16 panels agrees with one forced to start at 32, within the check's own
+    # tolerance.  Criterion 9's 30- against 40-node prong reads 0 now that no
+    # integral uses the Gauss-Hermite rule, so this is the convergence prong.
+    cells = [cell for cell in _criterion9_cells() if cell[0] != "tdma"]
+    assert len(cells) == 334
+    first = analytics.closed_forms(cells)
+    monkeypatch.setattr(analytics, "_PANELS_FIRST", 2 * analytics._PANELS_FIRST)
+    doubled = analytics.closed_forms(cells)
+    tol = np.maximum(analytics._CHECK_ABS, analytics._CHECK_REL * np.abs(doubled))
+    assert np.all(np.abs(first - doubled) <= tol)
+
+
+def test_direct_deadlock_blind_spot():
+    # criterion 9's EEP draw with N = 5, R = 1.5757: t's uplink coefficient is
+    # 1.394e-8, so t is never decodable first and p_out_r = 1 - Pr[r decodable
+    # first] - T_t, with T_t = 1e-147.  QUADPACK over t's gain gives 0.8123002;
+    # a deadlock integrated over r's gain (the oracle's) misses the sliver
+    # above g/c_r and gives 1 - Q_r(g/c_r) = 0.8122915.
+    (scheme, cfg, pol), = [cell for cell in _criterion9_cells()
+                           if cell[0] == "eep" and cell[1].n_elements == 5 and abs(cell[1].rate - 1.5757) < 1e-4]
+    c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
+    assert abs(c_t - 1.394e-8) < 1e-11 and abs(c_r - 2.193e-3) < 1e-6
+    g = cfg.snr_threshold
+    fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, cfg.n_elements)
+    fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, cfg.n_elements)
+
+    def r_first(x):  # r's cross SINR clears g, given t's quartic gain x
+        return special.gammaincc(fit_r.sum_shape, fit_r.theta * (g * (c_t * x + 1.0) / c_r) ** 0.25)
+
+    def t_first(y):  # t's cross SINR clears g, given r's quartic gain y
+        return special.gammaincc(fit_t.sum_shape, fit_t.theta * (g * (c_r * y + 1.0) / c_t) ** 0.25)
+
+    ref_r = 1.0 - quad_expect(fit_t, r_first, 0.0, math.inf) - quad_expect(fit_r, t_first, g / c_r, math.inf)
+    assert abs(ref_r - 0.812300202441811) < 1e-13
+    p_r = outage(scheme, cfg, pol)[1]
+    assert abs(p_r - ref_r) < 1e-12
+    assert quad_oracle_noma(cfg, c_t, c_r)[1] < ref_r - 8e-6  # the oracle's blind spot
 
 
 def test_unconverged_rows_raise(monkeypatch):

@@ -318,9 +318,9 @@ engine = both
 # CSV bytes of the analytic-only presets; a change that moves closed-form
 # numbers on purpose re-pins these and says why
 ANALYTIC_PRESET_SHA256 = {
-    "fig7": "1b62dc2a4ec9c9a1cf3ae9bc718f6596cfd9fe157591d141f716dbc9edae4d58",
-    "fig8": "cb9e5713ce5a33441be9a296ed1fa3afc05a120005668c1fdda9cca629e0e0f4",
-    "fig10": "911489aed1af73b35337a6463cabccbf63077b779ccc53670e17610be45ec30b",
+    "fig7": "d5d543a30a48e1de42773234f5e82107fe8c8a00b42ed4179d5870f963385419",
+    "fig8": "f67cd09039f36c03f496d7e06338dd6f2bb148bcff95dd51a5444ee4d7e6a1b9",
+    "fig10": "616000f3c44266f737cdbad81f5061043d394921ca423c0d4ff215848162a632",
 }
 
 
@@ -412,6 +412,20 @@ def test_main_rejects_unusable_noise_power_and_path_loss(tmp_path, capsys, overr
     for command, preset in (("run", "fig7"), ("optimize", "fig11")):
         assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path / command)]) == 2
         assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", ["system.omega_t=1e-300", "system.m_t=1e300", "system.omega_r=1e300",
+                                      "system.omega_ris=1e-300"])
+def test_main_rejects_fading_without_finite_support(tmp_path, capsys, override):
+    # each fits a quartic gain whose tail quantiles underflow to 0 or overflow,
+    # which leaves the closed forms no range to integrate over
+    for command, preset in (("run", "fig7"), ("optimize", "fig11")):
+        argv = [command, "--preset", preset, "--set", "experiment.grid=1", "--set", override,
+                "--out", str(tmp_path / command)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "support of the quartic gain" in err
     assert not any(tmp_path.iterdir())
 
 
