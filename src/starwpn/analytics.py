@@ -41,6 +41,13 @@ as the [a, b] window integrated on the nodes of the decodable-first pass
 split at g/c_r; for g < 1 the window closes at y = g/(c_r*(1 - g)), where
 its own tail ends.
 
+The decodable-first kernel reads the own survival from the fit's checked
+table (channel.SurvivalTable); the window integrals and the panel layout
+call the exact law.  The G7/K15 check below cannot see the table's
+interpolation error, since both rules read the same table values; the
+table's build check bounds it (1e-12 relative where the survival is at
+least 1e-30, 1e-10 down to 1e-300).
+
 Every row is checked by its embedded Gauss rule: one pass at 16 panels per
 piece gives each of p_out_t, p_out_r and phi by the 7-point Gauss and the
 15-point Kronrod rule, and a row where the two differ by more than
@@ -54,12 +61,13 @@ events are counted in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
 input montecarlo.mc_counts takes, and groups them by channel law (N and the
-three fading laws) with system.cell_groups, so a group shares one pair of
-Gamma fits.  A group's NOMA cells go to noma_metrics_batch, which feeds the
-checked evaluator in blocks of _ROW_BLOCK rows to bound its working memory;
-its orthogonal cells are one vectorized Gamma CDF and survival evaluation.
-outage, success_prob and perf_report are one-cell calls of it, and the CLI
-and the optimizer pass their whole cell lists.
+three fading laws) with system.cell_groups, so a group shares the pair of
+Gamma fits, and their tables, that its first config keeps.  A group's NOMA
+cells go to noma_metrics_batch, which feeds the checked evaluator in blocks
+of _ROW_BLOCK rows to bound its working memory; its orthogonal cells are
+one vectorized Gamma CDF and survival evaluation.  outage, success_prob and
+perf_report are one-cell calls of it, and the CLI and the optimizer pass
+their whole cell lists.
 """
 
 import math
@@ -70,7 +78,7 @@ import numpy as np
 
 from . import system
 from .channel import (
-    TAIL_MASS, QuadratureRule, gamma_fit, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_mass,
+    TAIL_MASS, QuadratureRule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_mass,
     quartic_gain_quantiles, quartic_gain_sf,
 )
 
@@ -147,7 +155,7 @@ _PANELS_FIRST = 16  # every row starts at 16 Gauss-Kronrod panels ...
 _PANELS_LAST = 256  # ... and failing rows double up to 256
 _CHECK_ABS = 1e-9
 _CHECK_REL = 1e-7
-_ROW_BLOCK = 16  # NOMA rows per kernel call; bounds the working memory
+_ROW_BLOCK = 64  # NOMA rows per kernel call; bounds the working memory
 
 
 def _panels(fit_p, support_p, start, npanel, head=True, stop=np.inf):
@@ -205,7 +213,7 @@ def _first_int(fit_q, cq, cp, g, y, wf, n_head):
     _panels(fit_p, ..., g / c_p, npanel).  Both are sums of non-negative
     terms.
     """
-    kern = quartic_gain_sf(fit_q, g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None])
+    kern = fit_q.survival_table(g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None])
     panels = (kern * wf).reshape(2, g.size, -1, _GK_NODES.size).sum(axis=-1)
     head = np.arange(panels.shape[-1]) < n_head
     return np.where(head, panels, 0.0).sum(axis=-1), np.where(head, 0.0, panels).sum(axis=-1)
@@ -334,8 +342,7 @@ def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
     """
     out = np.empty((len(cells), 3))
     for config, index, noma, c_t, c_r, g in system.cell_groups(cells):
-        fit_t = gamma_fit(config.fading_ris, config.fading_t, config.n_elements)
-        fit_r = gamma_fit(config.fading_ris, config.fading_r, config.n_elements)
+        fit_t, fit_r = config.fit_t, config.fit_r
         if noma.any():
             out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma], quad).T
         orth = ~noma

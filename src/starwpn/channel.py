@@ -8,14 +8,33 @@ SNR through G**4.  This module owns the fitted law of G**4: its CDF,
 survival, interval mass, tail quantiles and density, all written in the one
 Gamma argument theta * x^(1/4).  Everything downstream (outage, throughput,
 AoI) consumes the law through these functions.
+
+Each fit also carries a survival table (GammaApprox.survival_table), built
+on first use and kept on the fit: a cubic Hermite interpolant of ln Q,
+Q(x) = Pr[G^4 > x], on knots uniform in ln x with the exact slopes
+d ln Q / d ln x = -x f / Q, from the TAIL_MASS lower quantile to where Q =
+SF_TABLE_FLOOR.  The build checks it against quartic_gain_sf at every
+segment midpoint, to 1e-12 relative where Q >= 1e-30 and 1e-10 below, and
+doubles the segments from 4,096 up to 2^18 until that holds.  Past its top,
+and for a law that misses the bound, it calls quartic_gain_sf; below its
+lower quantile it returns 1.0 exactly.  Only the decodable-first kernel
+reads it.  The CDF, survival, mass and quantiles stay exact: they are the
+table's reference, and CDF + survival = 1 to 1e-14, which no interpolant
+meets.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
 
 TAIL_MASS = 1e-28  # density mass left out in each tail of the quartic gain's support
+SF_TABLE_FLOOR = 1e-300  # the survival table covers Pr[G^4 > x] down to this
+_TABLE_SEGMENTS = (2**12, 2**18)  # the first and the largest segment count of a survival table
+_TABLE_REL = 1e-12  # the table's relative error bound where Pr[G^4 > x] >= _TABLE_DEEP ...
+_TABLE_REL_DEEP = 1e-10  # ... and below it, where the rounding of ln x times the slope sets the floor
+_TABLE_DEEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -61,6 +80,11 @@ class GammaApprox:
     def sum_shape(self) -> float:
         """Continuous shape N*k of the co-phased sum."""
         return self.n_elements * self.k
+
+    @cached_property
+    def survival_table(self) -> "SurvivalTable":
+        """The checked table of Pr[G^4 > x], built on the first read and kept on this fit."""
+        return _build_survival_table(self)
 
 
 @dataclass(frozen=True)
@@ -181,6 +205,85 @@ def log_quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
         - np.log(4.0)
         - special.gammaln(nk)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class SurvivalTable:
+    """Pr[G^4 > x] of one fit from a checked cubic Hermite table of ln Q over u = ln x.
+
+    Knot j sits at u = u0 + j * step, u0 = ln x_lo with x_lo the TAIL_MASS
+    lower quantile, up to x_top, where Q = SF_TABLE_FLOOR.  Segment j holds
+    the Horner coefficients coef[:, j] of ln Q in t = (u - u0) / step - j,
+    from the knot values and the exact slopes d ln Q / d ln x = -x f / Q.
+    Below x_lo the table returns 1.0 exactly, as quartic_gain_sf does there;
+    past x_top, and everywhere when coef is None (a law whose table missed
+    its bound), it calls quartic_gain_sf.
+    """
+
+    fit: GammaApprox
+    x_lo: float
+    x_top: float
+    u0: float
+    step: float
+    coef: np.ndarray  # (4, segments), or None
+
+    def __call__(self, x) -> np.ndarray:
+        """Pr[G^4 > x] at every element of the array x."""
+        if self.coef is None:
+            return quartic_gain_sf(self.fit, x)
+        x = np.asarray(x, dtype=float)
+        s = (np.log(np.clip(x, self.x_lo, self.x_top)) - self.u0) / self.step
+        j = s.astype(np.intp)
+        np.minimum(j, self.coef.shape[1] - 1, out=j)
+        s -= j
+        c0, c1, c2, c3 = self.coef
+        out = np.take(c3, j)
+        out *= s
+        out += np.take(c2, j)
+        out *= s
+        out += np.take(c1, j)
+        out *= s
+        out += np.take(c0, j)
+        np.exp(out, out=out)
+        past = x > self.x_top
+        if past.any():
+            out[past] = quartic_gain_sf(self.fit, x[past])
+        return out
+
+
+def _build_survival_table(fit: GammaApprox) -> SurvivalTable:
+    """The survival table of a fit, checked against quartic_gain_sf at every segment midpoint.
+
+    The relative error must stay within _TABLE_REL where Q >= _TABLE_DEEP
+    and within _TABLE_REL_DEEP below; the segment count doubles from 4,096
+    up to 2^18 until it does.  A law that never meets the bound, or whose range
+    is not finite, gets a table without coefficients, which calls
+    quartic_gain_sf.
+    """
+    x_lo = quartic_gain_quantiles(fit)[0]
+    with np.errstate(over="ignore"):
+        x_top = float(quartic_gain_isf(fit, SF_TABLE_FLOOR))
+    fallback = SurvivalTable(fit, x_lo, x_top, 0.0, 0.0, None)
+    if not 0.0 < x_lo < x_top < np.inf:
+        return fallback
+    u0 = float(np.log(x_lo))
+    span = float(np.log(x_top)) - u0
+    segments = _TABLE_SEGMENTS[0]
+    while segments <= _TABLE_SEGMENTS[1]:
+        step = span / segments
+        u = u0 + step * np.arange(segments + 1)  # the lookup's own grid, not a linspace
+        x = np.exp(u)
+        log_q = np.log(quartic_gain_sf(fit, x))
+        d = -step * np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)  # d ln Q / dt
+        dq = np.diff(log_q)
+        coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
+        table = SurvivalTable(fit, x_lo, x_top, u0, step, coef)
+        mid = np.exp(u0 + step * (np.arange(segments) + 0.5))
+        q = quartic_gain_sf(fit, mid)
+        if np.all(np.abs(table(mid) / q - 1.0) <= np.where(q >= _TABLE_DEEP, _TABLE_REL, _TABLE_REL_DEEP)):
+            return table
+        segments *= 2
+    return fallback
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:

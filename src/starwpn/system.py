@@ -16,12 +16,12 @@ scheme table `SCHEMES` records for each of them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channel import NakagamiParams, gamma_fit, quartic_gain_quantiles
+from .channel import GammaApprox, NakagamiParams, gamma_fit, quartic_gain_quantiles
 
 _SUM_TOL = 1e-9
 
@@ -50,6 +50,9 @@ class SystemConfig:
     fading_ris  Nakagami parameters of the AP-surface fades h_i
     fading_t/r  Nakagami parameters of the surface-user fades g_{x,i}
     rate        target rate R (bits/s/Hz)
+    fit_t/r     the Gamma fits of the users' cascades, set from the above;
+                one shared fit when both users' fading laws are equal, so
+                that its survival table is built once
     """
 
     p_ap: float
@@ -65,6 +68,8 @@ class SystemConfig:
     fading_t: NakagamiParams
     fading_r: NakagamiParams
     rate: float
+    fit_t: GammaApprox = field(init=False, repr=False, compare=False)
+    fit_r: GammaApprox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("p_ap", "n0", "d0", "d_t", "d_r", "rate"):
@@ -84,7 +89,11 @@ class SystemConfig:
                 raise ValueError(f"the path loss of user {user} leaves no finite positive received power: "
                                  f"p_ap, d0, d_{user}, exp0 or exp_{user} is out of range")
             # the closed forms integrate over this support of the fitted quartic gain
-            fit = gamma_fit(self.fading_ris, getattr(self, f"fading_{user}"), self.n_elements)
+            if user == "r" and self.fading_r == self.fading_t:
+                fit = self.fit_t
+            else:
+                fit = gamma_fit(self.fading_ris, getattr(self, f"fading_{user}"), self.n_elements)
+            object.__setattr__(self, f"fit_{user}", fit)
             if not all(0 < x < math.inf for x in quartic_gain_quantiles(fit)):
                 raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "
                                  f"m_ris, omega_ris, m_{user} or omega_{user} is out of range")

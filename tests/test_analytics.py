@@ -1,5 +1,6 @@
 """Closed forms: outage, throughput, success probability, AoI, quadrature."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from starwpn import analytics, system
+from starwpn import analytics, channel, optimizer, system
 from starwpn.analytics import (
     PerfReport,
     QuadratureError,
@@ -762,3 +763,60 @@ def test_clamp_stats_exact_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert (clamp_stats.events, clamp_stats.checked) == (2 * 2 * calls, 2 * 3 * calls)
+
+
+def test_survival_table_built_once_per_law(monkeypatch):
+    # closed_forms reads the fits its config keeps, so repeated calls and a
+    # whole GA run share one table per distinct law; a per-call rebuild would
+    # cost a table build per call
+    builds = []
+    build = channel._build_survival_table
+
+    def spy(fit):
+        builds.append(fit)
+        return build(fit)
+
+    monkeypatch.setattr(channel, "_build_survival_table", spy)
+    same = make_config(n=12)
+    mixed = make_config(n=12, fading_r=NakagamiParams(m=3.0, omega=1.0))
+    for config, laws in ((same, 1), (mixed, 2)):
+        cells = [("tep", config, TEP), ("eep", config, EEP)]
+        del builds[:]
+        first = analytics.closed_forms(cells)
+        assert np.array_equal(analytics.closed_forms(cells), first)
+        assert len(builds) == laws and len({id(fit) for fit in builds}) == laws
+    del builds[:]
+    optimizer.ga_run("p1", make_config(snr_db=35.0, rate=2.0, n=12), 10.0,
+                     optimizer.GaConfig(population=12, generations=6, seed=3))
+    assert len(builds) == 1
+
+
+def test_survival_table_first_use_from_threads():
+    # four threads reach a fresh config's tables at once; the table lives on
+    # the fit, and each thread's rows equal those of a serial call bit for bit
+    cells = [(scheme, cfg, pol) for cfg in (make_config(n=7, rate=1.5, d0=10.0),
+                                            make_config(n=9, fading_t=NakagamiParams(m=3.0, omega=1.0)))
+             for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA))]
+    serial = analytics.closed_forms(cells)
+    fresh = [(scheme, dataclasses.replace(cfg), pol) for scheme, cfg, pol in cells]
+    assert all(cfg.fit_t is not old.fit_t for (_, cfg, _), (_, old, _) in zip(fresh, cells))
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = analytics.closed_forms(fresh)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for rows in results:
+        assert rows is not None and rows.tobytes() == serial.tobytes()

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from starwpn.channel import (
+    SF_TABLE_FLOOR,
     GammaApprox,
     NakagamiParams,
     cascade_moment,
@@ -205,6 +206,38 @@ def test_quartic_gain_survival_and_mass_in_both_tails(n):
         assert quartic_gain_cdf(fit, q_lo) == pytest.approx(tail_mass, rel=1e-10)
         assert quartic_gain_sf(fit, q_hi) == pytest.approx(tail_mass, rel=1e-10)
         assert quartic_gain_mass(fit, q_lo, q_hi) == pytest.approx(1.0 - 2.0 * tail_mass, rel=1e-10)
+
+
+@pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 5), (2.0, 30), (4.0, 40), (0.5, 1)])
+def test_survival_table_matches_scipy(m, n):
+    # the decodable-first kernel reads Pr[G^4 > x] from this table; it must
+    # meet its bound (1e-12 relative where Q >= 1e-30, 1e-10 down to
+    # SF_TABLE_FLOOR) at every segment midpoint and in between, return 1.0
+    # below the lower quantile, and hand the range past its top to scipy.
+    # m = 0.5, N = 1 spans 405 in ln x and needs more than 4,096 segments.
+    link = NakagamiParams(m=m, omega=1.0)
+    fit = gamma_fit(link, link, n)
+    table = fit.survival_table
+    assert table.coef is not None  # the bound was met, no fallback to scipy
+    segments = table.coef.shape[1]
+    assert segments >= 4096 and (segments > 4096 or m != 0.5)
+    assert table.x_lo == quartic_gain_quantiles(fit)[0]
+    assert quartic_gain_sf(fit, table.x_top) == pytest.approx(SF_TABLE_FLOOR, rel=1e-10)
+
+    def check(x):
+        exact, approx = quartic_gain_sf(fit, x), table(x)
+        inside = (x >= table.x_lo) & (x <= table.x_top)
+        rel = np.abs(approx[inside] / exact[inside] - 1.0)
+        assert np.all(rel <= np.where(exact[inside] >= 1e-30, 1e-12, 1e-10))
+        assert np.all(approx[x < table.x_lo] == 1.0)
+        assert np.array_equal(approx[x > table.x_top], exact[x > table.x_top])
+        return inside
+
+    check(np.exp(table.u0 + table.step * (np.arange(segments) + 0.5)))
+    rng = np.random.default_rng(16)
+    x = np.exp(rng.uniform(np.log(table.x_lo / 10.0), np.log(table.x_top * 10.0), 10**5))
+    inside = check(x)
+    assert inside.sum() > x.size // 2 and (x < table.x_lo).any() and (x > table.x_top).any()
 
 
 def test_gauss_hermite_rule_basics():
