@@ -17,10 +17,11 @@ integrated against the other user's quartic-gain density.  The law of the
 quartic gain (its survival, window mass, quantiles and density) comes from
 channel; this module only integrates it, on composite Gauss-Kronrod (QK15)
 panels over the density's support, its TAIL_MASS (1e-28) lower and upper
-quantiles y_lo and y_hi.  One layout, _panels, serves every integral: a
-head (0, s) of a panel on [0, lo] and log-uniform panels on [lo, s], and a
-tail [s, top] of log-uniform panels, split at the kernel's edge s.  Inside
-a log-uniform panel the nodes are uniform in ln y, where the density's
+quantiles y_lo and y_hi, which the fit keeps (GammaApprox.support).  One
+layout, _panels, serves every integral: a head (0, s) of a panel on
+[0, lo] and log-uniform panels on [lo, s], and a tail [s, top] of
+log-uniform panels, split at the kernel's edge s.  Inside a log-uniform
+panel the nodes are uniform in ln y, where the density's
 integrable endpoint y^((nk-4)/4) (nk = N*k, the Gamma shape of the
 co-phased sum) is a smooth exponential.  The tail runs until the density
 above s keeps TAIL_MASS of its own mass, so a tail from near or past y_hi
@@ -29,6 +30,16 @@ integrated once, split at s = g/c_o: the head H_x (the other user, decoded
 next, misses g) and the tail T_x (it clears g) are sums of non-negative
 terms.  So phi = T_t + T_r - overlap never cancels, p_out_t = deadlock +
 H_r, and the deadlock is 1 - (H_t + T_t) - (H_r + T_r) + overlap.
+
+Both users' decodable-first passes run as one stacked pass over 2 x rows:
+the rows on r's gain, split at g/c_r, then the rows on t's gain, split at
+g/c_t.  So the panel layout, the table lookup and the G7/K15 contraction
+run once per call.  The calls into the law (the survival and inverse
+survival that end the tail, the density, the survival table) run once per
+distinct fit (_by_fit): once in all when both users share one fit, as
+system.SystemConfig arranges for equal laws, and once per half otherwise.
+Every array op is elementwise or reduces within a row, so a row's values
+are those of a pass that ran each user on its own.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
 longer exclusive; the overlap (both cross SINRs clear g, own gain in [b, a])
@@ -66,8 +77,9 @@ Gamma fits, and their tables, that its first config keeps.  A group's NOMA
 cells go to noma_metrics_batch, which feeds the checked evaluator in blocks
 of _ROW_BLOCK rows to bound its working memory; its orthogonal cells are
 one vectorized Gamma CDF and survival evaluation.  outage, success_prob and
-perf_report are one-cell calls of it, and the CLI and the optimizer pass
-their whole cell lists.
+perf_report are one-cell calls of it, and the CLI passes its whole cell
+list.  optimizer.evaluate_batch, whose rows share one scheme and one
+config, calls noma_metrics_batch directly.
 """
 
 import math
@@ -79,7 +91,7 @@ import numpy as np
 from . import system
 from .channel import (
     TAIL_MASS, QuadratureRule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_mass,
-    quartic_gain_quantiles, quartic_gain_sf,
+    quartic_gain_sf,
 )
 
 __all__ = [
@@ -158,14 +170,26 @@ _CHECK_REL = 1e-7
 _ROW_BLOCK = 64  # NOMA rows per kernel call; bounds the working memory
 
 
-def _panels(fit_p, support_p, start, npanel, head=True, stop=np.inf):
+def _by_fit(law, fits, x):
+    """law(fit, x) with the rows of x in len(fits) equal blocks, block i under fits[i].
+
+    A single call over all rows when every block has the same fit, one call
+    per block otherwise.
+    """
+    if all(fit is fits[0] for fit in fits):
+        return law(fits[0], x)
+    return np.concatenate([law(fit, part) for fit, part in zip(fits, np.split(x, len(fits)))])
+
+
+def _panels(fits, start, npanel, head=True, stop=np.inf):
     """QK15 nodes y (rows, n) and density-weighted (G7, K15) weights (2, rows, n) on the other user's gain.
 
-    The tail [start, top] is raised to y_lo at its start and ends at stop or
-    where TAIL_MASS of the density's mass above start remains, whichever
-    comes first, so that a tail from near or past y_hi is not cut off (top =
-    start where that mass underflows).  With head, the head
-    (0, min(start, y_hi)) comes first, as a panel on [0, lo],
+    The rows fall into len(fits) equal blocks, block i on the gain whose
+    Gamma fit is fits[i].  The tail [start, top] is raised to y_lo at its
+    start and ends at stop or where TAIL_MASS of the density's mass above
+    start remains, whichever comes first, so that a tail from near or past
+    y_hi is not cut off (top = start where that mass underflows).  With
+    head, the head (0, min(start, y_hi)) comes first, as a panel on [0, lo],
     lo = min(max(y_lo, y_hi * 2^-96), start), and log-uniform panels on
     [lo, min(start, y_hi)]; head and tail share the other npanel - 1 panels
     in proportion to their log-lengths, at least four each (one for an
@@ -175,17 +199,17 @@ def _panels(fit_p, support_p, start, npanel, head=True, stop=np.inf):
     number of head panels per row (rows, 1), counting [0, lo]; they come
     first.
     """
-    y_lo, y_hi = support_p
     rows = start.size
+    y_lo, y_hi = np.repeat(np.array([fit.support for fit in fits]).T, rows // len(fits), axis=1)
     start = np.maximum(start, y_lo)
-    beyond = TAIL_MASS * quartic_gain_sf(fit_p, start)
-    top = np.where(beyond > 0.0, quartic_gain_isf(fit_p, beyond), start)
+    beyond = TAIL_MASS * _by_fit(quartic_gain_sf, fits, start)
+    top = np.where(beyond > 0.0, _by_fit(quartic_gain_isf, fits, beyond), start)
     u_start = np.log(start)
     u_tail = np.log(np.maximum(np.minimum(top, stop), start)) - u_start
     n = npanel - 1 if head else npanel
     if head:
         split = np.minimum(start, y_hi)
-        lo = np.minimum(max(y_lo, y_hi * _EDGE_FLOOR), split)
+        lo = np.minimum(np.maximum(y_lo, y_hi * _EDGE_FLOOR), split)
         u_lo, u_head = np.log(lo), np.log(split / lo)
         share = u_head / np.where(u_head + u_tail > 0.0, u_head + u_tail, 1.0)
         n_head = np.clip(np.rint(n * share), np.where(u_head > 0.0, 4, 1), n - np.where(u_tail > 0.0, 4, 1))
@@ -202,18 +226,20 @@ def _panels(fit_p, support_p, start, npanel, head=True, stop=np.inf):
         w = np.concatenate(((0.5 * lo)[:, None, None] * _GK_WEIGHTS[:, None, None, :], w), axis=2)
         n_head = n_head + 1
     y = y.reshape(rows, -1)
-    return y, w.reshape(2, rows, -1) * np.exp(log_quartic_gain_pdf(fit_p, y)), n_head[:, None]
+    return y, w.reshape(2, rows, -1) * np.exp(_by_fit(log_quartic_gain_pdf, fits, y)), n_head[:, None]
 
 
-def _first_int(fit_q, cq, cp, g, y, wf, n_head):
+def _first_int(fits_q, cq, cp, g, y, wf, n_head):
     """(G7, K15) integrals, each (2, rows), of the own decodable-first kernel over the head and the tail.
 
     Given the other user's quartic gain y, the own gain clears
-    b = g (c_p y + 1) / c_q with probability Q_q(b); y, wf and n_head are
-    _panels(fit_p, ..., g / c_p, npanel).  Both are sums of non-negative
-    terms.
+    b = g (c_p y + 1) / c_q with probability Q_q(b), read from the survival
+    table of the own fit; the rows fall into len(fits_q) equal blocks as in
+    _panels, and y, wf and n_head are _panels(fits_p, g / c_p, npanel).
+    Both are sums of non-negative terms.
     """
-    kern = fit_q.survival_table(g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None])
+    b = g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None]
+    kern = _by_fit(lambda fit, x: fit.survival_table(x), fits_q, b)
     panels = (kern * wf).reshape(2, g.size, -1, _GK_NODES.size).sum(axis=-1)
     head = np.arange(panels.shape[-1]) < n_head
     return np.where(head, panels, 0.0).sum(axis=-1), np.where(head, 0.0, panels).sum(axis=-1)
@@ -234,36 +260,38 @@ def _window_int(kernel, fit_q, cq, cp, g, y, wf):
     return (kern * wf).sum(axis=-1)
 
 
-def _noma_core(fit_t, fit_r, supports, c_t, c_r, g, npanel):
+def _noma_core(fit_t, fit_r, g, c_t, c_r, npanel):
     """Batched raw (p_out_t, p_out_r, phi) at one panel count, by G7 and K15.
 
-    c_t, c_r and g are equal-length 1-D arrays; the Gamma fits and their
-    supports are shared by the whole batch.  Returns a (2, 3, rows) array,
-    not yet clamped; the K15 deadlock picks the direct branch for both
-    rules.
+    g, c_t and c_r are equal-length 1-D arrays; the Gamma fits are shared
+    by the whole batch.  Both users' decodable-first passes run as one
+    stacked pass of 2 x rows: the rows on r's gain, split at g/c_r, then
+    those on t's gain, split at g/c_t.  Returns a (2, 3, rows) array, not
+    yet clamped; the K15 deadlock picks the direct branch for both rules.
     """
-    sup_t, sup_r = supports
-    on_r = _panels(fit_r, sup_r, g / c_r, npanel)  # r's gain, split at g/c_r
-    on_t = _panels(fit_t, sup_t, g / c_t, npanel)  # t's gain, split at g/c_t
-    h_t, t_t = _first_int(fit_t, c_t, c_r, g, *on_r)  # t decodable first, r then fails or not
-    h_r, t_r = _first_int(fit_r, c_r, c_t, g, *on_t)  # r decodable first, t then fails or not
-    overlap = np.zeros((2, g.size))  # both decodable first: possible only for g < 1
+    rows = g.size
+    g2, c_own, c_other = np.concatenate((g, g)), np.concatenate((c_t, c_r)), np.concatenate((c_r, c_t))
+    y, wf, n_head = _panels((fit_r, fit_t), g2 / c_other, npanel)
+    head, tail = _first_int((fit_t, fit_r), c_own, c_other, g2, y, wf, n_head)
+    h_t, h_r = head[:, :rows], head[:, rows:]  # user x decodable first; the other, decoded next, fails ...
+    t_t, t_r = tail[:, :rows], tail[:, rows:]  # ... or clears g
+    overlap = np.zeros((2, rows))  # both decodable first: possible only for g < 1
     sub = g < 1.0
     if sub.any():
         cts, crs, gs = c_t[sub], c_r[sub], g[sub]
-        y, wf, _ = _panels(fit_t, sup_t, gs / (cts * (1.0 - gs)), npanel, head=False)
-        overlap[:, sub] = _window_int("overlap", fit_r, crs, cts, gs, y, wf)
+        y_o, wf_o, _ = _panels((fit_t,), gs / (cts * (1.0 - gs)), npanel, head=False)
+        overlap[:, sub] = _window_int("overlap", fit_r, crs, cts, gs, y_o, wf_o)
 
     deadlock = 1.0 - (h_t + t_t) - (h_r + t_r) + overlap
     small = deadlock[1] <= _DEADLOCK_SWITCH
     if small.any():  # directly, on the nodes of t's decodable-first pass ...
         cts, crs, gs = c_t[small], c_r[small], g[small]
-        y, wf = on_r[0][small], on_r[1][:, small]
+        y_d, wf_d = y[:rows][small], wf[:, :rows][:, small]
         shut = gs < 1.0  # ... but for g < 1 the window closes at g/(c_r (1 - g)), which ends the tail
         if shut.any():
             g1, cr1 = gs[shut], crs[shut]
-            y[shut], wf[:, shut], _ = _panels(fit_r, sup_r, g1 / cr1, npanel, stop=g1 / (cr1 * (1.0 - g1)))
-        deadlock[:, small] = _window_int("deadlock", fit_t, cts, crs, gs, y, wf)
+            y_d[shut], wf_d[:, shut], _ = _panels((fit_r,), g1 / cr1, npanel, stop=g1 / (cr1 * (1.0 - g1)))
+        deadlock[:, small] = _window_int("deadlock", fit_t, cts, crs, gs, y_d, wf_d)
 
     p_t = deadlock + h_r  # preempted term integrates over the own gain
     p_r = deadlock + h_t
@@ -278,7 +306,7 @@ def _clamp_probs(values: np.ndarray, where: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _noma_rows(fit_t, fit_r, supports, c_t, c_r, g) -> np.ndarray:
+def _noma_rows(fit_t, fit_r, c_t, c_r, g) -> np.ndarray:
     """Checked, clamped (p_out_t, p_out_r, phi) as a (3, rows) array.
 
     Every row starts with one 16-panel Gauss-Kronrod pass; rows whose G7
@@ -291,7 +319,7 @@ def _noma_rows(fit_t, fit_r, supports, c_t, c_r, g) -> np.ndarray:
     todo = np.arange(g.size)
     npanel = _PANELS_FIRST
     while todo.size:
-        g7, k15 = _noma_core(fit_t, fit_r, supports, c_t[todo], c_r[todo], g[todo], npanel)
+        g7, k15 = _noma_core(fit_t, fit_r, g[todo], c_t[todo], c_r[todo], npanel)
         miss = np.abs(g7 - k15) > np.maximum(_CHECK_ABS, _CHECK_REL * np.abs(k15))
         redo = miss.any(axis=0)
         out[:, todo[~redo]] = k15[:, ~redo]
@@ -317,11 +345,10 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
     c_t = np.atleast_1d(np.asarray(c_t, dtype=float))
     c_r = np.atleast_1d(np.asarray(c_r, dtype=float))
     g = np.broadcast_to(np.asarray(g, dtype=float), c_t.shape).copy()
-    supports = (quartic_gain_quantiles(fit_t), quartic_gain_quantiles(fit_r))
     out = np.empty((3, c_t.size))
     for start in range(0, c_t.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        out[:, rows] = _noma_rows(fit_t, fit_r, supports, c_t[rows], c_r[rows], g[rows])
+        out[:, rows] = _noma_rows(fit_t, fit_r, c_t[rows], c_r[rows], g[rows])
     return out
 
 
@@ -369,11 +396,13 @@ def sum_throughput(scheme: str, outage_pair, rate: float, policy) -> float:
     """Block-normalized sum throughput from a per-user outage pair.
 
     NOMA users share one uplink slot; orthogonal users each send in their
-    own.
+    own.  The outages may be arrays, with a policy whose fields are arrays
+    of the same batch (as optimizer.evaluate_batch passes them); the float
+    path calls no numpy.
     """
     p_t, p_r = outage_pair
     for p in (p_t, p_r):
-        if not (0.0 <= p <= 1.0):
+        if not (0.0 <= p <= 1.0 if isinstance(p, float) else np.all((p >= 0.0) & (p <= 1.0))):
             raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
     spec = system.scheme_spec(scheme)
     s_t, s_r = spec.shares(policy)

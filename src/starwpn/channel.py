@@ -9,13 +9,15 @@ survival, interval mass, tail quantiles and density, all written in the one
 Gamma argument theta * x^(1/4).  Everything downstream (outage, throughput,
 AoI) consumes the law through these functions.
 
-Each fit also carries a survival table (GammaApprox.survival_table), built
-on first use and kept on the fit: a cubic Hermite interpolant of ln Q,
-Q(x) = Pr[G^4 > x], on knots uniform in ln x with the exact slopes
-d ln Q / d ln x = -x f / Q, from the TAIL_MASS lower quantile to where Q =
-SF_TABLE_FLOOR.  The build checks it against quartic_gain_sf at every
-segment midpoint, to 1e-12 relative where Q >= 1e-30 and 1e-10 below, and
-doubles the segments from 4,096 up to 2^18 until that holds.  Past its top,
+Each fit keeps its support (GammaApprox.support, the TAIL_MASS quantiles the
+closed forms integrate over) and a survival table
+(GammaApprox.survival_table), built on first use and kept on the fit: a
+cubic Hermite interpolant of ln Q, Q(x) = Pr[G^4 > x], on knots uniform in
+ln x with the exact slopes d ln Q / d ln x = -x f / Q, from the TAIL_MASS
+lower quantile to where Q = SF_TABLE_FLOOR.  The build checks it against
+quartic_gain_sf at every segment midpoint, to 1e-12 relative where Q >=
+1e-30 and 1e-10 below, and doubles the segments from 4,096 up to 2^18 until
+that holds, keeping every knot and midpoint it has evaluated.  Past its top,
 and for a law that misses the bound, it calls quartic_gain_sf; below its
 lower quantile it returns 1.0 exactly.  Only the decodable-first kernel
 reads it.  The CDF, survival, mass and quantiles stay exact: they are the
@@ -80,6 +82,11 @@ class GammaApprox:
     def sum_shape(self) -> float:
         """Continuous shape N*k of the co-phased sum."""
         return self.n_elements * self.k
+
+    @cached_property
+    def support(self) -> tuple:
+        """(x_lo, x_hi), the TAIL_MASS quantiles of G^4 that the closed forms integrate over, kept on this fit."""
+        return quartic_gain_quantiles(self)
 
     @cached_property
     def survival_table(self) -> "SurvivalTable":
@@ -256,11 +263,14 @@ def _build_survival_table(fit: GammaApprox) -> SurvivalTable:
 
     The relative error must stay within _TABLE_REL where Q >= _TABLE_DEEP
     and within _TABLE_REL_DEEP below; the segment count doubles from 4,096
-    up to 2^18 until it does.  A law that never meets the bound, or whose range
-    is not finite, gets a table without coefficients, which calls
-    quartic_gain_sf.
+    up to 2^18 until it does.  A doubling keeps every value it has: the old
+    knots are the new even knots and the old midpoints the new odd ones,
+    bit for bit (u0 + (h/2)(2j + 1) rounds as u0 + h(j + 1/2) does), so
+    only the density at the old midpoints and the survival at the new ones
+    are evaluated.  A law that never meets the bound, or whose range is not
+    finite, gets a table without coefficients, which calls quartic_gain_sf.
     """
-    x_lo = quartic_gain_quantiles(fit)[0]
+    x_lo = fit.support[0]
     with np.errstate(over="ignore"):
         x_top = float(quartic_gain_isf(fit, SF_TABLE_FLOOR))
     fallback = SurvivalTable(fit, x_lo, x_top, 0.0, 0.0, None)
@@ -269,21 +279,38 @@ def _build_survival_table(fit: GammaApprox) -> SurvivalTable:
     u0 = float(np.log(x_lo))
     span = float(np.log(x_top)) - u0
     segments = _TABLE_SEGMENTS[0]
-    while segments <= _TABLE_SEGMENTS[1]:
+    u = u0 + (span / segments) * np.arange(segments + 1)  # the lookup's own grid, not a linspace
+    x = np.exp(u)
+    log_q, slope = _log_sf_and_slope(fit, u, x, quartic_gain_sf(fit, x))
+    while True:
         step = span / segments
-        u = u0 + step * np.arange(segments + 1)  # the lookup's own grid, not a linspace
-        x = np.exp(u)
-        log_q = np.log(quartic_gain_sf(fit, x))
-        d = -step * np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)  # d ln Q / dt
+        d = -step * slope  # d ln Q / dt
         dq = np.diff(log_q)
         coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
         table = SurvivalTable(fit, x_lo, x_top, u0, step, coef)
-        mid = np.exp(u0 + step * (np.arange(segments) + 0.5))
+        u_mid = u0 + step * (np.arange(segments) + 0.5)
+        mid = np.exp(u_mid)
         q = quartic_gain_sf(fit, mid)
         if np.all(np.abs(table(mid) / q - 1.0) <= np.where(q >= _TABLE_DEEP, _TABLE_REL, _TABLE_REL_DEEP)):
             return table
+        if segments == _TABLE_SEGMENTS[1]:
+            return fallback
+        mid_log_q, mid_slope = _log_sf_and_slope(fit, u_mid, mid, q)  # the doubled grid's odd knots
+        log_q, slope = _interleave(log_q, mid_log_q), _interleave(slope, mid_slope)
         segments *= 2
-    return fallback
+
+
+def _log_sf_and_slope(fit: GammaApprox, u: np.ndarray, x: np.ndarray, q: np.ndarray):
+    """ln Q and -d ln Q / d ln x = x f / Q at x = e^u, given the survival q there."""
+    log_q = np.log(q)
+    return log_q, np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The values of a doubled grid from those at its even and at its odd points."""
+    out = np.empty(even.size + odd.size)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:

@@ -15,11 +15,14 @@ Chromosomes are fixed-length bit arrays; selection is truncation-style (a
 top fraction of the ranked population fathers children, mothers are drawn
 uniformly), crossover is single-point, mutation is per-bit, and a configured
 number of elites survives unchanged.  Fitness evaluation is vectorized
-across the whole population and memoized by chromosome.  The memo is the
-run's only record: the returned allocation is the fittest memo entry that
-meets the age constraint, or, if none does, the least-violating one (fitness
-breaks ties, then the earlier evaluation wins).  generations_to_best is the
-first generation whose best fitness equals the best of the whole run.
+across the whole population and memoized by chromosome: evaluate_batch
+prices a batch of fresh chromosomes as one policy whose fields are arrays,
+with one call of the checked NOMA kernel and no per-row Python.  The memo
+is the run's only record: the returned allocation is the fittest memo entry
+that meets the age constraint, or, if none does, the least-violating one
+(fitness breaks ties, then the earlier evaluation wins).
+generations_to_best is the first generation whose best fitness equals the
+best of the whole run.
 """
 
 import math
@@ -103,8 +106,16 @@ class Allocation:
                 raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
 
     def policy(self):
-        fields = _POLICY_FIELDS[self.scheme](self.alpha, self.beta_r)
-        return system.SCHEMES[self.scheme].policy(**fields)
+        return _policy(self.scheme, self.alpha, self.beta_r)
+
+
+def _policy(scheme: str, alpha, beta_r):
+    """The scheme's policy of the GA variables; arrays of them give one policy whose fields are arrays."""
+    try:
+        fields = _POLICY_FIELDS[scheme](alpha, beta_r)
+    except KeyError:
+        raise ValueError(f"scheme must be 'tep' or 'eep', got {scheme!r}") from None
+    return system.SCHEMES[scheme].policy(**fields)
 
 
 @dataclass(frozen=True)
@@ -164,13 +175,19 @@ def evaluate_batch(
     quad: QuadratureRule,
     penalty_coef: float,
 ):
-    """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r)."""
+    """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r).
+
+    The rows are priced as one policy whose fields are arrays: one call of
+    system.snr_coefficients, one of analytics.noma_metrics_batch on the
+    config's fits, and one of analytics.sum_throughput.  A row whose alpha
+    or beta_r lies outside (0, 1) raises ValueError.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    policies = [Allocation(scheme, alpha, beta_r).policy() for alpha, beta_r in values.tolist()]
-    probs = analytics.closed_forms([(scheme, config, pol) for pol in policies], quad)
-    throughput = np.array([analytics.sum_throughput(scheme, (p_t, p_r), config.rate, pol)
-                           for pol, (p_t, p_r, _) in zip(policies, probs)])
-    aoi = 1.0 / np.maximum(probs[:, 2], 1.0 / _AOI_CAP)
+    policy = _policy(scheme, values[:, 0], values[:, 1])
+    c_t, c_r = system.snr_coefficients(scheme, policy, config)
+    p_t, p_r, phi = analytics.noma_metrics_batch(config.fit_t, config.fit_r, c_t, c_r, config.snr_threshold, quad)
+    throughput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy)
+    aoi = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
     return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi
 
 

@@ -21,18 +21,28 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import GammaApprox, NakagamiParams, gamma_fit, quartic_gain_quantiles
+from .channel import GammaApprox, NakagamiParams, gamma_fit
 
 _SUM_TOL = 1e-9
 
 
 def _check_policy(policy, *sum_groups) -> None:
-    """Every field of `policy` lies strictly inside (0,1), and each group of field names sums to 1."""
+    """Every field of `policy` lies strictly inside (0,1), and each group of field names sums to 1.
+
+    The fields are floats, or equal-length arrays that hold a batch of
+    policies; a batch fails on its first bad element.  The float path calls
+    no numpy.
+    """
     for name, value in vars(policy).items():
-        if not (0.0 < value < 1.0):
+        if isinstance(value, np.ndarray):
+            value = value[~((value > 0.0) & (value < 1.0))]  # the bad elements, NaN included
+            if value.size:
+                raise ValueError(f"{name} must lie strictly inside (0,1), got {value[0]}")
+        elif not (0.0 < value < 1.0):
             raise ValueError(f"{name} must lie strictly inside (0,1), got {value}")
     for names in sum_groups:
-        if abs(sum(getattr(policy, name) for name in names) - 1.0) > _SUM_TOL:
+        off = abs(sum(getattr(policy, name) for name in names) - 1.0) > _SUM_TOL
+        if off.any() if isinstance(off, np.ndarray) else off:
             raise ValueError(f"{' + '.join(names)} must equal 1")
 
 
@@ -94,7 +104,7 @@ class SystemConfig:
             else:
                 fit = gamma_fit(self.fading_ris, getattr(self, f"fading_{user}"), self.n_elements)
             object.__setattr__(self, f"fit_{user}", fit)
-            if not all(0 < x < math.inf for x in quartic_gain_quantiles(fit)):
+            if not all(0 < x < math.inf for x in fit.support):
                 raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "
                                  f"m_ris, omega_ris, m_{user} or omega_{user} is out of range")
 
@@ -218,7 +228,9 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
     tdma: c_x = P * l_x^2 * alpha_x / (alpha_ap_x * N0)
 
     The denominator is always the user's uplink share; the products are
-    formed left to right in this order, so outputs stay bit-stable.
+    formed left to right in this order, so outputs stay bit-stable.  A
+    policy whose fields are arrays gives arrays, equal element by element
+    to the one-policy calls.
     """
     spec = scheme_spec(scheme)
     k_t = config.p_ap * pathloss(config, "t") ** 2

@@ -1,6 +1,7 @@
 """Closed forms: outage, throughput, success probability, AoI, quadrature."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -580,8 +581,8 @@ def test_decodable_first_matches_adaptive_quadrature():
                         continue
                     checked += 1
                     for npanel in (analytics._PANELS_FIRST, 2 * analytics._PANELS_FIRST):
-                        panels = analytics._panels(fp, quartic_gain_quantiles(fp), np.array([g / cp]), npanel)
-                        head, tail = analytics._first_int(fq, np.array([cq]), np.array([cp]), np.array([g]), *panels)
+                        panels = analytics._panels((fp,), np.array([g / cp]), npanel)
+                        head, tail = analytics._first_int((fq,), np.array([cq]), np.array([cp]), np.array([g]), *panels)
                         got = head[1, 0] + tail[1, 0]
                         assert abs(got - ref) < 1e-10 * ref, (n, snr_db, rate, npanel, got, ref)
     assert checked > 30
@@ -636,6 +637,14 @@ def test_first_pass_agrees_with_doubled_panels(monkeypatch):
     doubled = analytics.closed_forms(cells)
     tol = np.maximum(analytics._CHECK_ABS, analytics._CHECK_REL * np.abs(doubled))
     assert np.all(np.abs(first - doubled) <= tol)
+
+
+def test_unequal_law_closed_forms_are_pinned():
+    # criterion 9's 500 draws give the two users unequal laws, so the stacked
+    # decodable-first pass calls each law once per half; these are the bytes
+    # of the pass that ran each user on its own, at N = 1 to 40
+    digest = hashlib.sha256(analytics.closed_forms(_criterion9_cells()).tobytes()).hexdigest()
+    assert digest == "f93e4c61d73f5ea282b49b94ddb7defe8ea4e276c0a3cf9e2109e59e064f612a"
 
 
 def test_direct_deadlock_blind_spot():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from starwpn import channel
 from starwpn.channel import (
     SF_TABLE_FLOOR,
     GammaApprox,
@@ -238,6 +239,42 @@ def test_survival_table_matches_scipy(m, n):
     x = np.exp(rng.uniform(np.log(table.x_lo / 10.0), np.log(table.x_top * 10.0), 10**5))
     inside = check(x)
     assert inside.sum() > x.size // 2 and (x < table.x_lo).any() and (x > table.x_top).any()
+
+
+@pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 5), (2.0, 30), (0.5, 1)])
+def test_survival_table_doubling_reuses_every_value(monkeypatch, m, n):
+    # each doubling keeps the previous knots as its even knots and the
+    # previous midpoints as its odd knots, so a build evaluates the survival
+    # only at the kept table's knots and midpoints and the density only at its
+    # knots, and its coefficients equal those built from scratch at its
+    # segment count, bit for bit
+    link = NakagamiParams(m=m, omega=1.0)
+    fit = gamma_fit(link, link, n)
+    points = {"sf": 0, "pdf": 0}
+
+    def counted(name, law):
+        def spy(fit, x):
+            points[name] += np.size(x)
+            return law(fit, x)
+        return spy
+
+    monkeypatch.setattr(channel, "quartic_gain_sf", counted("sf", channel.quartic_gain_sf))
+    monkeypatch.setattr(channel, "log_quartic_gain_pdf", counted("pdf", channel.log_quartic_gain_pdf))
+    table = channel._build_survival_table(fit)
+    monkeypatch.undo()
+    segments = table.coef.shape[1]
+    assert segments > 4096  # at least one doubling
+    assert points == {"sf": 2 * segments + 1, "pdf": segments + 1}
+
+    step = (float(np.log(table.x_top)) - table.u0) / segments
+    assert table.step == step
+    u = table.u0 + step * np.arange(segments + 1)
+    x = np.exp(u)
+    log_q = np.log(quartic_gain_sf(fit, x))
+    d = -step * np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)
+    dq = np.diff(log_q)
+    coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
+    assert np.array_equal(table.coef, coef)
 
 
 def test_gauss_hermite_rule_basics():

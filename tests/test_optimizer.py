@@ -1,5 +1,6 @@
 """GA allocator: coding, penalty, evolution loop, and grid-search oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,43 @@ def test_penalized_fitness_linear_penalty_branch():
     p_t, p_r = analytics.outage("eep", cfg, pol, QUAD)
     tput = analytics.sum_throughput("eep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["tep", "eep"])
+@pytest.mark.parametrize("m_r", [2.0, 3.0])
+def test_evaluate_batch_matches_scalar_path(scheme, m_r):
+    # one array policy prices the batch; every row equals the one-allocation
+    # path (Allocation.policy, perf_report) bit for bit, the variable bounds
+    # 0.01 and 0.99 included, at 35 dB (fig11's operating point) and at a
+    # rate whose ages cross the 10-slot threshold, so both penalty branches
+    # run; with m_r = 3 the users' laws differ
+    cfg = dataclasses.replace(make_config(snr_db=35.0, rate=2.0, n=30), fading_r=NakagamiParams(m=m_r, omega=1.0))
+    axis = np.array([0.01, 0.2, 0.45, 0.7, 0.99])
+    values = np.array([(a, b) for a in axis for b in axis])
+    delta_th, coef = 10.0, 1e3
+    fitness, throughput, aoi = optimizer.evaluate_batch(scheme, cfg, values, delta_th, QUAD, coef)
+    assert (aoi < delta_th).any() and (aoi > delta_th).any()
+    for row, (alpha, beta_r) in enumerate(values.tolist()):
+        rep = analytics.perf_report(scheme, cfg, Allocation(scheme, alpha, beta_r).policy(), QUAD)
+        age = 1.0 / max(rep.success_prob, 1e-12)
+        assert throughput[row] == rep.sum_throughput
+        assert aoi[row] == age
+        assert fitness[row] == rep.sum_throughput - coef * max(0.0, age - delta_th)
+
+
+@pytest.mark.parametrize("alpha, beta_r", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.2, 0.5),
+                                           (math.nan, 0.5)])
+def test_evaluate_batch_rejects_variables_outside_unit_interval(alpha, beta_r):
+    # one bad row among good ones fails the batch, as its Allocation would
+    cfg = make_config()
+    values = np.array([[0.5, 0.4], [alpha, beta_r], [0.3, 0.6]])
+    for scheme in ("tep", "eep"):
+        with pytest.raises(ValueError):
+            Allocation(scheme, alpha, beta_r)
+        with pytest.raises(ValueError, match="must lie strictly inside"):
+            optimizer.evaluate_batch(scheme, cfg, values, 10.0, QUAD, 1e3)
+    with pytest.raises(ValueError, match="scheme must be"):
+        optimizer.evaluate_batch("tdma", cfg, values[:1], 10.0, QUAD, 1e3)
 
 
 def test_penalized_fitness_validates_threshold():

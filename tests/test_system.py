@@ -206,3 +206,31 @@ def test_policy_validation():
     # valid constructions pass
     TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.6, beta_r=0.4)
     TdmaPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap_t=0.25, alpha_ap_r=0.25)
+
+
+def test_policy_validation_messages():
+    with pytest.raises(ValueError) as err:
+        TepPolicy(alpha_t=0.0, alpha_r=0.5, alpha_ap=0.5, beta_t=0.6, beta_r=0.4)
+    assert str(err.value) == "alpha_t must lie strictly inside (0,1), got 0.0"
+    with pytest.raises(ValueError) as err:
+        EepPolicy(alpha_et=0.4, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
+    assert str(err.value) == "alpha_et + alpha_it must equal 1"
+
+
+def test_array_policy_validation():
+    # a policy whose fields are arrays holds a batch; one bad element, or
+    # one row whose sum group is off by more than the tolerance, fails it
+    beta_r = np.array([0.4, 0.5, 0.3])
+
+    def eep(alpha_et, beta_t=1.0 - beta_r):
+        return EepPolicy(alpha_et=alpha_et, alpha_it=1.0 - alpha_et, beta_t=beta_t, beta_r=beta_r)
+
+    good = eep(np.array([0.5, 0.2, 0.9]))
+    assert np.array_equal(good.beta_r, beta_r)
+    with pytest.raises(ValueError, match=r"^alpha_et must lie strictly inside \(0,1\), got 1.5$"):
+        eep(np.array([0.5, 1.5, 0.9]))
+    with pytest.raises(ValueError, match="alpha_et must lie strictly inside"):
+        eep(np.array([0.5, np.nan, 0.9]))
+    with pytest.raises(ValueError, match=r"^beta_t \+ beta_r must equal 1$"):
+        eep(np.array([0.5, 0.2, 0.9]), beta_t=1.0 - beta_r + np.array([0.0, 0.0, 2e-9]))
+    eep(np.array([0.5, 0.2, 0.9]), beta_t=1.0 - beta_r + np.array([0.0, 0.0, 5e-10]))  # within the tolerance
