@@ -11,12 +11,16 @@ whatever the trial count.  `mc_gains` concatenates the same chunks in chunk
 order.
 
 Within a chunk, gains are drawn in blocks of _BLOCK rows (`_chunk_gains`
-gives the draw order), so memory holds one block of envelope draws per
-worker besides the chunk's gains.
+gives the draw order).  A chunk allocates its scratch once and reuses it
+for every block and every cell: three blocks of draws (x, y and one factor
+of uniforms) for the gains, then two SNR rows, a quotient row and four
+boolean masks for the decode.  The last chunk of a run draws only the
+blocks that hold its trials; blocks come in stream order, so a partial
+chunk is a prefix of the full one.
 Integer Nakagami shapes up to _PRODUCT_MAX draw their Gamma variates
 exactly as -log of a product of uniforms, which beats `standard_gamma`
-there; other shapes call `standard_gamma` (`_unit_gamma`).  The stream is
-part of the package version: the same version, config and seed give the
+there; other shapes call `standard_gamma` (`_neg_unit_gamma`).  The stream
+is part of the package version: the same version, config and seed give the
 same bytes.
 
 Two gain modes exist because the analytic model treats the two users'
@@ -27,6 +31,7 @@ first segment so the modeling gap can be measured.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,6 +55,10 @@ class McConfig:
     gain_mode: str = "independent_gains"
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -103,55 +112,67 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _unit_gamma(rng: np.random.Generator, m: float, shape: tuple) -> np.ndarray:
-    """Gamma(m, 1) draws of the given shape.
+def _neg_unit_gamma(rng: np.random.Generator, m: float, out: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Fill `out` with negated Gamma(m, 1) draws; `factor` is scratch of its shape.
 
-    An integer m <= _PRODUCT_MAX is drawn exactly as -log of the product of
-    m factors 1 - U (U from `rng.random`, one block of uniforms per factor),
-    a sum of m unit exponentials; each factor lies in (0, 1], so every draw
-    is finite.  Other shapes call `rng.standard_gamma`.
+    An integer m <= _PRODUCT_MAX is drawn exactly as the log of the product
+    of m factors 1 - U (U from `rng.random`, one block of uniforms per
+    factor in turn), which is minus a sum of m unit exponentials; each
+    factor lies in (0, 1], so every draw is finite.  Other shapes negate
+    `rng.standard_gamma`.  Callers multiply two such blocks, and
+    (-a) * (-b) == a * b exactly, so no negation is needed on the product
+    path.
     """
     if m == int(m) and m <= _PRODUCT_MAX:
-        u = rng.random((int(m), *shape))
-        p = np.subtract(1.0, u, out=u).prod(axis=0)
-        return np.negative(np.log(p, out=p), out=p)
-    return rng.standard_gamma(m, size=shape)
+        np.subtract(1.0, rng.random(out=out), out=out)
+        for _ in range(int(m) - 1):
+            out *= np.subtract(1.0, rng.random(out=factor), out=factor)
+        return np.log(out, out=out)
+    return np.negative(rng.standard_gamma(m, out=out), out=out)
 
 
-def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int):
-    """(G_t, G_r) of one full chunk, drawn in blocks of _BLOCK rows.
+def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int, rows: int) -> np.ndarray:
+    """(G_t, G_r) of the first `rows` trials of a chunk, as a (2, rows) array.
 
-    Each block draws the surface-side Gamma(m, 1) matrix x, then t's hop
-    y_t, then (with `independent_gains`) a fresh x, then r's hop y_r, and
-    adds the row sums of sqrt(x * y) to the user's chunk sums.  The
-    envelope scales sqrt(omega/m) of both hops multiply each user's sums
-    once at the end, so memory holds one block of draws at a time.
+    The chunk is drawn in blocks of _BLOCK rows, only as many blocks as hold
+    `rows` trials.  Each block draws the surface-side Gamma(m, 1) matrix x,
+    then t's hop y_t, then (with `independent_gains`) a fresh x, then r's
+    hop y_r, and writes the row sums of sqrt(x * y) to the user's chunk
+    sums.  The envelope scales sqrt(omega/m) of both hops multiply each
+    user's sums once at the end.  Three scratch blocks, x, y and one factor
+    of uniforms, serve every block of the chunk.
     """
     rng = _chunk_rng(mc.seed, index)
     ris, hops = config.fading_ris, (config.fading_t, config.fading_r)
-    shape = (_BLOCK, config.n_elements)
-    sums = np.empty((2, _CHUNK))
-    for start in range(0, _CHUNK, _BLOCK):
-        x = _unit_gamma(rng, ris.m, shape)
+    x, y, factor = np.empty((3, _BLOCK, config.n_elements))
+    sums = np.empty((2, -(-rows // _BLOCK) * _BLOCK))
+    for start in range(0, sums.shape[1], _BLOCK):
+        _neg_unit_gamma(rng, ris.m, x, factor)
         for user, hop in enumerate(hops):
             if user and mc.gain_mode == "independent_gains":
-                x = _unit_gamma(rng, ris.m, shape)
-            xy = x * _unit_gamma(rng, hop.m, shape)
-            sums[user, start : start + _BLOCK] = np.sqrt(xy, out=xy).sum(axis=1)
+                _neg_unit_gamma(rng, ris.m, x, factor)
+            xy = np.multiply(x, _neg_unit_gamma(rng, hop.m, y, factor), out=y)
+            np.sum(np.sqrt(xy, out=xy), axis=1, out=sums[user, start : start + _BLOCK])
     for user, hop in enumerate(hops):
         sums[user] *= math.sqrt(ris.omega / ris.m * hop.omega / hop.m)
-    return sums[0], sums[1]
+    return sums[:, :rows]
+
+
+def _chunks(trials: int) -> list:
+    """(index, rows) of every chunk of a `trials`-trial run."""
+    return [(idx, min(_CHUNK, trials - start)) for idx, start in enumerate(range(0, trials, _CHUNK))]
 
 
 def mc_gains(config: system.SystemConfig, mc: McConfig):
     """Draw `trials` realizations of the co-phased sums (G_t, G_r).
 
-    Every chunk draws its full width even when fewer trials remain, so the
-    first `k` trials of any run are bit-identical for every trials >= k: a
+    A chunk's streams depend only on (seed, chunk), and a partial last
+    chunk draws whole blocks in the same order as a full one, so the first
+    `k` trials of any run are bit-identical for every trials >= k: a
     longer simulation strictly refines a shorter one with the same seed.
     """
-    chunks = [_chunk_gains(config, mc, idx) for idx in range(math.ceil(mc.trials / _CHUNK))]
-    return tuple(np.concatenate(parts)[: mc.trials] for parts in zip(*chunks))
+    g_t, g_r = np.concatenate([_chunk_gains(config, mc, idx, rows) for idx, rows in _chunks(mc.trials)], axis=1)
+    return g_t, g_r
 
 
 def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
@@ -160,20 +181,28 @@ def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
     Cells whose configs agree on the channel law (N and the three fading
     laws, `system.cell_groups`) share one gain ensemble.  Each chunk of an
     ensemble is drawn once, every cell of the ensemble is decoded on it
-    once, and the chunk is dropped; chunks run on `threads` workers.
+    once, and the chunk is dropped; chunks run on `threads` workers.  Each
+    chunk's decode reuses one set of scratch rows for every cell: the SNRs
+    c * q, the cross-SINR quotient and four boolean masks.
     """
-    chunks = [(idx, min(_CHUNK, mc.trials - start)) for idx, start in enumerate(range(0, mc.trials, _CHUNK))]
-    tasks = [(group, chunk) for group in system.cell_groups(cells) for chunk in chunks]
+    tasks = [(group, chunk) for group in system.cell_groups(cells) for chunk in _chunks(mc.trials)]
 
     def count(task):
         (config, index, *decoders), (idx, rows) = task
-        q_t, q_r = (x[:rows] ** 4 for x in _chunk_gains(config, mc, idx))
+        q = _chunk_gains(config, mc, idx, rows)
+        q_t, q_r = np.power(q, 4, out=q)
+        gamma_t, gamma_r, quotient = np.empty((3, rows))
+        masks = np.empty((4, rows), dtype=bool)
         out = []
         for noma, c_t, c_r, g in zip(*decoders):
-            gamma_t, gamma_r = c_t * q_t, c_r * q_r
-            t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g) if noma else (gamma_t >= g, gamma_r >= g)
+            np.multiply(c_t, q_t, out=gamma_t)
+            np.multiply(c_r, q_r, out=gamma_r)
+            if noma:
+                t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g, scratch=(quotient, masks))
+            else:
+                t_ok, r_ok = np.greater_equal(gamma_t, g, out=masks[2]), np.greater_equal(gamma_r, g, out=masks[3])
             ok_t, ok_r = np.count_nonzero(t_ok), np.count_nonzero(r_ok)
-            out.append((rows - ok_t, rows - ok_r, np.count_nonzero(t_ok & r_ok)))
+            out.append((rows - ok_t, rows - ok_r, np.count_nonzero(np.logical_and(t_ok, r_ok, out=masks[0]))))
         return index, out
 
     totals = np.zeros((len(cells), 3), dtype=np.int64)

@@ -266,17 +266,33 @@ def uplink_snrs(scheme: str, policy, config: SystemConfig, g_t, g_r):
     return c_t * g_t**4, c_r * g_r**4
 
 
-def sic_outcome(gamma_t, gamma_r, gamma_th: float):
+def sic_outcome(gamma_t, gamma_r, gamma_th: float, scratch=None):
     """Vectorized SIC decode outcome (t_decoded, r_decoded).
 
     User x is decoded iff its cross SINR clears the threshold (decoded first,
     treating the other user as noise) or the other user is decoded first and
     the interference-free SNR gamma_x still clears the threshold.
+
+    `scratch`, if given, is a pair (quotient, masks) of arrays to reuse: a
+    float array shaped like the SNRs and a bool array of four such rows.
+    The outcome is then written into masks[2] and masks[3], and the other
+    rows and the quotient are overwritten.
     """
     gamma_t = np.asarray(gamma_t, dtype=float)
     gamma_r = np.asarray(gamma_r, dtype=float)
-    t_cross = gamma_t / (gamma_r + 1.0) >= gamma_th
-    r_cross = gamma_r / (gamma_t + 1.0) >= gamma_th
-    t_ok = t_cross | (r_cross & (gamma_t >= gamma_th))
-    r_ok = r_cross | (t_cross & (gamma_r >= gamma_th))
+    if scratch is None:
+        shape = np.broadcast_shapes(gamma_t.shape, gamma_r.shape, np.shape(gamma_th))
+        scratch = np.empty(shape), np.empty((4, *shape), dtype=bool)
+    quotient, masks = scratch
+    t_cross, r_cross, t_ok, r_ok = (masks[i, ...] for i in range(4))  # views, 0-d for scalar SNRs
+    # t_cross = gamma_t / (gamma_r + 1) >= gamma_th, r_cross likewise
+    np.greater_equal(np.divide(gamma_t, np.add(gamma_r, 1.0, out=quotient), out=quotient), gamma_th, out=t_cross)
+    np.greater_equal(np.divide(gamma_r, np.add(gamma_t, 1.0, out=quotient), out=quotient), gamma_th, out=r_cross)
+    # t_ok = t_cross | (r_cross & (gamma_t >= gamma_th)), r_ok likewise
+    np.greater_equal(gamma_t, gamma_th, out=t_ok)
+    t_ok &= r_cross
+    t_ok |= t_cross
+    np.greater_equal(gamma_r, gamma_th, out=r_ok)
+    r_ok &= t_cross
+    r_ok |= r_cross
     return t_ok, r_ok

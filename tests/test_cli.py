@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starwpn
 from starwpn import analytics, cli, system
 from starwpn.channel import NakagamiParams, gauss_hermite_rule
 from starwpn.cli import (
@@ -329,6 +331,29 @@ def test_analytic_preset_bytes_are_pinned(tmp_path, preset):
     assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
     assert digest == ANALYTIC_PRESET_SHA256[preset]
+
+
+# CSV bytes of a preset with Monte Carlo rows; the Monte Carlo stream is part
+# of the package version, so these move only with a version change
+MC_PRESET_SHA256 = {
+    "fig4": "425c1158daa7b4ac15f03c825fe61479eab2b594f5e4dfbeef96721005f8e3ce",
+}
+
+
+@pytest.mark.parametrize("preset", MC_PRESET_SHA256)
+def test_mc_preset_bytes_are_pinned(tmp_path, preset):
+    argv = ["run", "--preset", preset, "--trials", "200000", "--threads", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
+    assert digest == MC_PRESET_SHA256[preset]
+
+
+def test_package_version_matches_pyproject():
+    # the manifest records __version__ as the key of Monte Carlo byte
+    # stability, so the installed metadata must agree with it
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == starwpn.__version__
 
 
 def test_main_seed_and_set_overrides(tmp_path):

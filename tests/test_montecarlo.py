@@ -1,5 +1,8 @@
 """Simulation oracle: gain sampling, event counting, AoI slot simulation."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -40,7 +43,16 @@ def test_mcconfig_validation():
         McConfig(trials=10, seed=1, gain_mode="mixed")
     with pytest.raises(ValueError):
         McConfig(trials=10, seed=-1)
+    # non-integral and bool sizes and seeds are refused up front, not left
+    # to fail inside the chunk loop or SeedSequence
+    for bad in (2.5, 10.0, True, "10"):
+        with pytest.raises(ValueError):
+            McConfig(trials=bad, seed=1)
+    for bad in (1.5, 1.0, True, False):
+        with pytest.raises(ValueError):
+            McConfig(trials=10, seed=bad)
     McConfig(trials=10, seed=1, gain_mode="shared_h")
+    McConfig(trials=np.int64(10), seed=np.uint32(1))
 
 
 def test_gain_second_moment_single_element_rayleigh():
@@ -64,7 +76,8 @@ SAMPLER_SHAPES = (1.0, 2.0, 4.0, 1.5)
 @pytest.mark.parametrize("m", SAMPLER_SHAPES)
 def test_unit_gamma_moments_and_finite(m):
     rng = np.random.default_rng(12)
-    x = montecarlo._unit_gamma(rng, m, (1000, 1000))
+    x = np.empty((1000, 1000))
+    x = -montecarlo._neg_unit_gamma(rng, m, x, np.empty_like(x))
     assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
     # Gamma(m, 1) has mean = variance = m; five standard errors each, the
     # sample variance's from the fourth central moment 3m^2 + 6m
@@ -97,6 +110,51 @@ def test_gains_deterministic_and_chunk_stable():
     assert np.array_equal(c[1][:70_000], a[1])
     d = mc_gains(cfg, McConfig(trials=70_000, seed=10))
     assert not np.array_equal(a[0], d[0])
+
+
+# SHA-256 of mc_gains' (G_t, G_r) bytes at N = 3, omega = 1.3 and seed 23,
+# over a partial last chunk that ends inside a block, keyed by the surface
+# and hop shapes and the gain mode: shapes 1, 2 and 4 take the
+# uniform-product path, 1.5 takes standard_gamma, and the last two keys mix
+# the paths; the stream is part of the package version
+PINNED_TRIALS = 3 * 2**16 + 123
+GAINS_SHA256 = {
+    (1.0, 1.0, "independent_gains"): "b6e4a8164fc42cff4c1e896ad6b9c22ead107938072aa9354054a517d3b24304",
+    (1.0, 1.0, "shared_h"): "53a4c60ac418a168a7ad17924bcaa2053b36070c2d0d023ac29b4111d83c3918",
+    (2.0, 2.0, "independent_gains"): "1d5b5df5650bf199e9229fab23bd96f1c13d183c2b79f63cee8e4e75e011a430",
+    (2.0, 2.0, "shared_h"): "be269c924799a662335cd9bd954f10a84b3e46b12822b7893c5126b696b2a5aa",
+    (4.0, 4.0, "independent_gains"): "54aa9cca7dc8168b1da0eacfba409a9c89946e6ca23ac0787c40f2e7810dd7e2",
+    (4.0, 4.0, "shared_h"): "4edc6705f8d2cffa5ced5991b59c16d216cb57627a4c3fbe1af397cda99cc17c",
+    (1.5, 1.5, "independent_gains"): "f1d5cfa57c4719832c456fed607d279bf2960e2147dcb5682177662b67da8a03",
+    (1.5, 1.5, "shared_h"): "9ea8425790c555348d32bc2ab112a8d5da03eb75aa087fddb5a945de2778e215",
+    (2.0, 1.5, "independent_gains"): "bbc5eb474613ea1c78fed87f4ed5d8020baeb9239878f7a8f754029f5e2f5c65",
+    (1.5, 4.0, "shared_h"): "394a4ca221b28c1b3fea332ffdd962e36e4d4c57ddbf0348f8ecb17d747b6c1f",
+}
+
+
+@pytest.mark.parametrize("m_ris, m_hop, gain_mode", GAINS_SHA256)
+def test_mc_gains_are_pinned(m_ris, m_hop, gain_mode):
+    cfg = dataclasses.replace(make_config(n=3, fading=NakagamiParams(m=m_hop, omega=1.3)),
+                              fading_ris=NakagamiParams(m=m_ris, omega=1.3))
+    g_t, g_r = mc_gains(cfg, McConfig(trials=PINNED_TRIALS, seed=23, gain_mode=gain_mode))
+    assert g_t.shape == g_r.shape == (PINNED_TRIALS,)
+    digest = hashlib.sha256(g_t.tobytes() + g_r.tobytes()).hexdigest()
+    assert digest == GAINS_SHA256[m_ris, m_hop, gain_mode]
+
+
+@pytest.fixture(scope="module")
+def two_chunk_gains():
+    cfg = make_config(n=3, fading=NAK2)
+    return cfg, mc_gains(cfg, McConfig(trials=2 * 2**16, seed=31))
+
+
+@pytest.mark.parametrize("k", [1, 4095, 4096, 4097, 65537])
+def test_mc_gains_prefix_at_block_edges(two_chunk_gains, k):
+    # a last chunk that draws only the blocks holding its trials still
+    # gives the first k rows of a longer run, bit for bit
+    cfg, (long_t, long_r) = two_chunk_gains
+    g_t, g_r = mc_gains(cfg, McConfig(trials=k, seed=31))
+    assert np.array_equal(g_t, long_t[:k]) and np.array_equal(g_r, long_r[:k])
 
 
 def test_mc_outage_threshold_and_power_limits():
@@ -138,13 +196,21 @@ def _reference_counts(scheme, cfg, pol, gains):
     return int((~t_ok).sum()), int((~r_ok).sum()), int((t_ok & r_ok).sum())
 
 
-@pytest.mark.parametrize("gain_mode", ["independent_gains", "shared_h"])
+# SHA-256 of repr([(out_t, out_r, both_ok), ...]) over the grouped cells of
+# test_mc_counts_match_reference_decode
+COUNTS_SHA256 = {
+    "independent_gains": "21fee60e81d98301346e0da9a416ea48109cbc4e8deb8e52e7103bae6d6ca80c",
+    "shared_h": "e5dadc746d8edbb2693d972862fcef0f43f691e8066a267883b758abb9d84995",
+}
+
+
+@pytest.mark.parametrize("gain_mode", COUNTS_SHA256)
 def test_mc_counts_match_reference_decode(gain_mode):
     # two ensembles (N = 8 and N = 12), all three schemes, a partial last
     # chunk; the counts must not depend on the worker count, and each count
     # lands on its own cell whether the ensembles' cells come grouped or
     # alternating
-    trials = 3 * 2**16 + 123
+    trials = PINNED_TRIALS
     mc = McConfig(trials=trials, seed=77, gain_mode=gain_mode)
     cells = [
         (scheme, make_config(snr_db=snr, n=n), pol)
@@ -162,6 +228,10 @@ def test_mc_counts_match_reference_decode(gain_mode):
             assert [(c.out_t, c.out_r, c.both_ok) for c in got] == want
             assert all(c.trials == trials for c in got)
     assert any(0 < w[0] < trials for w in want)  # the comparison is not trivial
+    # the grouped cells' counts are pinned too: the stream is part of the
+    # package version
+    counts = [(c.out_t, c.out_r, c.both_ok) for c in mc_counts(cells, mc)]
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == COUNTS_SHA256[gain_mode]
 
 
 def test_mc_matches_closed_forms_at_default_point():
