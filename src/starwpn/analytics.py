@@ -53,11 +53,16 @@ split at g/c_r; for g < 1 the window closes at y = g/(c_r*(1 - g)), where
 its own tail ends.
 
 The decodable-first kernel reads the own survival from the fit's checked
-table (channel.SurvivalTable); the window integrals and the panel layout
-call the exact law.  The G7/K15 check below cannot see the table's
-interpolation error, since both rules read the same table values; the
-table's build check bounds it (1e-12 relative where the survival is at
-least 1e-30, 1e-10 down to 1e-300).
+survival table, and the overlap and deadlock windows read their mass from
+the fit's CDF and survival tables (channel.quartic_gain_table_mass), so no
+incomplete gamma function is evaluated at a kernel node unless a window
+end lies below the lower quantile or past the survival table's top.  The
+panel layout calls the exact law.  The G7/K15 check below cannot see the
+tables' interpolation error, since both rules read the same table values;
+the tables' build checks bound it (1e-12 relative where the law is at
+least 1e-30, 1e-10 down to 1e-300).  A window's mass is a difference of
+two such values, so its relative error can be larger where the two nearly
+cancel.
 
 Every row is checked by its embedded Gauss rule: one pass at 16 panels per
 piece gives each of p_out_t, p_out_r and phi by the 7-point Gauss and the
@@ -90,8 +95,8 @@ import numpy as np
 
 from . import system
 from .channel import (
-    TAIL_MASS, QuadratureRule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_mass,
-    quartic_gain_sf,
+    TAIL_MASS, QuadratureRule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_sf,
+    quartic_gain_table_mass,
 )
 
 __all__ = [
@@ -256,7 +261,7 @@ def _window_int(kernel, fit_q, cq, cp, g, y, wf):
     g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * y
     b = g * (cpy + 1.0) / cq
     a = (cpy - g) / (cq * g)
-    kern = quartic_gain_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_mass(fit_q, b, a)
+    kern = quartic_gain_table_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_table_mass(fit_q, b, a)
     return (kern * wf).sum(axis=-1)
 
 

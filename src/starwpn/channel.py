@@ -10,31 +10,43 @@ Gamma argument theta * x^(1/4).  Everything downstream (outage, throughput,
 AoI) consumes the law through these functions.
 
 Each fit keeps its support (GammaApprox.support, the TAIL_MASS quantiles the
-closed forms integrate over) and a survival table
-(GammaApprox.survival_table), built on first use and kept on the fit: a
-cubic Hermite interpolant of ln Q, Q(x) = Pr[G^4 > x], on knots uniform in
-ln x with the exact slopes d ln Q / d ln x = -x f / Q, from the TAIL_MASS
-lower quantile to where Q = SF_TABLE_FLOOR.  The build checks it against
-quartic_gain_sf at every segment midpoint, to 1e-12 relative where Q >=
-1e-30 and 1e-10 below, and doubles the segments from 4,096 up to 2^18 until
-that holds, keeping every knot and midpoint it has evaluated.  Past its top,
-and for a law that misses the bound, it calls quartic_gain_sf; below its
-lower quantile it returns 1.0 exactly.  Only the decodable-first kernel
-reads it.  The CDF, survival, mass and quantiles stay exact: they are the
-table's reference, and CDF + survival = 1 to 1e-14, which no interpolant
-meets.
+closed forms integrate over) and two tables, each built on first use and
+kept on the fit: cubic Hermite interpolants on knots uniform in ln x, from
+the TAIL_MASS lower quantile x_lo, with the exact slopes of the log.  The
+survival table (GammaApprox.survival_table) holds ln Q, Q(x) = Pr[G^4 > x],
+with slope d ln Q / d ln x = -x f / Q, up to where Q = SF_TABLE_FLOOR.  The
+CDF table (GammaApprox.cdf_table) holds ln F, F(x) = Pr[G^4 <= x], with
+slope x f / F, up to the mode x_mode = (N k / theta)^4 of the Gamma
+argument, where F is about one half.  One routine builds both: it checks
+the table against quartic_gain_sf or quartic_gain_cdf at every segment
+midpoint, to 1e-12 relative where the law is >= 1e-30 and 1e-10 below,
+and doubles the segments from 4,096 up to 2^18 until that holds, keeping
+every knot and midpoint it has evaluated.  A law that misses the bound
+gets a table that calls scipy.  Past its top each table calls scipy; below
+x_lo the survival table returns 1.0 exactly and the CDF table calls scipy.
+The decodable-first kernel reads the survival table.  The SIC windows read
+both through quartic_gain_table_mass, which splits at x_mode as
+quartic_gain_mass does: F(w2) - F(w1) below it, with F = 1 - Q past x_mode,
+and Q(w1) - Q(w2) above it.  quartic_gain_cdf, quartic_gain_sf,
+quartic_gain_mass and the quantiles stay exact: they are the tables'
+reference, and CDF + survival = 1 to 1e-14, which no interpolant meets.
+
+ChannelLaw (N and the three fading laws) makes and keeps the two users'
+fits, one when both users' fades share a law, so that every config given
+the same law object shares them and their tables.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import special
 
 TAIL_MASS = 1e-28  # density mass left out in each tail of the quartic gain's support
 SF_TABLE_FLOOR = 1e-300  # the survival table covers Pr[G^4 > x] down to this
-_TABLE_SEGMENTS = (2**12, 2**18)  # the first and the largest segment count of a survival table
-_TABLE_REL = 1e-12  # the table's relative error bound where Pr[G^4 > x] >= _TABLE_DEEP ...
+_TABLE_SEGMENTS = (2**12, 2**18)  # the first and the largest segment count of a table
+_TABLE_REL = 1e-12  # a table's relative error bound where its law >= _TABLE_DEEP ...
 _TABLE_REL_DEEP = 1e-10  # ... and below it, where the rounding of ln x times the slope sets the floor
 _TABLE_DEEP = 1e-30
 
@@ -89,9 +101,14 @@ class GammaApprox:
         return quartic_gain_quantiles(self)
 
     @cached_property
-    def survival_table(self) -> "SurvivalTable":
+    def survival_table(self) -> "LawTable":
         """The checked table of Pr[G^4 > x], built on the first read and kept on this fit."""
         return _build_survival_table(self)
+
+    @cached_property
+    def cdf_table(self) -> "LawTable":
+        """The checked table of Pr[G^4 <= x] up to the mode, built on the first read and kept on this fit."""
+        return _build_cdf_table(self)
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,33 @@ def gamma_fit(link1: NakagamiParams, link2: NakagamiParams, n_elements: int) -> 
     return GammaApprox(k=k, theta=theta, n_elements=n_elements)
 
 
+@dataclass(frozen=True)
+class ChannelLaw:
+    """The law of both users' combined gains: N and the three Nakagami fading laws.
+
+    Its Gamma fits are made on first read and kept, fit_r being fit_t when
+    both users' fades share one law, so that the fit's tables are built
+    once.  Equal laws compare and hash equal, so a run can keep one law
+    object per distinct law and hand it to every system.SystemConfig that
+    has it.
+    """
+
+    n_elements: int
+    fading_ris: NakagamiParams
+    fading_t: NakagamiParams
+    fading_r: NakagamiParams
+
+    @cached_property
+    def fit_t(self) -> GammaApprox:
+        return gamma_fit(self.fading_ris, self.fading_t, self.n_elements)
+
+    @cached_property
+    def fit_r(self) -> GammaApprox:
+        if self.fading_r == self.fading_t:
+            return self.fit_t
+        return gamma_fit(self.fading_ris, self.fading_r, self.n_elements)
+
+
 def _quartic_arg(fit: GammaApprox, x) -> np.ndarray:
     """The Gamma argument theta * x^(1/4) of the quartic gain at x; negative x maps to 0."""
     return fit.theta * np.power(np.maximum(np.asarray(x, dtype=float), 0.0), 0.25)
@@ -178,6 +222,37 @@ def quartic_gain_mass(fit: GammaApprox, w1, w2) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def quartic_gain_table_mass(fit: GammaApprox, w1, w2) -> np.ndarray:
+    """Pr[w1 < G^4 <= w2] from the fit's two tables, split where quartic_gain_mass splits it.
+
+    Past the mode x_mode = (N k / theta)^4, the top of the CDF table, the
+    mass is Q(w1) - Q(w2) from the survival table.  Below it, it is
+    F(w2) - F(w1), with F from the CDF table up to x_mode and 1 - Q past
+    it, and F(w1) = 0 for w1 <= 0, which is not evaluated.  So scipy is
+    called only for ends below the lower quantile x_lo or past the survival
+    table's top (and for a law whose table missed its bound).  Empty
+    intervals (w1 >= w2) and roundoff negatives give 0.
+    """
+    w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
+    cdf, sf = fit.cdf_table, fit.survival_table
+    out = np.zeros(w1.shape)
+    live = w1 < w2
+    right = live & (w1 > cdf.x_top)
+    if right.any():
+        out[right] = sf(w1[right]) - sf(w2[right])
+    left = live & ~right
+    if left.any():
+        a, b = w1[left], w2[left]
+        past = b > cdf.x_top
+        mass = np.empty(b.shape)
+        mass[past] = 1.0 - sf(b[past])
+        mass[~past] = cdf(b[~past])
+        above = a > 0.0
+        mass[above] -= cdf(a[above])
+        out[left] = mass
+    return np.maximum(out, 0.0, out=out)
+
+
 def quartic_gain_quantiles(fit: GammaApprox, mass: float = TAIL_MASS):
     """(x_lo, x_hi) with Pr[G^4 < x_lo] = Pr[G^4 > x_hi] = mass; by default the support the closed forms use."""
     with np.errstate(over="ignore", under="ignore"):  # an extreme fit maps to 0 or inf, which callers reject
@@ -215,29 +290,34 @@ def log_quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SurvivalTable:
-    """Pr[G^4 > x] of one fit from a checked cubic Hermite table of ln Q over u = ln x.
+class LawTable:
+    """One law of G^4, Pr[G^4 > x] or Pr[G^4 <= x], from a checked cubic Hermite table of its log over u = ln x.
 
-    Knot j sits at u = u0 + j * step, u0 = ln x_lo with x_lo the TAIL_MASS
-    lower quantile, up to x_top, where Q = SF_TABLE_FLOOR.  Segment j holds
-    the Horner coefficients coef[:, j] of ln Q in t = (u - u0) / step - j,
-    from the knot values and the exact slopes d ln Q / d ln x = -x f / Q.
-    Below x_lo the table returns 1.0 exactly, as quartic_gain_sf does there;
-    past x_top, and everywhere when coef is None (a law whose table missed
-    its bound), it calls quartic_gain_sf.
+    law is the exact reference, quartic_gain_sf or quartic_gain_cdf.  Knot j
+    sits at u = u0 + j * step, u0 = ln x_lo with x_lo the TAIL_MASS lower
+    quantile, up to x_top.  Segment j holds the Horner coefficients
+    coef[:, j] of ln law in t = (u - u0) / step - j, from the knot values and
+    the exact slopes d ln law / d ln x, -x f / Q for the survival Q and
+    x f / F for the CDF F.  Past x_top, below x_lo
+    when exact_below (the CDF table), and everywhere when coef is None (a
+    law whose table missed its bound), it calls law; below x_lo otherwise
+    (the survival table) it returns its value there, 1.0 exactly, as
+    quartic_gain_sf does.
     """
 
     fit: GammaApprox
+    law: Callable
     x_lo: float
     x_top: float
     u0: float
     step: float
     coef: np.ndarray  # (4, segments), or None
+    exact_below: bool
 
     def __call__(self, x) -> np.ndarray:
-        """Pr[G^4 > x] at every element of the array x."""
+        """The law at every element of the array x."""
         if self.coef is None:
-            return quartic_gain_sf(self.fit, x)
+            return self.law(self.fit, x)
         x = np.asarray(x, dtype=float)
         s = (np.log(np.clip(x, self.x_lo, self.x_top)) - self.u0) / self.step
         j = s.astype(np.intp)
@@ -252,28 +332,43 @@ class SurvivalTable:
         out *= s
         out += np.take(c0, j)
         np.exp(out, out=out)
-        past = x > self.x_top
-        if past.any():
-            out[past] = quartic_gain_sf(self.fit, x[past])
+        exact = x > self.x_top
+        if self.exact_below:
+            exact |= x < self.x_lo
+        if exact.any():
+            out[exact] = self.law(self.fit, x[exact])
         return out
 
 
-def _build_survival_table(fit: GammaApprox) -> SurvivalTable:
-    """The survival table of a fit, checked against quartic_gain_sf at every segment midpoint.
-
-    The relative error must stay within _TABLE_REL where Q >= _TABLE_DEEP
-    and within _TABLE_REL_DEEP below; the segment count doubles from 4,096
-    up to 2^18 until it does.  A doubling keeps every value it has: the old
-    knots are the new even knots and the old midpoints the new odd ones,
-    bit for bit (u0 + (h/2)(2j + 1) rounds as u0 + h(j + 1/2) does), so
-    only the density at the old midpoints and the survival at the new ones
-    are evaluated.  A law that never meets the bound, or whose range is not
-    finite, gets a table without coefficients, which calls quartic_gain_sf.
-    """
-    x_lo = fit.support[0]
+def _build_survival_table(fit: GammaApprox) -> LawTable:
+    """The survival table of a fit, from x_lo up to where Pr[G^4 > x] = SF_TABLE_FLOOR (_build_table)."""
     with np.errstate(over="ignore"):
         x_top = float(quartic_gain_isf(fit, SF_TABLE_FLOOR))
-    fallback = SurvivalTable(fit, x_lo, x_top, 0.0, 0.0, None)
+    return _build_table(fit, quartic_gain_sf, -1.0, x_top, exact_below=False)
+
+
+def _build_cdf_table(fit: GammaApprox) -> LawTable:
+    """The CDF table of a fit, from x_lo up to the mode (N k / theta)^4 of the Gamma argument (_build_table)."""
+    with np.errstate(over="ignore"):
+        x_mode = float(np.power(fit.sum_shape / fit.theta, 4.0))
+    return _build_table(fit, quartic_gain_cdf, 1.0, x_mode, exact_below=True)
+
+
+def _build_table(fit: GammaApprox, law, sign: float, x_top: float, exact_below: bool) -> LawTable:
+    """The table of law (sign -1 for a survival, +1 for a CDF) on [x_lo, x_top], checked at every segment midpoint.
+
+    The relative error against law must stay within _TABLE_REL where the
+    law is >= _TABLE_DEEP and within _TABLE_REL_DEEP below; the segment
+    count doubles from 4,096 up to 2^18 until it does.  A doubling keeps
+    every value it has: the old knots are the new even knots and the old
+    midpoints the new odd ones, bit for bit (u0 + (h/2)(2j + 1) rounds as
+    u0 + h(j + 1/2) does), so only the density at the old midpoints and the
+    law at the new ones are evaluated.  A law that never meets the bound,
+    or whose range is not finite, gets a table without coefficients, which
+    calls law.
+    """
+    x_lo = fit.support[0]
+    fallback = LawTable(fit, law, x_lo, x_top, 0.0, 0.0, None, exact_below)
     if not 0.0 < x_lo < x_top < np.inf:
         return fallback
     u0 = float(np.log(x_lo))
@@ -281,29 +376,29 @@ def _build_survival_table(fit: GammaApprox) -> SurvivalTable:
     segments = _TABLE_SEGMENTS[0]
     u = u0 + (span / segments) * np.arange(segments + 1)  # the lookup's own grid, not a linspace
     x = np.exp(u)
-    log_q, slope = _log_sf_and_slope(fit, u, x, quartic_gain_sf(fit, x))
+    log_v, slope = _log_law_and_slope(fit, u, x, law(fit, x))
     while True:
         step = span / segments
-        d = -step * slope  # d ln Q / dt
-        dq = np.diff(log_q)
-        coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
-        table = SurvivalTable(fit, x_lo, x_top, u0, step, coef)
+        d = sign * step * slope  # d ln law / dt
+        dv = np.diff(log_v)
+        coef = np.stack((log_v[:-1], d[:-1], 3.0 * dv - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dv))
+        table = LawTable(fit, law, x_lo, x_top, u0, step, coef, exact_below)
         u_mid = u0 + step * (np.arange(segments) + 0.5)
         mid = np.exp(u_mid)
-        q = quartic_gain_sf(fit, mid)
-        if np.all(np.abs(table(mid) / q - 1.0) <= np.where(q >= _TABLE_DEEP, _TABLE_REL, _TABLE_REL_DEEP)):
+        v = law(fit, mid)
+        if np.all(np.abs(table(mid) / v - 1.0) <= np.where(v >= _TABLE_DEEP, _TABLE_REL, _TABLE_REL_DEEP)):
             return table
         if segments == _TABLE_SEGMENTS[1]:
             return fallback
-        mid_log_q, mid_slope = _log_sf_and_slope(fit, u_mid, mid, q)  # the doubled grid's odd knots
-        log_q, slope = _interleave(log_q, mid_log_q), _interleave(slope, mid_slope)
+        mid_log_v, mid_slope = _log_law_and_slope(fit, u_mid, mid, v)  # the doubled grid's odd knots
+        log_v, slope = _interleave(log_v, mid_log_v), _interleave(slope, mid_slope)
         segments *= 2
 
 
-def _log_sf_and_slope(fit: GammaApprox, u: np.ndarray, x: np.ndarray, q: np.ndarray):
-    """ln Q and -d ln Q / d ln x = x f / Q at x = e^u, given the survival q there."""
-    log_q = np.log(q)
-    return log_q, np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)
+def _log_law_and_slope(fit: GammaApprox, u: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """ln v and x f / v at x = e^u, given the law's value v there; |d ln v / d ln x| for a CDF or a survival."""
+    log_v = np.log(v)
+    return log_v, np.exp(u + log_quartic_gain_pdf(fit, x) - log_v)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

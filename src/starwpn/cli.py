@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, montecarlo, optimizer, system
-from .channel import NakagamiParams, gauss_hermite_rule
+from .channel import ChannelLaw, NakagamiParams, gauss_hermite_rule
 
 
 class ConfigError(Exception):
@@ -163,7 +163,13 @@ def _get_int(cfg, section, key):
     return _get(cfg, section, key, int, "an integer")
 
 
-def build_system(cfg: dict) -> system.SystemConfig:
+def build_system(cfg: dict, laws: dict = None) -> system.SystemConfig:
+    """The system of cfg's [system] section.
+
+    laws, if given, maps each channel law to the one channel.ChannelLaw that
+    a run shares: the config takes the fits of the law already there, or
+    adds its own.
+    """
     p_ap = _get_float(cfg, "system", "p_ap_watts")
     snr_db = _get_float(cfg, "system", "snr_db")
     try:
@@ -171,7 +177,7 @@ def build_system(cfg: dict) -> system.SystemConfig:
     except ArithmeticError:  # 10^(snr_db/10) overflows, or underflows to a zero divisor
         raise ConfigError(f"system.snr_db = {snr_db} gives no finite positive noise power") from None
     try:
-        return system.SystemConfig(
+        fields = dict(
             p_ap=p_ap,
             n0=n0,
             d0=_get_float(cfg, "system", "d0_m"),
@@ -186,6 +192,11 @@ def build_system(cfg: dict) -> system.SystemConfig:
             fading_r=NakagamiParams(_get_float(cfg, "system", "m_r"), _get_float(cfg, "system", "omega_r")),
             rate=_get_float(cfg, "system", "rate_bps_hz"),
         )
+        law = None
+        if laws is not None:
+            law = ChannelLaw(fields["n_elements"], fields["fading_ris"], fields["fading_t"], fields["fading_r"])
+            law = laws.setdefault(law, law)
+        return system.SystemConfig(**fields, law=law)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -346,14 +357,18 @@ def cmd_run(cfg: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid mc configuration: {exc}")
 
-    # one (scheme, config, policy) cell per grid point and scheme
-    points, cells = [], []
+    # one (scheme, config, policy) cell per grid point and scheme; one fit
+    # per distinct channel law and one policy per distinct [policy] section
+    points, cells, laws, policies = [], [], {}, {}
     for value in grid:
         swept = _apply_sweep(cfg, sweep, value, schemes)
-        config = build_system(swept)
+        config = build_system(swept, laws)
+        section = tuple(swept["policy"].items())
         for scheme in schemes:
+            if (scheme, section) not in policies:
+                policies[scheme, section] = build_policy(swept, scheme)
             points.append((value, scheme))
-            cells.append((scheme, config, build_policy(swept, scheme)))
+            cells.append((scheme, config, policies[scheme, section]))
 
     collected = []  # (value, scheme, engine, metric columns)
     if engine in ("analytic", "both"):

@@ -76,8 +76,8 @@ class GaConfig:
             raise ValueError("crossover_p must lie in (0,1]")
         if not (0.0 <= self.mutation_p < 1.0):
             raise ValueError("mutation_p must lie in [0,1)")
-        if self.penalty_coef <= 0:
-            raise ValueError("penalty_coef must be > 0")
+        if not (0.0 < self.penalty_coef < math.inf):  # inf times a zero violation is NaN
+            raise ValueError(f"penalty_coef must be finite and > 0, got {self.penalty_coef}")
         if not (0 <= self.elitism < self.population):
             raise ValueError("elitism must satisfy 0 <= elitism < population")
         if self.seed < 0:

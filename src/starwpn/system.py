@@ -16,12 +16,12 @@ scheme table `SCHEMES` records for each of them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channel import GammaApprox, NakagamiParams, gamma_fit
+from .channel import ChannelLaw, GammaApprox, NakagamiParams
 
 _SUM_TOL = 1e-9
 
@@ -59,10 +59,14 @@ class SystemConfig:
     n_elements  surface element count N
     fading_ris  Nakagami parameters of the AP-surface fades h_i
     fading_t/r  Nakagami parameters of the surface-user fades g_{x,i}
-    rate        target rate R (bits/s/Hz)
+    rate        target rate R (bits/s/Hz); 2^R - 1 must be finite and > 0
+    law         init only: the channel.ChannelLaw of n_elements and the
+                three fading laws, whose fits this config takes, so that
+                configs given one law object share its fits; by default a
+                new one
     fit_t/r     the Gamma fits of the users' cascades, set from the above;
                 one shared fit when both users' fading laws are equal, so
-                that its survival table is built once
+                that its tables are built once
     """
 
     p_ap: float
@@ -78,18 +82,31 @@ class SystemConfig:
     fading_t: NakagamiParams
     fading_r: NakagamiParams
     rate: float
+    law: InitVar[ChannelLaw] = None
     fit_t: GammaApprox = field(init=False, repr=False, compare=False)
     fit_r: GammaApprox = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, law):
         for name in ("p_ap", "n0", "d0", "d_t", "d_r", "rate"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        try:
+            threshold = 2.0 ** float(self.rate) - 1.0
+        except OverflowError:
+            threshold = math.inf
+        if not 0 < threshold < math.inf:  # 2^R overflows, or rounds to 1 for R below about 1.6e-16
+            raise ValueError(f"rate {self.rate} gives no finite positive decoding threshold 2^R - 1: "
+                             f"system.rate_bps_hz is out of range")
         for name in ("exp0", "exp_t", "exp_r"):
             if not (1 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
+        own = ChannelLaw(self.n_elements, self.fading_ris, self.fading_t, self.fading_r)
+        if law is None:
+            law = own
+        elif law != own:
+            raise ValueError(f"law {law} is not the law of n_elements, fading_ris, fading_t and fading_r")
         for user in ("t", "r"):
             try:  # the received power P * l_x^2 that snr_coefficients forms
                 usable = 0 < self.p_ap * pathloss(self, user) ** 2 < math.inf
@@ -99,10 +116,7 @@ class SystemConfig:
                 raise ValueError(f"the path loss of user {user} leaves no finite positive received power: "
                                  f"p_ap, d0, d_{user}, exp0 or exp_{user} is out of range")
             # the closed forms integrate over this support of the fitted quartic gain
-            if user == "r" and self.fading_r == self.fading_t:
-                fit = self.fit_t
-            else:
-                fit = gamma_fit(self.fading_ris, getattr(self, f"fading_{user}"), self.n_elements)
+            fit = getattr(law, f"fit_{user}")
             object.__setattr__(self, f"fit_{user}", fit)
             if not all(0 < x < math.inf for x in fit.support):
                 raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "

@@ -642,9 +642,11 @@ def test_first_pass_agrees_with_doubled_panels(monkeypatch):
 def test_unequal_law_closed_forms_are_pinned():
     # criterion 9's 500 draws give the two users unequal laws, so the stacked
     # decodable-first pass calls each law once per half; these are the bytes
-    # of the pass that ran each user on its own, at N = 1 to 40
+    # of the pass that ran each user on its own, at N = 1 to 40.  The SIC
+    # windows read the fits' CDF and survival tables, which moved 14 of the
+    # 1,500 values by at most 2.2e-16 (2.6e-14 relative) from the exact mass
     digest = hashlib.sha256(analytics.closed_forms(_criterion9_cells()).tobytes()).hexdigest()
-    assert digest == "f93e4c61d73f5ea282b49b94ddb7defe8ea4e276c0a3cf9e2109e59e064f612a"
+    assert digest == "877ceeb8d23a32c26ff980c5a3052bb105945ea52b5d4d22ad7ce5fa9bf745d8"
 
 
 def test_direct_deadlock_blind_spot():
@@ -827,5 +829,69 @@ def test_survival_table_first_use_from_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
+    for rows in results:
+        assert rows is not None and rows.tobytes() == serial.tobytes()
+
+
+def test_cdf_table_built_once_per_law(monkeypatch):
+    # the SIC windows read the CDF table of the fit their config keeps: at
+    # R = 0.5 and 50 dB the overlap reads r's and the direct deadlock t's, so
+    # closed_forms builds one table per distinct law, and a whole GA run one
+    builds = []
+    build = channel._build_cdf_table
+
+    def spy(fit):
+        builds.append(fit)
+        return build(fit)
+
+    monkeypatch.setattr(channel, "_build_cdf_table", spy)
+    same = make_config(n=12, rate=0.5, snr_db=50.0)
+    mixed = make_config(n=12, rate=0.5, snr_db=50.0, fading_r=NakagamiParams(m=3.0, omega=1.0))
+    for config, fits in ((same, [same.fit_t]), (mixed, [mixed.fit_r, mixed.fit_t])):
+        cells = [("tep", config, TEP), ("eep", config, EEP)]
+        del builds[:]
+        first = analytics.closed_forms(cells)
+        assert np.array_equal(analytics.closed_forms(cells), first)
+        assert [id(fit) for fit in builds] == [id(fit) for fit in fits]
+    del builds[:]
+    config = make_config(snr_db=40.0, rate=0.5, n=12)
+    optimizer.ga_run("p1", config, 10.0, optimizer.GaConfig(population=12, generations=6, seed=3))
+    assert builds == [config.fit_t]
+
+
+def test_cdf_table_first_use_from_threads():
+    # four threads reach fresh fits' CDF tables at once through the SIC
+    # windows; the table lives on the fit, and each thread's rows equal those
+    # of a serial call bit for bit
+    configs = (make_config(n=12, rate=0.5, snr_db=50.0),
+               make_config(n=30, rate=0.9, fading_t=NakagamiParams(m=3.0, omega=1.0)))
+
+    def cells(configs):
+        return [(scheme, cfg, pol) for cfg in configs for scheme, pol in (("tep", TEP), ("eep", EEP))]
+
+    serial = analytics.closed_forms(cells(configs))
+    configs = [dataclasses.replace(cfg) for cfg in configs]
+    fresh = cells(configs)
+    fits = [configs[0].fit_t, configs[1].fit_t, configs[1].fit_r]
+    assert configs[0].fit_r is fits[0] and not any("cdf_table" in vars(fit) for fit in fits)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = analytics.closed_forms(fresh)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all("cdf_table" in vars(fit) for fit in fits)
     for rows in results:
         assert rows is not None and rows.tobytes() == serial.tobytes()

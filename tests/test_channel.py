@@ -21,6 +21,7 @@ from starwpn.channel import (
     quartic_gain_pdf,
     quartic_gain_quantiles,
     quartic_gain_sf,
+    quartic_gain_table_mass,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
@@ -275,6 +276,76 @@ def test_survival_table_doubling_reuses_every_value(monkeypatch, m, n):
     dq = np.diff(log_q)
     coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
     assert np.array_equal(table.coef, coef)
+
+
+@pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 5), (2.0, 30), (4.0, 40), (0.5, 1)])
+def test_cdf_table_matches_scipy(m, n):
+    # the SIC windows read Pr[G^4 <= x] from this table up to the mode
+    # (N k / theta)^4; it must meet 1e-12 relative at every segment midpoint
+    # and in between, and hand the ranges below its lower quantile and past
+    # the mode to scipy
+    link = NakagamiParams(m=m, omega=1.0)
+    fit = gamma_fit(link, link, n)
+    table = fit.cdf_table
+    assert table.coef is not None  # the bound was met, no fallback to scipy
+    segments = table.coef.shape[1]
+    assert segments >= 4096
+    assert table.x_lo == quartic_gain_quantiles(fit)[0]
+    assert table.x_top == pytest.approx((fit.sum_shape / fit.theta) ** 4, rel=1e-15)
+
+    def check(x):
+        exact, approx = quartic_gain_cdf(fit, x), table(x)
+        inside = (x >= table.x_lo) & (x <= table.x_top)
+        assert np.all(np.abs(approx[inside] / exact[inside] - 1.0) <= 1e-12)
+        assert np.array_equal(approx[~inside], exact[~inside])
+        return inside
+
+    check(np.exp(table.u0 + table.step * (np.arange(segments) + 0.5)))
+    rng = np.random.default_rng(23)
+    x = np.exp(rng.uniform(np.log(table.x_lo / 10.0), np.log(table.x_top * 10.0), 10**5))
+    inside = check(x)
+    assert inside.sum() > x.size // 4 and (x < table.x_lo).any() and (x > table.x_top).any()
+
+
+@pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 30), (0.5, 1)])
+def test_table_mass_matches_exact_mass(m, n):
+    # the windows' mass from the two tables against quartic_gain_mass: windows
+    # left of the mode, right of it and across it, with ends below the lower
+    # quantile, at or below 0 and past the survival table's top, and empty ones
+    link = NakagamiParams(m=m, omega=1.0)
+    fit = gamma_fit(link, link, n)
+    x_lo, x_mode, x_top = fit.cdf_table.x_lo, fit.cdf_table.x_top, fit.survival_table.x_top
+    rng = np.random.default_rng(7)
+
+    def between(lo, hi, size=400):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    left = np.sort(between(x_lo, x_mode, (2, 400)), axis=0)
+    right = np.sort(between(x_mode, x_top, (2, 400)), axis=0)
+    top = between(x_top, 10.0 * x_top)
+    blocks = (  # (w1, w2, both ends outside the tables' ranges, so scipy alone)
+        (left[0], left[1], False),  # left of the mode
+        (right[0], right[1], False),  # right of it
+        (between(x_lo, x_mode), between(x_mode, x_top), False),  # across it
+        (between(x_lo / 1e6, x_lo), between(x_lo, x_mode), False),  # from below x_lo
+        (between(x_lo / 1e6, x_lo), between(x_lo / 1e6, x_lo), True),  # below x_lo
+        (np.zeros(3), between(x_lo, x_mode, 3), False),  # from 0 ...
+        (-between(1e-3, 1e3, 3), between(x_mode, x_top, 3), False),  # ... and from below it
+        (between(x_mode, x_top), top, False),  # to past the survival table's top
+        (top, 10.0 * top + 1.0, True),  # past it
+    )
+    w1, w2 = (np.concatenate([block[i] for block in blocks]) for i in (0, 1))
+    scipy_only = np.concatenate([np.full(w.size, only) for w, _, only in blocks])
+    exact, table = quartic_gain_mass(fit, w1, w2), quartic_gain_table_mass(fit, w1, w2)
+    # the tables' relative error on each term of the difference: 1e-12, and
+    # 1e-10 where the survival is below 1e-30
+    terms = np.where(w1 > x_mode, quartic_gain_sf(fit, w1), quartic_gain_cdf(fit, w2))
+    assert np.all(np.abs(table - exact) <= np.where(terms >= 1e-30, 2e-12, 2e-10) * terms)
+    assert np.all(table >= 0.0) and np.all(exact[(w1 < w2) & ~scipy_only] > 0.0)
+    assert np.array_equal(table[scipy_only], exact[scipy_only])
+    for a, b in ((w1, w1), (np.maximum(w1, w2), np.minimum(w1, w2))):  # empty windows
+        assert np.all(quartic_gain_table_mass(fit, a, b) == 0.0)
+    assert np.array_equal(quartic_gain_table_mass(fit, 0.0, left[1]), fit.cdf_table(left[1]))
 
 
 def test_gauss_hermite_rule_basics():

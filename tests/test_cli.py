@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starwpn
-from starwpn import analytics, cli, system
+from starwpn import analytics, channel, cli, system
 from starwpn.channel import NakagamiParams, gauss_hermite_rule
 from starwpn.cli import (
     ConfigError,
@@ -334,9 +335,11 @@ def test_analytic_preset_bytes_are_pinned(tmp_path, preset):
 
 
 # CSV bytes of a preset with Monte Carlo rows; the Monte Carlo stream is part
-# of the package version, so these move only with a version change
+# of the package version, so its rows move only with a version change.  fig4's
+# analytic rows moved when the SIC windows began to read the CDF and survival
+# tables: 14 outage fields, by at most 1.2e-13 relative, no Monte Carlo field
 MC_PRESET_SHA256 = {
-    "fig4": "425c1158daa7b4ac15f03c825fe61479eab2b594f5e4dfbeef96721005f8e3ce",
+    "fig4": "b5d955945e39c9822d5e9175df8491ecb30a2c78980ea9c21c56f4c94896978b",
 }
 
 
@@ -452,6 +455,57 @@ def test_main_rejects_fading_without_finite_support(tmp_path, capsys, override):
         err = capsys.readouterr().err
         assert "config error" in err and "support of the quartic gain" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", ["system.rate_bps_hz=2000", "system.rate_bps_hz=1e-300",
+                                      "ga.penalty_coef=inf", "ga.penalty_coef=nan"])
+def test_main_rejects_rate_without_threshold_and_unusable_penalty(tmp_path, capsys, override):
+    # 2^R - 1 overflows at R = 2000 and is 0 below R = 1.6e-16; an infinite or
+    # NaN penalty turns every fitness into NaN.  Each exits 2 naming its key,
+    # with no warning
+    runs = [("optimize", "fig11", ["--set", "ga.n_grid=30", "--set", "ga.generations=5"])]
+    if override.startswith("system."):
+        runs.append(("run", "fig4", ["--set", "experiment.grid=40", "--set", "experiment.engine=analytic"]))
+    for command, preset, extra in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--preset", preset, *extra, "--set", override, "--out", str(tmp_path / command)])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = override.split("=")[0]
+        assert "config error" in err and (key if key.startswith("system.") else key.split(".")[-1]) in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("preset, sets, fits, policies", [
+    ("fig7", (), 1, 2),
+    ("fig7", ("system.m_r=3.0",), 2, 2),
+    ("fig7", ("experiment.sweep=n_elements", "experiment.grid=5,10,15"), 3, 2),
+    ("fig8", (), 1, 19 * 2),
+    ("fig10", (), 1, 19 * 2),
+])
+def test_run_fits_each_law_and_builds_each_policy_once(tmp_path, monkeypatch, preset, sets, fits, policies):
+    # a sweep fits each distinct channel law once and builds each scheme's
+    # policy once per distinct [policy] section: fig7 sweeps the rate, fig8
+    # alpha and fig10 beta_r, which change the policy at every point
+    calls = {"fit": 0, "policy": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    fit = counted("fit", channel.gamma_fit)
+    for module in (channel, system):  # every module that binds the fit
+        if hasattr(module, "gamma_fit"):
+            monkeypatch.setattr(module, "gamma_fit", fit)
+    monkeypatch.setattr(cli, "build_policy", counted("policy", cli.build_policy))
+    argv = ["run", "--preset", preset, *(arg for kv in sets for arg in ("--set", kv)), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == {"fit": fits, "policy": policies}
+    if not sets:
+        assert hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest() == ANALYTIC_PRESET_SHA256[preset]
 
 
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -56,8 +56,9 @@ def test_gaconfig_validation():
         GaConfig(crossover_p=0.0)
     with pytest.raises(ValueError):
         GaConfig(mutation_p=1.0)
-    with pytest.raises(ValueError):
-        GaConfig(penalty_coef=0.0)
+    for coef in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="penalty_coef"):
+            GaConfig(penalty_coef=coef)
     with pytest.raises(ValueError):
         GaConfig(population=10, elitism=10)
     GaConfig(population=10, elitism=9)

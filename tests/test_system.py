@@ -1,11 +1,12 @@
 """Physical layer: path loss, the scheme table, uplink SNRs, SIC decode logic."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from starwpn.channel import NakagamiParams, cascade_moment
+from starwpn.channel import ChannelLaw, NakagamiParams, cascade_moment
 from starwpn.system import (
     EepPolicy,
     SystemConfig,
@@ -74,6 +75,32 @@ def test_config_validation():
     for key, value in (("d0", 1e-200), ("d0", 1e100), ("d_t", 1e200), ("d_r", 1e-150), ("exp0", 1000.0)):
         with pytest.raises(ValueError, match="path loss"):
             make_config(**{key: value})
+
+
+def test_config_rejects_rate_without_finite_positive_threshold():
+    # 2^R - 1 overflows past R = 1024 and rounds to 0 below R = 1.6e-16
+    for rate in (2000.0, 1024.0, 1e-16, 1e-300):
+        with pytest.raises(ValueError, match="rate_bps_hz"):
+            make_config(rate=rate)
+    assert make_config(rate=1023.5).snr_threshold < np.inf
+    assert make_config(rate=1e-15).snr_threshold > 0.0
+
+
+def test_config_takes_the_fits_of_a_given_law():
+    # configs handed one law object share its fits (one shared fit when both
+    # users' fades are equal); without one, and under dataclasses.replace,
+    # a config fits its own law; a law that is not the config's is rejected
+    nak3 = NakagamiParams(m=3.0, omega=1.0)
+    law = ChannelLaw(30, NAK2, NAK2, nak3)
+    a, b = make_config(rate=1.0, fading_r=nak3, law=law), make_config(rate=2.0, fading_r=nak3, law=law)
+    assert a.fit_t is b.fit_t is law.fit_t and a.fit_r is b.fit_r is law.fit_r and a.fit_r is not a.fit_t
+    fresh = dataclasses.replace(a)
+    assert fresh == a and fresh.fit_t is not a.fit_t and fresh.fit_t == a.fit_t
+    own = make_config()
+    assert own.fit_r is own.fit_t and make_config().fit_t is not own.fit_t
+    for other in (ChannelLaw(29, NAK2, NAK2, NAK2), ChannelLaw(30, NAK2, nak3, NAK2)):
+        with pytest.raises(ValueError, match="not the law"):
+            make_config(law=other)
 
 
 def test_uplink_snr_tep_unit_case():
