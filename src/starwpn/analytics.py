@@ -70,10 +70,9 @@ piece gives each of p_out_t, p_out_r and phi by the 7-point Gauss and the
 max(_CHECK_ABS, _CHECK_REL * |K15|) is redone at 32, 64, 128 and 256 panels;
 past that, QuadratureError is raised.  The K15 value is returned, so a row's
 value does not depend on the rows evaluated with it.  Every term of a row is
-a panel sum, so the check sees all of them, at N = 1 too.  No integral
-reads a Gauss-Hermite rule; the public functions still accept one.
-Probabilities are clamped to [0, 1] only after the check passes; clamp
-events are counted in `clamp_stats`.
+a panel sum, so the check sees all of them, at N = 1 too.  Probabilities
+are clamped to [0, 1] only after the check passes; clamp events are counted
+in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
 input montecarlo.mc_counts takes, and groups them by channel law (N and the
@@ -95,7 +94,7 @@ import numpy as np
 
 from . import system
 from .channel import (
-    TAIL_MASS, QuadratureRule, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_sf,
+    TAIL_MASS, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_sf,
     quartic_gain_table_mass,
 )
 
@@ -338,14 +337,14 @@ def _noma_rows(fit_t, fit_r, c_t, c_r, g) -> np.ndarray:
     return _clamp_probs(out, "noma closed form")
 
 
-def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
+def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g) -> np.ndarray:
     """Checked, clamped (p_out_t, p_out_r, phi) of NOMA rows as a (3, rows) array.
 
     All rows share the Gamma fits fit_t and fit_r; c_t, c_r and g are
     per-row arrays (g may be a scalar).  Rows are evaluated in blocks of
     _ROW_BLOCK, which bounds the kernel's working memory; a row's values do
     not depend on its block.  Raises QuadratureError if a row does not
-    converge.  rule is accepted and not read.
+    converge.
     """
     c_t = np.atleast_1d(np.asarray(c_t, dtype=float))
     c_r = np.atleast_1d(np.asarray(c_r, dtype=float))
@@ -362,21 +361,20 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, rule) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
+def closed_forms(cells) -> np.ndarray:
     """Checked (p_out_t, p_out_r, phi) of every (scheme, config, policy) cell.
 
     Returns a (len(cells), 3) array in the order given.  Cells are grouped by
     channel law (system.cell_groups), and each group's NOMA cells are
     evaluated in one call of noma_metrics_batch; an orthogonal scheme's users
     fail independently, so its outages are per-user Gamma CDFs and its
-    success probability their product of survivals.  quad, a Gauss-Hermite
-    rule, is accepted and not read: every integral is a checked panel sum.
+    success probability their product of survivals.
     """
     out = np.empty((len(cells), 3))
     for config, index, noma, c_t, c_r, g in system.cell_groups(cells):
         fit_t, fit_r = config.fit_t, config.fit_r
         if noma.any():
-            out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma], quad).T
+            out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma]).T
         orth = ~noma
         if orth.any():
             w_t, w_r = g[orth] / c_t[orth], g[orth] / c_r[orth]
@@ -386,15 +384,15 @@ def closed_forms(cells, quad: QuadratureRule = None) -> np.ndarray:
     return out
 
 
-def outage(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None):
+def outage(scheme: str, config: system.SystemConfig, policy):
     """Per-user outage probabilities (p_out_t, p_out_r) of one scheme."""
-    p_t, p_r, _ = closed_forms([(scheme, config, policy)], quad)[0].tolist()
+    p_t, p_r, _ = closed_forms([(scheme, config, policy)])[0].tolist()
     return p_t, p_r
 
 
-def success_prob(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> float:
+def success_prob(scheme: str, config: system.SystemConfig, policy) -> float:
     """Probability that both users are decoded in one block."""
-    return closed_forms([(scheme, config, policy)], quad)[0, 2].item()
+    return closed_forms([(scheme, config, policy)])[0, 2].item()
 
 
 def sum_throughput(scheme: str, outage_pair, rate: float, policy) -> float:
@@ -433,9 +431,9 @@ def average_aoi(phi: float) -> float:
     return 1.0 / phi
 
 
-def perf_report(scheme: str, config: system.SystemConfig, policy, quad: QuadratureRule = None) -> PerfReport:
+def perf_report(scheme: str, config: system.SystemConfig, policy) -> PerfReport:
     """All closed-form metrics of one scheme at one operating point."""
-    p_t, p_r, phi = closed_forms([(scheme, config, policy)], quad)[0].tolist()
+    p_t, p_r, phi = closed_forms([(scheme, config, policy)])[0].tolist()
     return PerfReport(
         p_out_t=p_t,
         p_out_r=p_r,

@@ -113,7 +113,12 @@ class GammaApprox:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a Gauss-Hermite rule (weight e^(-x^2) on R)."""
+    """Nodes and weights of a Gauss-Hermite rule (weight e^(-x^2) on R).
+
+    No closed form reads one.  Only cli's check of [quadrature] gh_order and
+    perfbench/worker.py's set-up step build one; all three go together
+    (ROADMAP item 8).
+    """
 
     order: int
     nodes: np.ndarray
@@ -265,18 +270,13 @@ def quartic_gain_isf(fit: GammaApprox, mass) -> np.ndarray:
     return (special.gammainccinv(fit.sum_shape, mass) / fit.theta) ** 4
 
 
-def quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
-    """Density of G^4, the derivative of quartic_gain_cdf.
+def log_quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
+    """Log of the density of G^4, the derivative of quartic_gain_cdf; safe for extreme arguments (x > 0).
 
     f(x) = theta^nk / (4 Gamma(nk)) * x^((nk-4)/4) * e^(-theta x^(1/4)) with
     nk = N*k the continuous shape: the change of variables of a
     Gamma(nk, theta) density under t -> t^4.
     """
-    return np.exp(log_quartic_gain_pdf(fit, x))
-
-
-def log_quartic_gain_pdf(fit: GammaApprox, x) -> np.ndarray:
-    """Log of quartic_gain_pdf, safe for extreme arguments (x > 0)."""
     x = np.asarray(x, dtype=float)
     nk = fit.sum_shape
     xs = np.maximum(x, 1e-300)
@@ -409,7 +409,11 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite nodes/weights of the given order (1 <= order <= 200)."""
+    """Gauss-Hermite nodes/weights of the given order (1 <= order <= 200).
+
+    Read by perfbench/worker.py's set-up step, which skips its config timing
+    without it; it stays until that step stops reading it (ROADMAP item 8).
+    """
     if not (1 <= order <= 200):
         raise ValueError(f"Gauss-Hermite order must be in [1, 200], got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(order)

@@ -67,6 +67,7 @@ DEFAULTS = {
         "tdma_alpha_ap_t": "0.25",
         "tdma_alpha_ap_r": "0.25",
     },
+    # read by no engine; validated by _quad_rule and kept for perfbench/worker.py (ROADMAP item 8)
     "quadrature": {"gh_order": "30"},
     "mc": {
         "trials": "1000000",
@@ -218,6 +219,7 @@ def _field_names(policy_cls) -> list:
 
 
 def _quad_rule(cfg: dict):
+    """Validate [quadrature] gh_order by building its rule, as perfbench/worker.py does (ROADMAP item 8)."""
     try:
         return gauss_hermite_rule(_get_int(cfg, "quadrature", "gh_order"))
     except ValueError as exc:
@@ -344,7 +346,7 @@ def cmd_run(cfg: dict) -> dict:
     threads = _get_int(cfg, "experiment", "threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    quad = _quad_rule(cfg)
+    _quad_rule(cfg)
 
     mc_cfg = None
     if engine in ("montecarlo", "both"):
@@ -372,7 +374,7 @@ def cmd_run(cfg: dict) -> dict:
 
     collected = []  # (value, scheme, engine, metric columns)
     if engine in ("analytic", "both"):
-        probs = analytics.closed_forms(cells, quad).tolist()
+        probs = analytics.closed_forms(cells).tolist()
         for (value, scheme), cell, row in zip(points, cells, probs):
             collected.append((value, scheme, "analytic", _metrics(*cell, row)))
     if engine in ("montecarlo", "both"):
@@ -422,7 +424,7 @@ def cmd_optimize(cfg: dict) -> dict:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid GA configuration: {exc}")
-    quad = _quad_rule(cfg)
+    _quad_rule(cfg)
 
     header = [
         "n_elements",
@@ -441,7 +443,7 @@ def cmd_optimize(cfg: dict) -> dict:
         swept = _apply_sweep(cfg, "n_elements", n, schemes=())
         config = build_system(swept)
         for problem in problems:
-            result = optimizer.ga_run(problem, config, delta_th, ga, quad=quad)
+            result = optimizer.ga_run(problem, config, delta_th, ga)
             lines.append(
                 ",".join(
                     [

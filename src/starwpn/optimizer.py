@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, system
-from .channel import QuadratureRule
 
 VAR_LO = 0.01
 VAR_HI = 0.99
@@ -76,8 +75,10 @@ class GaConfig:
             raise ValueError("crossover_p must lie in (0,1]")
         if not (0.0 <= self.mutation_p < 1.0):
             raise ValueError("mutation_p must lie in [0,1)")
-        if not (0.0 < self.penalty_coef < math.inf):  # inf times a zero violation is NaN
-            raise ValueError(f"penalty_coef must be finite and > 0, got {self.penalty_coef}")
+        # the penalty of an age at the cap, the largest there is, must be finite; NaN fails the first test
+        if not (0.0 < self.penalty_coef and self.penalty_coef * _AOI_CAP < math.inf):
+            raise ValueError(f"penalty_coef must be > 0 and its product with the age cap {_AOI_CAP:g} finite, "
+                             f"got {self.penalty_coef}: ga.penalty_coef is out of range")
         if not (0 <= self.elitism < self.population):
             raise ValueError("elitism must satisfy 0 <= elitism < population")
         if self.seed < 0:
@@ -144,22 +145,8 @@ def _bits_to_unit(bits: np.ndarray, bits_per_var: int) -> np.ndarray:
     return VAR_LO + (VAR_HI - VAR_LO) * levels / (2.0**bits_per_var - 1.0)
 
 
-def encode(alloc: Allocation, bits_per_var: int = 16) -> np.ndarray:
-    """Quantize an allocation to its Gray-coded chromosome (two variables)."""
-    top = 2**bits_per_var - 1
-    out = np.empty(2 * bits_per_var, dtype=np.uint8)
-    for i, v in enumerate((alloc.alpha, alloc.beta_r)):
-        level = int(round((v - VAR_LO) / (VAR_HI - VAR_LO) * top))
-        level = min(max(level, 0), top)
-        level ^= level >> 1
-        out[i * bits_per_var : (i + 1) * bits_per_var] = [
-            (level >> shift) & 1 for shift in range(bits_per_var - 1, -1, -1)
-        ]
-    return out
-
-
 def decode(bits: np.ndarray, scheme: str, bits_per_var: int = 16) -> Allocation:
-    """Inverse of encode; rejects chromosomes that are not two variables long."""
+    """The allocation of a Gray-coded chromosome; rejects chromosomes that are not two variables long."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or bits.size != 2 * bits_per_var:
         raise ValueError(f"expected {2 * bits_per_var} bits, got shape {bits.shape}")
@@ -172,7 +159,6 @@ def evaluate_batch(
     config: system.SystemConfig,
     values: np.ndarray,
     delta_th: float,
-    quad: QuadratureRule,
     penalty_coef: float,
 ):
     """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r).
@@ -185,7 +171,7 @@ def evaluate_batch(
     values = np.atleast_2d(np.asarray(values, dtype=float))
     policy = _policy(scheme, values[:, 0], values[:, 1])
     c_t, c_r = system.snr_coefficients(scheme, policy, config)
-    p_t, p_r, phi = analytics.noma_metrics_batch(config.fit_t, config.fit_r, c_t, c_r, config.snr_threshold, quad)
+    p_t, p_r, phi = analytics.noma_metrics_batch(config.fit_t, config.fit_r, c_t, c_r, config.snr_threshold)
     throughput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy)
     aoi = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
     return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi
@@ -195,14 +181,13 @@ def penalized_fitness(
     alloc: Allocation,
     config: system.SystemConfig,
     delta_th: float,
-    quad: QuadratureRule,
     penalty_coef: float = 1e3,
 ) -> float:
     """Throughput minus the linear age-violation penalty for one allocation."""
     if not (delta_th > 1.0):
         raise ValueError(f"delta_th must exceed 1, got {delta_th}")
     values = np.array([[alloc.alpha, alloc.beta_r]])
-    fitness, _, _ = evaluate_batch(alloc.scheme, config, values, delta_th, quad, penalty_coef)
+    fitness, _, _ = evaluate_batch(alloc.scheme, config, values, delta_th, penalty_coef)
     return float(fitness[0])
 
 
@@ -210,7 +195,6 @@ def grid_search(
     problem: str,
     config: system.SystemConfig,
     delta_th: float,
-    quad: QuadratureRule,
     steps: int = 256,
     penalty_coef: float = 1e3,
 ):
@@ -223,7 +207,7 @@ def grid_search(
     axis = np.linspace(VAR_LO, VAR_HI, steps)
     aa, bb = np.meshgrid(axis, axis, indexing="ij")
     values = np.column_stack([aa.ravel(), bb.ravel()])
-    fitness, _, _ = evaluate_batch(scheme, config, values, delta_th, quad, penalty_coef)
+    fitness, _, _ = evaluate_batch(scheme, config, values, delta_th, penalty_coef)
     best = int(np.argmax(fitness))
     return float(values[best, 0]), float(values[best, 1]), float(fitness[best])
 
@@ -240,7 +224,6 @@ def ga_run(
     config: system.SystemConfig,
     delta_th: float,
     ga: GaConfig,
-    quad: QuadratureRule = None,
 ) -> GaResult:
     """Run the GA and return the best allocation with its audit trail.
 
@@ -265,7 +248,7 @@ def ga_run(
         fresh = {k: i for i, k in enumerate(keys) if k not in memo}  # each new chromosome once, first seen first
         if fresh:
             values = _bits_to_unit(rows[list(fresh.values())], ga.bits_per_var)
-            fit, tput, age = evaluate_batch(scheme, config, values, delta_th, quad, ga.penalty_coef)
+            fit, tput, age = evaluate_batch(scheme, config, values, delta_th, ga.penalty_coef)
             for j, k in enumerate(fresh):
                 memo[k] = (float(fit[j]), float(tput[j]), float(age[j]))
         return np.array([memo[k][0] for k in keys])

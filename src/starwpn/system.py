@@ -272,14 +272,6 @@ def cell_groups(cells) -> list:
     return [(config, *(np.array(col) for col in zip(*rows))) for config, rows in groups.values()]
 
 
-def uplink_snrs(scheme: str, policy, config: SystemConfig, g_t, g_r):
-    """Per-user uplink SNRs (gamma_t, gamma_r) for realized gains."""
-    c_t, c_r = snr_coefficients(scheme, policy, config)
-    g_t = np.asarray(g_t, dtype=float)
-    g_r = np.asarray(g_r, dtype=float)
-    return c_t * g_t**4, c_r * g_r**4
-
-
 def sic_outcome(gamma_t, gamma_r, gamma_th: float, scratch=None):
     """Vectorized SIC decode outcome (t_decoded, r_decoded).
 

@@ -21,13 +21,11 @@ from starwpn.channel import (
     NakagamiParams,
     combined_gain_sample,
     gamma_fit,
-    gauss_hermite_rule,
     quartic_gain_cdf,
 )
 from starwpn.montecarlo import McConfig, aoi_simulate, mc_counts, mc_success
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
-QUAD = gauss_hermite_rule(30)
 SNR_GRID = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 
 TEP_D = system.TepPolicy(0.25, 0.25, 0.5, 0.6, 0.4)
@@ -93,8 +91,8 @@ def test_criterion_2_outage_matches_monte_carlo():
     for snr in SNR_GRID:
         cfg = make_config(snr, 1.0, 30)
         ana = {
-            "tep": analytics.outage("tep", cfg, TEP_D, QUAD),
-            "eep": analytics.outage("eep", cfg, EEP_D, QUAD),
+            "tep": analytics.outage("tep", cfg, TEP_D),
+            "eep": analytics.outage("eep", cfg, EEP_D),
             "tdma": analytics.outage("tdma", cfg, TDMA_D),
         }
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D), ("tdma", TDMA_D)):
@@ -133,8 +131,8 @@ def test_criterion_3_outage_orderings_at_40db():
     # At 40 dB (N=30, R=1): EEP beats TEP for the near user, TEP beats EEP
     # for the far user, and TDMA beats both NOMA schemes per user.
     cfg = make_config(40.0, 1.0, 30)
-    tep = analytics.outage("tep", cfg, TEP_D, QUAD)
-    eep = analytics.outage("eep", cfg, EEP_D, QUAD)
+    tep = analytics.outage("tep", cfg, TEP_D)
+    eep = analytics.outage("eep", cfg, EEP_D)
     tdma = analytics.outage("tdma", cfg, TDMA_D)
     checks = {
         "eep_t < tep_t": eep[0] < tep[0],
@@ -160,9 +158,9 @@ def test_criterion_4_single_throughput_crossover():
     for snr in SNR_GRID:
         cfg = make_config(snr, 2.0, 30)
         t_tep = analytics.sum_throughput(
-            "tep", analytics.outage("tep", cfg, TEP_D, QUAD), 2.0, TEP_D)
+            "tep", analytics.outage("tep", cfg, TEP_D), 2.0, TEP_D)
         t_eep = analytics.sum_throughput(
-            "eep", analytics.outage("eep", cfg, EEP_D, QUAD), 2.0, EEP_D)
+            "eep", analytics.outage("eep", cfg, EEP_D), 2.0, EEP_D)
         rows.append((snr, t_tep, t_eep))
     diffs = [t - e for _, t, e in rows]
     signs = [np.sign(d) for d in diffs]
@@ -196,7 +194,7 @@ def test_criterion_5_throughput_unimodality():
         ys = {"t": [], "r": []}
         for rate in r_grid:
             cfg = make_config(40.0, float(rate), 30)
-            pair = analytics.outage(scheme, cfg, pol, QUAD)
+            pair = analytics.outage(scheme, cfg, pol)
             ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], float(rate), pol))
             ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], float(rate), pol))
         for user, y in ys.items():
@@ -211,7 +209,7 @@ def test_criterion_5_throughput_unimodality():
                 pol = system.TepPolicy(rem, rem, float(a), 0.4, 0.6)
             else:
                 pol = system.EepPolicy(1.0 - float(a), float(a), 0.4, 0.6)
-            pair = analytics.outage(scheme, cfg, pol, QUAD)
+            pair = analytics.outage(scheme, cfg, pol)
             ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], 2.0, pol))
             ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], 2.0, pol))
         for user, y in ys.items():
@@ -234,7 +232,7 @@ def test_criterion_6_aoi_consistency():
     cfg = make_config(35.0, 2.0, 32)
     rows = {}
     for scheme, pol in (("tep", TEP_6), ("eep", EEP_6), ("tdma", TDMA_D)):
-        phi = analytics.success_prob(scheme, cfg, pol, QUAD)
+        phi = analytics.success_prob(scheme, cfg, pol)
         mc_phi, _ = mc_success(scheme, cfg, pol, McConfig(trials=10**6, seed=271))
         trace = aoi_simulate(phi, 10**6, seed=99)
         phat = trace.successes / trace.slots
@@ -270,7 +268,7 @@ def test_criterion_7_aoi_optimal_power_split():
     aois = []
     for b in beta_grid:
         pol = system.EepPolicy(0.5, 0.5, 1.0 - float(b), float(b))
-        aois.append(analytics.average_aoi(analytics.success_prob("eep", cfg, pol, QUAD)))
+        aois.append(analytics.average_aoi(analytics.success_prob("eep", cfg, pol)))
     i = int(np.argmin(aois))
     beta_star = float(beta_grid[i])
     ok = 0.5 <= beta_star <= 0.7
@@ -297,8 +295,8 @@ def test_criterion_8_ga_dominance_and_grid_match():
     for n in (10, 20, 30, 40, 50):
         cfg = make_config(35.0, 2.0, n)
         for problem, default in (("p1", DEFAULT_P1), ("p2", DEFAULT_P2)):
-            res = optimizer.ga_run(problem, cfg, 10.0, ga, quad=QUAD)
-            base = optimizer.penalized_fitness(default, cfg, 10.0, QUAD, ga.penalty_coef)
+            res = optimizer.ga_run(problem, cfg, 10.0, ga)
+            base = optimizer.penalized_fitness(default, cfg, 10.0, ga.penalty_coef)
             rows.append((n, problem, res.best_fitness, base, res.feasible))
             if n == 30:
                 kept[problem] = res
@@ -306,7 +304,7 @@ def test_criterion_8_ga_dominance_and_grid_match():
     grid_gaps = {}
     cfg30 = make_config(35.0, 2.0, 30)
     for problem in ("p1", "p2"):
-        a, b, f = optimizer.grid_search(problem, cfg30, 10.0, QUAD, steps=256)
+        a, b, f = optimizer.grid_search(problem, cfg30, 10.0, steps=256)
         res = kept[problem]
         grid_gaps[problem] = (
             abs(res.best.alpha - a) / cell,
@@ -335,21 +333,18 @@ def test_criterion_8_ga_dominance_and_grid_match():
     assert matched, detail
 
 
-def test_criterion_9_numerical_hygiene():
-    # Quadrature convergence: the 30- and 40-node rules agree to 1e-6 on all
-    # outage and success probabilities over the 20-50 dB grid. A 500-point
-    # randomized parameter sweep yields only finite probabilities in [0, 1]
-    # (clamping is bookkept, nothing unclamped escapes).
-    q40 = gauss_hermite_rule(40)
-    worst = 0.0
-    for snr in SNR_GRID:
-        cfg = make_config(snr, 1.0, 30)
-        for scheme, pol in (("tep", TEP_D), ("eep", EEP_D)):
-            a = analytics.outage(scheme, cfg, pol, QUAD)
-            b = analytics.outage(scheme, cfg, pol, q40)
-            worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
-            worst = max(worst, abs(analytics.success_prob(scheme, cfg, pol, QUAD)
-                                   - analytics.success_prob(scheme, cfg, pol, q40)))
+def test_criterion_9_numerical_hygiene(monkeypatch):
+    # Quadrature convergence: the checked closed forms and the same forms with
+    # every row started at twice the panels agree to 1e-6 on all outage and
+    # success probabilities over the 20-50 dB grid. A 500-point randomized
+    # parameter sweep yields only finite probabilities in [0, 1] (clamping is
+    # bookkept, nothing unclamped escapes).
+    cells = [(scheme, make_config(snr, 1.0, 30), pol)
+             for snr in SNR_GRID for scheme, pol in (("tep", TEP_D), ("eep", EEP_D))]
+    first = analytics.closed_forms(cells)
+    monkeypatch.setattr(analytics, "_PANELS_FIRST", 2 * analytics._PANELS_FIRST)
+    worst = float(np.max(np.abs(analytics.closed_forms(cells) - first)))
+    monkeypatch.undo()
     rng = np.random.default_rng(987654321)
     clamp_stats.reset()
     bad = 0
@@ -375,14 +370,14 @@ def test_criterion_9_numerical_hygiene():
             a = float(rng.uniform(0.05, 0.45))
             c = float(rng.uniform(0.1, 0.9))
             pol = system.TdmaPolicy(a, a, (1.0 - 2.0 * a) * c, (1.0 - 2.0 * a) * (1.0 - c))
-        rep = analytics.perf_report(scheme, cfg, pol, QUAD)
+        rep = analytics.perf_report(scheme, cfg, pol)
         vals = (rep.p_out_t, rep.p_out_r, rep.success_prob)
         if not all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals):
             bad += 1
         if not (math.isfinite(rep.sum_throughput) and rep.sum_throughput >= 0.0):
             bad += 1
     ok = worst < 1e-6 and bad == 0
-    detail = (f"node-count invariance worst diff {worst:.2e} (target < 1e-6); "
+    detail = (f"panel-doubling invariance worst diff {worst:.2e} (target < 1e-6); "
               f"sweep: {bad} bad outputs in 500 points, "
               f"{clamp_stats.events} clamps over {clamp_stats.checked} checks")
     report(9, ok, detail)

@@ -23,10 +23,9 @@ from starwpn.analytics import (
     sum_throughput,
     user_throughput,
 )
-from starwpn.channel import NakagamiParams, gamma_fit, gauss_hermite_rule, quartic_gain_pdf, quartic_gain_quantiles
+from starwpn.channel import NakagamiParams, gamma_fit, quartic_gain_quantiles
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
-QUAD = gauss_hermite_rule(30)
 
 TEP = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.6, beta_r=0.4)
 EEP = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
@@ -128,10 +127,10 @@ def test_outage_tep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=35.0, rate=2.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
     assert abs(p_t - ref_t) < 1e-6 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    phi = success_prob("tep", cfg, TEP, QUAD)
+    phi = success_prob("tep", cfg, TEP)
     assert abs(phi - ref_phi) < 1e-9 * ref_phi
 
     # t near the surface, r far from it: the deadlock is under
@@ -141,20 +140,20 @@ def test_outage_tep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    assert abs(success_prob("tep", cfg, TEP, QUAD) - ref_phi) < 1e-5 * ref_phi
+    assert abs(success_prob("tep", cfg, TEP) - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=30.0, rate=1.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("eep", cfg, EEP, QUAD)
+    p_t, p_r = outage("eep", cfg, EEP)
     assert abs(p_t - ref_t) < 1e-7 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    phi = success_prob("eep", cfg, EEP, QUAD)
+    phi = success_prob("eep", cfg, EEP)
     assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
 
     # t near the surface, r far from it: the deadlock is under
@@ -164,10 +163,10 @@ def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("eep", cfg, EEP, QUAD)
+    p_t, p_r = outage("eep", cfg, EEP)
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    assert abs(success_prob("eep", cfg, EEP, QUAD) - ref_phi) < 1e-5 * ref_phi
+    assert abs(success_prob("eep", cfg, EEP) - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_below_unity_threshold_matches_quadrature():
@@ -179,8 +178,8 @@ def test_outage_below_unity_threshold_matches_quadrature():
     # the oracle's deadlock integrand is signed, so its outputs miss the
     # both-decodable-first overlap mass j in a fixed pattern: each outage is
     # low by j and the success probability is high by j
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
-    phi = success_prob("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
+    phi = success_prob("tep", cfg, TEP)
     j1 = p_t - ref_t
     j2 = p_r - ref_r
     j3 = ref_phi - phi
@@ -215,7 +214,7 @@ def test_outage_below_unity_threshold_matches_quadrature():
     assert lower > quartic_gain_quantiles(fit_t)[1]
     overlap = quad_expect(fit_t, both_first, lower, math.inf, [2 * lower], epsabs=0.0)
     assert overlap > 0.25 * (tails - overlap)
-    assert abs(success_prob("tep", cfg, TEP, QUAD) - (tails - overlap)) < 1e-5 * (tails - overlap)
+    assert abs(success_prob("tep", cfg, TEP) - (tails - overlap)) < 1e-5 * (tails - overlap)
 
 
 def test_direct_deadlock_below_unity_threshold():
@@ -243,7 +242,7 @@ def test_direct_deadlock_below_unity_threshold():
                     + quad_expect(fit_r, window, g / c_r, g / (c_r * (1.0 - g))))
         assert deadlock < analytics._DEADLOCK_SWITCH
         ref_t = deadlock + quad_expect(fit_t, r_first, 0.0, g / c_t, [g / (2 * c_t)])
-        assert abs(outage("tep", cfg, TEP, QUAD)[0] - ref_t) < 1e-10 * ref_t
+        assert abs(outage("tep", cfg, TEP)[0] - ref_t) < 1e-10 * ref_t
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -262,8 +261,8 @@ def test_small_n_matches_adaptive_quadrature(scheme, n):
         cfg = make_config(snr_db=snr_db, rate=2.0, n=n, d0=d0)
         c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
         ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-        p_t, p_r = outage(scheme, cfg, pol, QUAD)
-        phi = success_prob(scheme, cfg, pol, QUAD)
+        p_t, p_r = outage(scheme, cfg, pol)
+        phi = success_prob(scheme, cfg, pol)
         assert abs(p_t - ref_t) < 1e-7 * ref_t
         assert abs(p_r - ref_r) < 1e-7 * ref_r
         assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
@@ -272,35 +271,35 @@ def test_small_n_matches_adaptive_quadrature(scheme, n):
 
 def test_frozen_reference_values():
     cfg = make_config(snr_db=35.0, rate=1.0)
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
     assert abs(p_r - 1.569143411059e-01) < 1e-9 * 1.569143411059e-01
     assert abs(p_t - 3.791373880205e-08) < 1e-6 * 3.791373880205e-08
-    p_t20, _ = outage("tep", make_config(snr_db=20.0, rate=1.0), TEP, QUAD)
+    p_t20, _ = outage("tep", make_config(snr_db=20.0, rate=1.0), TEP)
     assert abs(p_t20 - 4.265677070e-01) < 1e-6
 
 
 def test_outage_vanishing_threshold():
     cfg = make_config(rate=1e-9)
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
     assert p_t < 1e-6 and p_r < 1e-6
-    p_t, p_r = outage("eep", cfg, EEP, QUAD)
+    p_t, p_r = outage("eep", cfg, EEP)
     assert p_t < 1e-6 and p_r < 1e-6
     p_t, p_r = outage("tdma", cfg, TDMA)
     assert p_t < 1e-200 and p_r < 1e-200
-    assert success_prob("tep", cfg, TEP, QUAD) > 1.0 - 1e-6
+    assert success_prob("tep", cfg, TEP) > 1.0 - 1e-6
     assert success_prob("tdma", cfg, TDMA) > 1.0 - 1e-6
 
 
 def test_outage_vanishing_power():
     cfg = make_config(snr_db=-40.0)
-    for pair in (outage("tep", cfg, TEP, QUAD), outage("eep", cfg, EEP, QUAD), outage("tdma", cfg, TDMA)):
+    for pair in (outage("tep", cfg, TEP), outage("eep", cfg, EEP), outage("tdma", cfg, TDMA)):
         assert pair[0] > 1.0 - 1e-6 and pair[1] > 1.0 - 1e-6
 
 
 def test_eep_symmetric_users():
     cfg = make_config(d_t=3.0, d_r=3.0)
     pol = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.5, beta_r=0.5)
-    p_t, p_r = outage("eep", cfg, pol, QUAD)
+    p_t, p_r = outage("eep", cfg, pol)
     assert abs(p_t - p_r) < 1e-10
 
 
@@ -310,14 +309,14 @@ def test_eep_beta_shift_lowers_outage():
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     for snr in (25.0, 30.0, 35.0, 40.0):
         cfg = make_config(snr_db=snr)
-        _, pr_lo = outage("eep", cfg, base, QUAD)
-        _, pr_hi = outage("eep", cfg, boosted, QUAD)
+        _, pr_lo = outage("eep", cfg, base)
+        _, pr_hi = outage("eep", cfg, boosted)
         assert pr_hi < pr_lo
     # at 20 dB both sit within representation noise of 1; only require that
     # the shift does not measurably hurt
     cfg = make_config(snr_db=20.0)
-    _, pr_lo = outage("eep", cfg, base, QUAD)
-    _, pr_hi = outage("eep", cfg, boosted, QUAD)
+    _, pr_lo = outage("eep", cfg, base)
+    _, pr_hi = outage("eep", cfg, boosted)
     assert pr_hi <= pr_lo + 1e-12
 
 
@@ -328,8 +327,8 @@ def test_eep_beta_shift_reverses_when_deadlock_dominates():
     base = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     cfg = make_config(snr_db=50.0)
-    p_lo = outage("eep", cfg, base, QUAD)
-    p_hi = outage("eep", cfg, boosted, QUAD)
+    p_lo = outage("eep", cfg, base)
+    p_hi = outage("eep", cfg, boosted)
     assert p_hi[1] > p_lo[1]
     assert abs(p_hi[1] - 1.303448e-05) < 1e-3 * 1.303448e-05
     # pure deadlock regime: both users fail together
@@ -348,8 +347,8 @@ def test_mirror_symmetry():
     cfg = make_config(snr_db=35.0, rate=2.0)
     mirror = make_config(snr_db=35.0, rate=2.0, d_t=4.0, d_r=2.0)
     pol_m = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.4, beta_r=0.6)
-    p = outage("tep", cfg, TEP, QUAD)
-    q = outage("tep", mirror, pol_m, QUAD)
+    p = outage("tep", cfg, TEP)
+    q = outage("tep", mirror, pol_m)
     assert abs(p[0] - q[1]) < 1e-10
     assert abs(p[1] - q[0]) < 1e-10
 
@@ -358,30 +357,25 @@ def test_outage_monotone_in_snr_and_elements():
     tep_prev = (1.1, 1.1)
     for snr in range(20, 55, 5):
         cfg = make_config(snr_db=float(snr))
-        pair = outage("tep", cfg, TEP, QUAD)
+        pair = outage("tep", cfg, TEP)
         assert pair[0] <= tep_prev[0] + 1e-12
         assert pair[1] <= tep_prev[1] + 1e-12
         tep_prev = pair
     prev = (1.1, 1.1)
     for n in (10, 20, 30, 40):
-        pair = outage("tep", make_config(n=n), TEP, QUAD)
+        pair = outage("tep", make_config(n=n), TEP)
         assert pair[0] <= prev[0] + 1e-12
         assert pair[1] <= prev[1] + 1e-12
         prev = pair
 
 
-def test_quadrature_order_stability():
-    # closed forms must be insensitive to the Gauss-Hermite order used
-    w30 = gauss_hermite_rule(30)
-    w40 = gauss_hermite_rule(40)
-    cfg = make_config()
-    for scheme, pol in (("tep", TEP), ("eep", EEP)):
-        a = outage(scheme, cfg, pol, w30)
-        b = outage(scheme, cfg, pol, w40)
-        assert abs(a[0] - b[0]) < 1e-6
-        assert abs(a[1] - b[1]) < 1e-6
-    assert abs(success_prob("tep", cfg, TEP, w30) - success_prob("tep", cfg, TEP, w40)) < 1e-6
-    assert abs(success_prob("eep", cfg, EEP, w30) - success_prob("eep", cfg, EEP, w40)) < 1e-6
+def test_quadrature_order_stability(monkeypatch):
+    # the closed forms at the defaults do not move when every row starts at
+    # twice the panels
+    cells = [("tep", make_config(), TEP), ("eep", make_config(), EEP)]
+    first = analytics.closed_forms(cells)
+    monkeypatch.setattr(analytics, "_PANELS_FIRST", 2 * analytics._PANELS_FIRST)
+    assert np.all(np.abs(analytics.closed_forms(cells) - first) < 1e-6)
 
 
 def test_sum_throughput_forms():
@@ -400,8 +394,8 @@ def test_sum_throughput_forms():
 
 def test_noma_beats_baseline_at_high_snr():
     cfg = make_config(snr_db=40.0, rate=2.0)
-    t_tep = sum_throughput("tep", outage("tep", cfg, TEP, QUAD), cfg.rate, TEP)
-    t_eep = sum_throughput("eep", outage("eep", cfg, EEP, QUAD), cfg.rate, EEP)
+    t_tep = sum_throughput("tep", outage("tep", cfg, TEP), cfg.rate, TEP)
+    t_eep = sum_throughput("eep", outage("eep", cfg, EEP), cfg.rate, EEP)
     t_tdma = sum_throughput("tdma", outage("tdma", cfg, TDMA), cfg.rate, TDMA)
     assert t_tep > t_tdma
     assert t_eep > t_tdma
@@ -420,19 +414,11 @@ def test_average_aoi_values():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_success_prob_default_rule():
-    # no rule means the 30-node Gauss-Hermite rule, as in perf_report
-    cfg = make_config()
-    for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
-        assert success_prob(scheme, cfg, pol) == success_prob(scheme, cfg, pol, QUAD)
-        assert outage(scheme, cfg, pol) == outage(scheme, cfg, pol, QUAD)
-
-
 def test_success_prob_bounded_by_marginals():
     for snr in (25.0, 30.0, 35.0):
         cfg = make_config(snr_db=snr, rate=2.0)
-        p_t, p_r = outage("tep", cfg, TEP, QUAD)
-        phi = success_prob("tep", cfg, TEP, QUAD)
+        p_t, p_r = outage("tep", cfg, TEP)
+        phi = success_prob("tep", cfg, TEP)
         assert phi <= min(1.0 - p_t, 1.0 - p_r) + 1e-9
 
 
@@ -445,14 +431,14 @@ def test_tdma_success_factorizes():
 
 def test_perf_report_consistency():
     cfg = make_config(snr_db=35.0, rate=2.0)
-    rep = perf_report("tep", cfg, TEP, QUAD)
+    rep = perf_report("tep", cfg, TEP)
     assert isinstance(rep, PerfReport)
-    p_t, p_r = outage("tep", cfg, TEP, QUAD)
+    p_t, p_r = outage("tep", cfg, TEP)
     assert abs(rep.p_out_t - p_t) < 1e-12
     assert abs(rep.p_out_r - p_r) < 1e-12
     assert abs(rep.sum_throughput - sum_throughput("tep", (p_t, p_r), 2.0, TEP)) < 1e-12
     assert abs(rep.avg_aoi - 1.0 / rep.success_prob) < 1e-9
-    # default rule path and the baseline scheme
+    # the other NOMA scheme and the baseline
     rep2 = perf_report("eep", cfg, EEP)
     assert 0.0 <= rep2.p_out_t <= 1.0
     rep3 = perf_report("tdma", cfg, TDMA)
@@ -469,7 +455,7 @@ def _batch_rows(cases, n):
         c_t.append(ct)
         c_r.append(cr)
         g.append(cfg.snr_threshold)
-        rep = perf_report(scheme, cfg, pol, QUAD)
+        rep = perf_report(scheme, cfg, pol)
         scalar.append((rep.p_out_t, rep.p_out_r, rep.success_prob))
     fit_t = gamma_fit(cfg.fading_ris, cfg.fading_t, cfg.n_elements)
     fit_r = gamma_fit(cfg.fading_ris, cfg.fading_r, cfg.n_elements)
@@ -494,16 +480,16 @@ def test_batch_matches_scalar_path():
     n30_noma = [i for i, (scheme, cfg, _) in enumerate(cells) if scheme != "tdma" and cfg.n_elements == 30]
     assert len(n30_noma) > analytics._ROW_BLOCK
 
-    probs = analytics.closed_forms(cells, QUAD)
+    probs = analytics.closed_forms(cells)
     assert probs.shape == (len(cells), 3)
     # p_t bounds the deadlock from above, so this row took the direct branch
     assert probs[deadlock_row, 0] < analytics._DEADLOCK_SWITCH
     order = np.random.default_rng(7).permutation(len(cells))
-    assert np.array_equal(analytics.closed_forms([cells[i] for i in order], QUAD), probs[order])
+    assert np.array_equal(analytics.closed_forms([cells[i] for i in order]), probs[order])
     for cell, row in zip(cells, probs.tolist()):
-        rep = perf_report(*cell, QUAD)
+        rep = perf_report(*cell)
         assert row == [rep.p_out_t, rep.p_out_r, rep.success_prob]
-        assert row == list(outage(*cell, QUAD)) + [success_prob(*cell, QUAD)]
+        assert row == list(outage(*cell)) + [success_prob(*cell)]
 
 
 def test_batch_doubles_panels_only_where_needed(monkeypatch):
@@ -523,7 +509,7 @@ def test_batch_doubles_panels_only_where_needed(monkeypatch):
     cases = [("tep", 30.0, 2.0, 3.0), ("eep", 40.0, 2.0, 3.0), ("tep", 30.0, 2.0, 30.0), ("tep", 40.0, 4.0, 3.0)]
     fit_t, fit_r, c_t, c_r, g, scalar = _batch_rows(cases, n=1)
     seen.clear()
-    p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g, QUAD)
+    p_t, p_r, phi = noma_metrics_batch(fit_t, fit_r, c_t, c_r, g)
     assert seen[0][0] == analytics._PANELS_FIRST and np.array_equal(seen[0][1], c_t)
     assert len(seen) > 1
     for (npanel, _, failed), (next_npanel, rows, _) in zip(seen, seen[1:]):
@@ -598,7 +584,7 @@ def test_tiny_phi_matches_adaptive_quadrature(snr_db, scheme, rate):
     pol = {"tep": TEP, "eep": EEP}[scheme]
     ref_phi = quad_oracle_noma(cfg, *system.snr_coefficients(scheme, pol, cfg))[2]
     assert 0.0 < ref_phi < 1e-14
-    assert abs(success_prob(scheme, cfg, pol, QUAD) - ref_phi) < 1e-5 * ref_phi
+    assert abs(success_prob(scheme, cfg, pol) - ref_phi) < 1e-5 * ref_phi
 
 
 def _criterion9_cells():
@@ -628,8 +614,8 @@ def _criterion9_cells():
 def test_first_pass_agrees_with_doubled_panels(monkeypatch):
     # criterion 9's 334 NOMA draws, N = 1 to 40: a checked row that starts at
     # 16 panels agrees with one forced to start at 32, within the check's own
-    # tolerance.  Criterion 9's 30- against 40-node prong reads 0 now that no
-    # integral uses the Gauss-Hermite rule, so this is the convergence prong.
+    # tolerance.  Criterion 9's first prong makes the same comparison on its
+    # 20-50 dB grid.
     cells = [cell for cell in _criterion9_cells() if cell[0] != "tdma"]
     assert len(cells) == 334
     first = analytics.closed_forms(cells)
@@ -685,9 +671,9 @@ def test_unconverged_rows_raise(monkeypatch):
     fit = gamma_fit(NAK2, NAK2, 30)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     with pytest.raises(QuadratureError, match="did not converge"):
-        noma_metrics_batch(fit, fit, np.array([c_t, c_t]), np.array([c_r, 2 * c_r]), cfg.snr_threshold, QUAD)
+        noma_metrics_batch(fit, fit, np.array([c_t, c_t]), np.array([c_r, 2 * c_r]), cfg.snr_threshold)
     with pytest.raises(QuadratureError, match="did not converge"):
-        perf_report("eep", cfg, EEP, QUAD)
+        perf_report("eep", cfg, EEP)
 
 
 def test_scheme_constants_positive():
@@ -735,7 +721,7 @@ def test_randomized_sweep_stays_in_range():
             pol = system.TdmaPolicy(
                 alpha_t=a, alpha_r=a, alpha_ap_t=up * c, alpha_ap_r=up * (1.0 - c)
             )
-        rep = perf_report(scheme, cfg, pol, QUAD)
+        rep = perf_report(scheme, cfg, pol)
         assert 0.0 <= rep.p_out_t <= 1.0
         assert 0.0 <= rep.p_out_r <= 1.0
         assert 0.0 <= rep.success_prob <= 1.0

@@ -1,0 +1,53 @@
+"""The API that code outside the package reads: the README example and the benchmark's names."""
+
+import inspect
+import re
+from pathlib import Path
+
+from starwpn import analytics, channel, cli, montecarlo, optimizer, system
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"## Python API in one minute\n+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split("\n")
+    assert len(printed) == 3 and printed[-1] == ""
+
+
+# Every name that perfbench/worker.py and perfbench/tracer.py resolve, with the
+# parameter names the tracer's counters bind.  A missing name does not fail
+# the benchmark: it drops the metrics built on it, as deleting
+# channel.gauss_hermite_rule once dropped setup.config_s.  This list changes
+# with the benchmark's hooks (ROADMAP item 8).
+BENCHMARK_NAMES = {
+    (cli, "build_parser"): (),
+    (cli, "load_config"): (),
+    (channel, "gauss_hermite_rule"): (),
+    (channel, "gamma_fit"): (),
+    (system, "sic_outcome"): ("gamma_t",),
+    (cli, "cmd_run"): (),
+    (cli, "cmd_optimize"): (),
+    (cli, "_write_outputs"): (),
+    (analytics, "perf_report"): (),
+    (analytics, "noma_metrics_batch"): ("c_t",),
+    (montecarlo, "mc_gains"): ("mc",),
+    (montecarlo, "mc_outage"): (),
+    (montecarlo, "mc_success"): (),
+    (optimizer, "ga_run"): ("ga",),
+    (optimizer, "evaluate_batch"): ("values",),
+}
+
+
+def test_benchmark_names_resolve():
+    for (module, name), params in BENCHMARK_NAMES.items():
+        fn = getattr(module, name, None)
+        assert inspect.isfunction(fn), f"{module.__name__}.{name}"
+        assert set(params) <= set(inspect.signature(fn).parameters), f"{module.__name__}.{name}"
+    # the worker's set-up step: resolve the preset and build the rule from its key
+    cfg = cli.load_config(None, "fig4", [])
+    assert channel.gauss_hermite_rule(int(cfg["quadrature"]["gh_order"])).order == 30
+    # the traced clamp counters
+    assert isinstance(analytics.clamp_stats.events, int) and isinstance(analytics.clamp_stats.checked, int)

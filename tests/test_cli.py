@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import traceback
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import starwpn
 from starwpn import analytics, channel, cli, system
-from starwpn.channel import NakagamiParams, gauss_hermite_rule
+from starwpn.channel import NakagamiParams
 from starwpn.cli import (
     ConfigError,
     build_policy,
@@ -182,7 +183,7 @@ def test_cmd_run_analytic_csv_shape(tmp_path):
     # spot-check one cell against a direct evaluation
     cfg35 = build_system(cli._apply_sweep(cfg, "snr_db", 35.0, ("tep",)))
     pol = build_policy(cfg, "tep")
-    want = analytics.outage("tep", cfg35, pol, gauss_hermite_rule(30))[0]
+    want = analytics.outage("tep", cfg35, pol)[0]
     got = float([c for c in cells if c[0] == "35" and c[1] == "tep"][0][3])
     assert got == pytest.approx(want, rel=1e-15)
 
@@ -458,11 +459,12 @@ def test_main_rejects_fading_without_finite_support(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("override", ["system.rate_bps_hz=2000", "system.rate_bps_hz=1e-300",
-                                      "ga.penalty_coef=inf", "ga.penalty_coef=nan"])
+                                      "ga.penalty_coef=inf", "ga.penalty_coef=nan", "ga.penalty_coef=1e300"])
 def test_main_rejects_rate_without_threshold_and_unusable_penalty(tmp_path, capsys, override):
     # 2^R - 1 overflows at R = 2000 and is 0 below R = 1.6e-16; an infinite or
-    # NaN penalty turns every fitness into NaN.  Each exits 2 naming its key,
-    # with no warning
+    # NaN penalty turns every fitness into NaN, and 1e300 times the age cap
+    # overflows to a fitness of -inf.  Each exits 2 naming its key, with no
+    # warning
     runs = [("optimize", "fig11", ["--set", "ga.n_grid=30", "--set", "ga.generations=5"])]
     if override.startswith("system."):
         runs.append(("run", "fig4", ["--set", "experiment.grid=40", "--set", "experiment.engine=analytic"]))
@@ -473,8 +475,83 @@ def test_main_rejects_rate_without_threshold_and_unusable_penalty(tmp_path, caps
         assert code == 2
         err = capsys.readouterr().err
         key = override.split("=")[0]
-        assert "config error" in err and (key if key.startswith("system.") else key.split(".")[-1]) in err
+        assert "config error" in err and key in err
     assert not any(tmp_path.iterdir())
+
+
+FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "4.9e-324", "", "x")
+# keys that size a run's work take only small values; their extremes are left to validation
+FUZZ_SIZES = {"mc.trials", "ga.population", "ga.generations", "ga.n_grid", "system.n_elements", "experiment.threads"}
+FUZZ_SIZE_VALUES = ("0", "-1", "1", "2", "nan", "", "x")
+FUZZ_RUN = ("run", "--preset", "fig4", "--set", "experiment.grid=40", "--set", "experiment.engine=both",
+            "--set", "mc.trials=3000", "--set", "experiment.metrics=" + ",".join(cli.METRICS))
+FUZZ_OPTIMIZE = ("optimize", "--preset", "fig11", "--set", "ga.n_grid=5", "--set", "ga.generations=2",
+                 "--set", "ga.population=4")
+
+
+def _fuzz_cases(seed=20251020, pairs=200):
+    """(command, overrides): every config key at every edge value, then seeded pairs of such overrides.
+
+    A [ga] key runs optimize, an [mc] or [policy] key run, and any other key
+    both, as does a pair.
+    """
+    keys = [f"{section}.{key}" for section, names in cli.DEFAULTS.items() for key in names]
+    keys += [f"{section}.{key}" for section, names in cli.EXTRA_KEYS.items() for key in sorted(names)]
+
+    def values(key):
+        return FUZZ_SIZE_VALUES if key in FUZZ_SIZES else FUZZ_VALUES
+
+    overrides = [(f"{key}={value}",) for key in keys for value in values(key)]
+    rng = np.random.default_rng(seed)
+    for _ in range(pairs):
+        overrides.append(tuple(f"{key}={rng.choice(values(key))}" for key in rng.choice(keys, size=2, replace=False)))
+    cases = []
+    for sets in overrides:
+        sections = {kv.split(".")[0] for kv in sets}
+        cases += [(base, sets) for base, skip in ((FUZZ_RUN, {"ga"}), (FUZZ_OPTIMIZE, {"mc", "policy"}))
+                  if not sections & skip]
+    return cases
+
+
+def test_config_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
+    # every key of the config at 0, -1, tiny, huge, NaN, infinite, subnormal,
+    # empty and non-numeric values, one at a time and in seeded pairs: each
+    # run exits 0, 2 or 3 with no traceback and no warning, and writes only
+    # finite numbers, except the age (and its standard error) where phi is 0
+    monkeypatch.chdir(tmp_path)
+    cases = _fuzz_cases()
+    assert len(cases) > 700
+    faults = []
+    for i, (base, sets) in enumerate(cases):
+        case = f"{base[0]} {' '.join(sets)}"
+        argv = [*base, "--set", f"experiment.out_dir=case{i}", *(arg for kv in sets for arg in ("--set", kv))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        except Exception as exc:  # an escape is the finding; keep going to report them all
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            faults.append(f"{case}: {type(exc).__name__} at {where.filename}:{where.lineno}: {exc}")
+            continue
+        out, err = capsys.readouterr()
+        if code not in (0, 2, 3) or "Traceback" in err:
+            faults.append(f"{case}: exit {code}: {err.strip()}")
+            continue
+        for path in out.split():
+            if not path.endswith(".csv"):
+                continue
+            header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+            for row in rows:
+                cols = dict(zip(header, row))
+                for name, text in cols.items():
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        continue  # a scheme, an engine, a problem, a flag or an empty se
+                    aoi_inf = name in ("aoi", "aoi_se") and value == np.inf and float(cols["aoi"]) == np.inf
+                    if not (np.isfinite(value) or aoi_inf):
+                        faults.append(f"{case}: {name} = {text} in {row}")
+    assert not faults, "\n".join(faults[:20])
 
 
 @pytest.mark.parametrize("preset, sets, fits, policies", [

@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 from starwpn import analytics, optimizer, system
-from starwpn.channel import NakagamiParams, gauss_hermite_rule
+from starwpn.channel import NakagamiParams
 from starwpn.optimizer import (
     Allocation,
     GaConfig,
     decode,
-    encode,
     ga_run,
     grid_search,
     penalized_fitness,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
-QUAD = gauss_hermite_rule(30)
 
 
 def make_config(snr_db=30.0, rate=2.0, n=8):
@@ -30,7 +28,7 @@ def make_config(snr_db=30.0, rate=2.0, n=8):
     )
 
 
-def separable_stub(scheme, config, values, delta_th, quad, penalty_coef):
+def separable_stub(scheme, config, values, delta_th, penalty_coef):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     x, y = values[:, 0], values[:, 1]
     f = -((x - 0.3) ** 2) - (y - 0.7) ** 2
@@ -56,9 +54,10 @@ def test_gaconfig_validation():
         GaConfig(crossover_p=0.0)
     with pytest.raises(ValueError):
         GaConfig(mutation_p=1.0)
-    for coef in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="penalty_coef"):
+    for coef in (0.0, -1.0, math.inf, math.nan, 1e300):  # 1e300 times the age cap overflows
+        with pytest.raises(ValueError, match="ga.penalty_coef"):
             GaConfig(penalty_coef=coef)
+    GaConfig(penalty_coef=1e290)
     with pytest.raises(ValueError):
         GaConfig(population=10, elitism=10)
     GaConfig(population=10, elitism=9)
@@ -86,20 +85,30 @@ def test_allocation_validation_and_policy():
     assert pol.beta_t == pytest.approx(0.55, rel=1e-15)
 
 
+def gray_bits(level, bits=16):
+    """The reflected Gray code of an integer level, most significant bit first."""
+    gray = level ^ (level >> 1)
+    return np.array([(gray >> shift) & 1 for shift in range(bits - 1, -1, -1)], dtype=np.uint8)
+
+
 def test_encode_decode_bounds():
     zeros = np.zeros(32, dtype=np.uint8)
     a = decode(zeros, "tep")
     assert a.alpha == 0.01 and a.beta_r == 0.01
-    top = encode(Allocation(scheme="eep", alpha=0.99, beta_r=0.99))
+    top = np.concatenate([gray_bits(2**16 - 1)] * 2)
     a = decode(top, "eep")
     assert a.alpha == pytest.approx(0.99, rel=1e-15)
     assert a.beta_r == pytest.approx(0.99, rel=1e-15)
-    # adjacent levels encode one bit apart (Gray code), also across the
-    # 0x9FFF -> 0xA000 boundary where a plain binary code flips 14 bits
-    step = 0.98 / (2**16 - 1)
-    lo, hi = (Allocation(scheme="tep", alpha=0.01 + lvl * step, beta_r=0.5)
-              for lvl in (0x9FFF, 0xA000))
-    assert int(np.count_nonzero(encode(lo) != encode(hi))) == 1
+    # adjacent levels are one bit apart (Gray code), also across the
+    # 0x9FFF -> 0xA000 boundary where a plain binary code flips 14 bits, and
+    # decode to neighbouring values; likewise on an 8-bit code
+    for bits, lvl in ((16, 0x9FFF), (8, 0x9F)):
+        step = 0.98 / (2**bits - 1)
+        lo, hi = (np.concatenate([gray_bits(v, bits), gray_bits(0, bits)]) for v in (lvl, lvl + 1))
+        assert int(np.count_nonzero(lo != hi)) == 1
+        a, b = decode(lo, "tep", bits), decode(hi, "tep", bits)
+        assert a.alpha == pytest.approx(0.01 + lvl * step, rel=1e-15)
+        assert b.alpha - a.alpha == pytest.approx(step, rel=1e-9)
 
 
 def test_decode_rejects_bad_length():
@@ -111,33 +120,14 @@ def test_decode_rejects_bad_length():
         decode(np.zeros(32, dtype=np.uint8), "tep", bits_per_var=12)
 
 
-def test_encode_decode_roundtrip_quantization():
-    rng = np.random.default_rng(99)
-    step = 0.98 / (2**16 - 1)
-    for _ in range(1000):
-        alpha, beta = rng.uniform(0.01, 0.99, size=2)
-        a = Allocation(scheme="tep", alpha=float(alpha), beta_r=float(beta))
-        b = decode(encode(a), "tep")
-        assert abs(b.alpha - a.alpha) <= step
-        assert abs(b.beta_r - a.beta_r) <= step
-
-
-def test_encode_decode_roundtrip_short_code():
-    a = Allocation(scheme="eep", alpha=0.62, beta_r=0.38)
-    b = decode(encode(a, bits_per_var=8), "eep", bits_per_var=8)
-    step = 0.98 / (2**8 - 1)
-    assert abs(b.alpha - a.alpha) <= step
-    assert abs(b.beta_r - a.beta_r) <= step
-
-
 def test_penalized_fitness_zero_penalty_branch():
     cfg = make_config(snr_db=60.0)
     alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
     pol = alloc.policy()
-    phi = analytics.success_prob("tep", cfg, pol, QUAD)
+    phi = analytics.success_prob("tep", cfg, pol)
     delta = 1.0 / phi
-    fit = penalized_fitness(alloc, cfg, delta_th=delta + 5.0, quad=QUAD)
-    p_t, p_r = analytics.outage("tep", cfg, pol, QUAD)
+    fit = penalized_fitness(alloc, cfg, delta_th=delta + 5.0)
+    p_t, p_r = analytics.outage("tep", cfg, pol)
     tput = analytics.sum_throughput("tep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput, rel=1e-9)
 
@@ -146,11 +136,11 @@ def test_penalized_fitness_linear_penalty_branch():
     cfg = make_config(snr_db=60.0)
     alloc = Allocation(scheme="eep", alpha=0.5, beta_r=0.4)
     pol = alloc.policy()
-    phi = analytics.success_prob("eep", cfg, pol, QUAD)
+    phi = analytics.success_prob("eep", cfg, pol)
     delta = 1.0 / phi
     assert delta > 2.0, "test point must violate by a unit margin"
-    fit = penalized_fitness(alloc, cfg, delta_th=delta - 1.0, quad=QUAD)
-    p_t, p_r = analytics.outage("eep", cfg, pol, QUAD)
+    fit = penalized_fitness(alloc, cfg, delta_th=delta - 1.0)
+    p_t, p_r = analytics.outage("eep", cfg, pol)
     tput = analytics.sum_throughput("eep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
 
@@ -167,10 +157,10 @@ def test_evaluate_batch_matches_scalar_path(scheme, m_r):
     axis = np.array([0.01, 0.2, 0.45, 0.7, 0.99])
     values = np.array([(a, b) for a in axis for b in axis])
     delta_th, coef = 10.0, 1e3
-    fitness, throughput, aoi = optimizer.evaluate_batch(scheme, cfg, values, delta_th, QUAD, coef)
+    fitness, throughput, aoi = optimizer.evaluate_batch(scheme, cfg, values, delta_th, coef)
     assert (aoi < delta_th).any() and (aoi > delta_th).any()
     for row, (alpha, beta_r) in enumerate(values.tolist()):
-        rep = analytics.perf_report(scheme, cfg, Allocation(scheme, alpha, beta_r).policy(), QUAD)
+        rep = analytics.perf_report(scheme, cfg, Allocation(scheme, alpha, beta_r).policy())
         age = 1.0 / max(rep.success_prob, 1e-12)
         assert throughput[row] == rep.sum_throughput
         assert aoi[row] == age
@@ -187,20 +177,20 @@ def test_evaluate_batch_rejects_variables_outside_unit_interval(alpha, beta_r):
         with pytest.raises(ValueError):
             Allocation(scheme, alpha, beta_r)
         with pytest.raises(ValueError, match="must lie strictly inside"):
-            optimizer.evaluate_batch(scheme, cfg, values, 10.0, QUAD, 1e3)
+            optimizer.evaluate_batch(scheme, cfg, values, 10.0, 1e3)
     with pytest.raises(ValueError, match="scheme must be"):
-        optimizer.evaluate_batch("tdma", cfg, values[:1], 10.0, QUAD, 1e3)
+        optimizer.evaluate_batch("tdma", cfg, values[:1], 10.0, 1e3)
 
 
 def test_penalized_fitness_validates_threshold():
     cfg = make_config()
     alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
     with pytest.raises(ValueError):
-        penalized_fitness(alloc, cfg, delta_th=1.0, quad=QUAD)
+        penalized_fitness(alloc, cfg, delta_th=1.0)
 
 
 def test_constant_objective_returns_it(monkeypatch):
-    def const_stub(scheme, config, values, delta_th, quad, penalty_coef):
+    def const_stub(scheme, config, values, delta_th, penalty_coef):
         n = np.atleast_2d(values).shape[0]
         return np.ones(n), np.ones(n), np.ones(n)
 
@@ -250,7 +240,7 @@ def test_history_nondecreasing_with_elitism(monkeypatch):
 
 
 def test_infeasible_everywhere_flagged(monkeypatch):
-    def infeasible_stub(scheme, config, values, delta_th, quad, penalty_coef):
+    def infeasible_stub(scheme, config, values, delta_th, penalty_coef):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         x, y = values[:, 0], values[:, 1]
         f = -((x - 0.3) ** 2) - (y - 0.7) ** 2
@@ -266,7 +256,7 @@ def test_infeasible_everywhere_flagged(monkeypatch):
 
 def recording_stub(age_of_alpha, seen):
     """f = alpha + beta_r with the given age; appends every row it is given to seen."""
-    def stub(scheme, config, values, delta_th, quad, penalty_coef):
+    def stub(scheme, config, values, delta_th, penalty_coef):
         values = np.atleast_2d(np.asarray(values, dtype=float))
         seen.extend(map(tuple, values))
         f = values[:, 0] + values[:, 1]
@@ -309,7 +299,7 @@ def test_each_chromosome_priced_once(monkeypatch):
 def test_ga_real_problem_smoke_and_flags():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=16, generations=12, seed=42)
-    res = ga_run("p2", cfg, delta_th=10.0, ga=ga, quad=QUAD)
+    res = ga_run("p2", cfg, delta_th=10.0, ga=ga)
     assert 0.01 <= res.best.alpha <= 0.99
     assert 0.01 <= res.best.beta_r <= 0.99
     assert isinstance(res.best.policy(), system.EepPolicy)
@@ -337,7 +327,7 @@ def test_grid_search_finds_stub_optimum(monkeypatch):
     cfg = make_config()
     steps = 65
     cell = 0.98 / (steps - 1)
-    alpha, beta, fit = grid_search("p1", cfg, delta_th=10.0, quad=QUAD, steps=steps)
+    alpha, beta, fit = grid_search("p1", cfg, delta_th=10.0, steps=steps)
     assert abs(alpha - 0.3) <= cell / 2 + 1e-12
     assert abs(beta - 0.7) <= cell / 2 + 1e-12
     assert fit == pytest.approx(-((alpha - 0.3) ** 2) - (beta - 0.7) ** 2, rel=1e-12)
@@ -347,7 +337,7 @@ def test_ga_matches_grid_oracle_on_stub(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate_batch", separable_stub)
     cfg = make_config()
     ga_fit = ga_run("p1", cfg, delta_th=10.0, ga=GaConfig(seed=1)).best_fitness
-    _, _, grid_fit = grid_search("p1", cfg, delta_th=10.0, quad=QUAD, steps=256)
+    _, _, grid_fit = grid_search("p1", cfg, delta_th=10.0, steps=256)
     cell = 0.98 / 255
     # Lipschitz bound of the quadratic over the box: |grad| <= 2*sqrt(0.69^2+0.98^2)
     lipschitz = 2.0 * math.hypot(0.98 - 0.3, 0.99 - 0.01)
@@ -357,7 +347,7 @@ def test_ga_matches_grid_oracle_on_stub(monkeypatch):
 def test_memoization_consistency():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=10, generations=6, seed=2)
-    res = ga_run("p1", cfg, delta_th=10.0, ga=ga, quad=QUAD)
-    direct = penalized_fitness(res.best, cfg, delta_th=10.0, quad=QUAD,
+    res = ga_run("p1", cfg, delta_th=10.0, ga=ga)
+    direct = penalized_fitness(res.best, cfg, delta_th=10.0,
                                penalty_coef=ga.penalty_coef)
     assert direct == pytest.approx(res.best_fitness, rel=1e-12)

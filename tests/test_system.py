@@ -15,7 +15,6 @@ from starwpn.system import (
     pathloss,
     sic_outcome,
     snr_coefficients,
-    uplink_snrs,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
@@ -32,8 +31,6 @@ def make_config(**over):
 
 
 TEP = TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.6, beta_r=0.4)
-EEP = EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
-TDMA = TdmaPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap_t=0.25, alpha_ap_r=0.25)
 
 
 def test_pathloss_values():
@@ -106,16 +103,16 @@ def test_config_takes_the_fits_of_a_given_law():
 def test_uplink_snr_tep_unit_case():
     cfg = make_config(p_ap=1.0, n0=1.0, d0=1.0, d_t=1.0, d_r=1.0)
     pol = SimpleNamespace(alpha_t=0.3, alpha_r=0.4, alpha_ap=0.3, beta_t=1.0, beta_r=1.0)
-    g_t, g_r = uplink_snrs("tep", pol, cfg, 1.0, 1.0)
-    assert abs(g_t - 1.0) < 1e-15
+    c_t, _ = snr_coefficients("tep", pol, cfg)
+    assert abs(c_t * 1.0**4 - 1.0) < 1e-15
 
 
 def test_uplink_snr_eep_beta_squared():
     cfg = make_config()
     lo = SimpleNamespace(alpha_et=0.5, alpha_it=0.5, beta_t=0.3, beta_r=0.7)
     hi = SimpleNamespace(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.7)
-    s_lo = uplink_snrs("eep", lo, cfg, 2.0, 2.0)[0]
-    s_hi = uplink_snrs("eep", hi, cfg, 2.0, 2.0)[0]
+    s_lo = snr_coefficients("eep", lo, cfg)[0] * 2.0**4
+    s_hi = snr_coefficients("eep", hi, cfg)[0] * 2.0**4
     assert abs(s_hi - 4.0 * s_lo) < 1e-9 * s_hi
 
 
@@ -137,17 +134,8 @@ def test_uplink_snr_hand_evaluation_40db():
     )
     l_t = 1.0 / 3600.0
     expect = 1.0 * l_t**2 * 0.6 * 0.25 / (0.5 * 1e-4) * e4
-    got = uplink_snrs("tep", TEP, cfg, e4**0.25, e4**0.25)[0]
+    got = snr_coefficients("tep", TEP, cfg)[0] * e4
     assert abs(got - expect) < 1e-12 * expect
-
-
-def test_snr_coefficients_match_uplink_snrs():
-    cfg = make_config()
-    for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA)):
-        c_t, c_r = snr_coefficients(scheme, pol, cfg)
-        g_t, g_r = uplink_snrs(scheme, pol, cfg, 2.0, 3.0)
-        assert abs(g_t - c_t * 16.0) < 1e-12 * g_t
-        assert abs(g_r - c_r * 81.0) < 1e-12 * g_r
 
 
 def test_snr_coefficients_reject_unknown_scheme():
@@ -199,8 +187,8 @@ def test_user_symmetry():
     mirror = make_config(d_t=4.0, d_r=2.0)
     pol = TepPolicy(alpha_t=0.3, alpha_r=0.2, alpha_ap=0.5, beta_t=0.7, beta_r=0.3)
     swapped = TepPolicy(alpha_t=0.2, alpha_r=0.3, alpha_ap=0.5, beta_t=0.3, beta_r=0.7)
-    a_t, a_r = uplink_snrs("tep", pol, cfg, 2.0, 3.0)
-    b_t, b_r = uplink_snrs("tep", swapped, mirror, 3.0, 2.0)
+    a_t, a_r = snr_coefficients("tep", pol, cfg)
+    b_t, b_r = snr_coefficients("tep", swapped, mirror)
     assert abs(a_t - b_r) < 1e-15 and abs(a_r - b_t) < 1e-15
     t1, r1 = sic_outcome(np.array([5.0]), np.array([1.5]), 1.0)
     t2, r2 = sic_outcome(np.array([1.5]), np.array([5.0]), 1.0)
@@ -212,9 +200,7 @@ def test_tdma_users_decoupled():
     cfg_b = make_config(d_r=9.0)
     pol_a = TdmaPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap_t=0.3, alpha_ap_r=0.2)
     pol_b = TdmaPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap_t=0.3, alpha_ap_r=0.2)
-    assert uplink_snrs("tdma", pol_a, cfg_a, 2.0, 3.0)[0] == uplink_snrs(
-        "tdma", pol_b, cfg_b, 2.0, 5.0
-    )[0]
+    assert snr_coefficients("tdma", pol_a, cfg_a)[0] == snr_coefficients("tdma", pol_b, cfg_b)[0]
 
 
 def test_policy_validation():
