@@ -352,6 +352,30 @@ def test_mc_preset_bytes_are_pinned(tmp_path, preset):
     assert digest == MC_PRESET_SHA256[preset]
 
 
+# CSV bytes of the other presets' analytic rows, of an element-count sweep
+# and of the GA preset, each as (argv, output file, sha256)
+OTHER_PRESET_SHA256 = {
+    "fig5": (("run", "--preset", "fig5", "--set", "experiment.engine=analytic"), "fig5.csv",
+             "ff2c43ce047e1bbdf4e2b6ed4d70a51212c5817cfa1fe845fc949fd20709f307"),
+    "fig6": (("run", "--preset", "fig6", "--set", "experiment.engine=analytic"), "fig6.csv",
+             "d3cf1f0a9e356e65d6b742e5766ce6631575d3906958bcf8a6a274968ecd08d1"),
+    "fig9": (("run", "--preset", "fig9", "--set", "experiment.engine=analytic"), "fig9.csv",
+             "8e40066af6ba5786093b161e5a250545a0b92ce18d76882319b1cd971c23ce11"),
+    "fig7-n_elements": (("run", "--preset", "fig7", "--set", "experiment.sweep=n_elements",
+                         "--set", "experiment.grid=5,10,15"), "fig7.csv",
+                        "2008c2c43088b64c4ef5e61ccb10d5c70ec54f48ea80c0a429a13341e17b2cf2"),
+    "fig11": (("optimize", "--preset", "fig11"), "fig11_optimize.csv",
+              "91fe6f6fe78be7305896bcb46e1982a22554e0e0faebc26f6e730e6338fd8a81"),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_PRESET_SHA256)
+def test_other_preset_bytes_are_pinned(tmp_path, case):
+    argv, name, want = OTHER_PRESET_SHA256[case]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
 def test_package_version_matches_pyproject():
     # the manifest records __version__ as the key of Monte Carlo byte
     # stability, so the installed metadata must agree with it
