@@ -75,15 +75,15 @@ are clamped to [0, 1] only after the check passes; clamp events are counted
 in `clamp_stats`.
 
 closed_forms is the one entry: it takes (scheme, config, policy) cells, the
-input montecarlo.mc_counts takes, and groups them by channel law (N and the
-three fading laws) with system.cell_groups, so a group shares the pair of
-Gamma fits, and their tables, that its first config keeps.  A group's NOMA
-cells go to noma_metrics_batch, which feeds the checked evaluator in blocks
-of _ROW_BLOCK rows to bound its working memory; its orthogonal cells are
-one vectorized Gamma CDF and survival evaluation.  outage, success_prob and
+input montecarlo.mc_counts takes, and groups them by config.law (N and the
+three fading laws) with system.cell_groups, so a group shares the Gamma
+fits, and their tables, of one channel.ChannelLaw.  A group's NOMA cells go
+to noma_metrics_batch, which feeds the checked evaluator in blocks of
+_ROW_BLOCK rows to bound its working memory; its orthogonal cells are one
+vectorized Gamma CDF and survival evaluation.  outage, success_prob and
 perf_report are one-cell calls of it, and the CLI passes its whole cell
 list.  optimizer.evaluate_batch, whose rows share one scheme and one
-config, calls noma_metrics_batch directly.
+config, calls noma_metrics_batch directly on the fits of config.law.
 """
 
 import math
@@ -371,8 +371,8 @@ def closed_forms(cells) -> np.ndarray:
     success probability their product of survivals.
     """
     out = np.empty((len(cells), 3))
-    for config, index, noma, c_t, c_r, g in system.cell_groups(cells):
-        fit_t, fit_r = config.fit_t, config.fit_r
+    for law, index, noma, c_t, c_r, g in system.cell_groups(cells):
+        fit_t, fit_r = law.fit_t, law.fit_r
         if noma.any():
             out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma]).T
         orth = ~noma

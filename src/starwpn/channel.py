@@ -167,9 +167,10 @@ class ChannelLaw:
 
     Its Gamma fits are made on first read and kept, fit_r being fit_t when
     both users' fades share one law, so that the fit's tables are built
-    once.  Equal laws compare and hash equal, so a run can keep one law
-    object per distinct law and hand it to every system.SystemConfig that
-    has it.
+    once.  Equal laws compare and hash equal.  Every system.SystemConfig
+    holds its law as `config.law`, and configs derived from one by
+    dataclasses.replace share it while N and the fading laws stay; both
+    engines group cells by it and read the fits and fading laws from it.
     """
 
     n_elements: int

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, montecarlo, optimizer, system
-from .channel import ChannelLaw, NakagamiParams, gauss_hermite_rule
+from .channel import NakagamiParams, gauss_hermite_rule
 
 
 class ConfigError(Exception):
@@ -97,6 +97,7 @@ EXTRA_KEYS = {"ga": {"delta_th"}}
 SWEEP_VARS = ("snr_db", "n_elements", "rate", "alpha", "beta_r")
 METRICS = ("outage_t", "outage_r", "throughput_t", "throughput_r", "sum_throughput", "phi", "aoi")
 ENGINES = ("analytic", "montecarlo", "both")
+MAX_GRID_POINTS = 10**6  # of a start:stop:step grid; the largest preset has 20
 
 
 def _known_presets():
@@ -164,21 +165,20 @@ def _get_int(cfg, section, key):
     return _get(cfg, section, key, int, "an integer")
 
 
-def build_system(cfg: dict, laws: dict = None) -> system.SystemConfig:
-    """The system of cfg's [system] section.
-
-    laws, if given, maps each channel law to the one channel.ChannelLaw that
-    a run shares: the config takes the fits of the law already there, or
-    adds its own.
-    """
-    p_ap = _get_float(cfg, "system", "p_ap_watts")
-    snr_db = _get_float(cfg, "system", "snr_db")
+def _noise_power(p_ap: float, snr_db: float) -> float:
+    """The noise power p_ap / 10^(snr_db/10) at a transmit SNR of snr_db dB."""
     try:
-        n0 = p_ap / 10.0 ** (snr_db / 10.0)
+        return p_ap / 10.0 ** (snr_db / 10.0)
     except ArithmeticError:  # 10^(snr_db/10) overflows, or underflows to a zero divisor
         raise ConfigError(f"system.snr_db = {snr_db} gives no finite positive noise power") from None
+
+
+def build_system(cfg: dict) -> system.SystemConfig:
+    """The system of cfg's [system] section."""
+    p_ap = _get_float(cfg, "system", "p_ap_watts")
+    n0 = _noise_power(p_ap, _get_float(cfg, "system", "snr_db"))
     try:
-        fields = dict(
+        return system.SystemConfig(
             p_ap=p_ap,
             n0=n0,
             d0=_get_float(cfg, "system", "d0_m"),
@@ -193,13 +193,16 @@ def build_system(cfg: dict, laws: dict = None) -> system.SystemConfig:
             fading_r=NakagamiParams(_get_float(cfg, "system", "m_r"), _get_float(cfg, "system", "omega_r")),
             rate=_get_float(cfg, "system", "rate_bps_hz"),
         )
-        law = None
-        if laws is not None:
-            law = ChannelLaw(fields["n_elements"], fields["fading_ris"], fields["fading_t"], fields["fading_r"])
-            law = laws.setdefault(law, law)
-        return system.SystemConfig(**fields, law=law)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _replace(obj, context: str = "", **changes):
+    """dataclasses.replace(obj, **changes); a ValueError of the new object's checks is a config error."""
+    try:
+        return dataclasses.replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{context}{exc}")
 
 
 def build_policy(cfg: dict, scheme: str):
@@ -209,13 +212,9 @@ def build_policy(cfg: dict, scheme: str):
         raise ConfigError(f"unknown scheme {scheme!r}")
     p = cfg["policy"]
     try:
-        return spec.policy(**{name: float(p[f"{scheme}_{name}"]) for name in _field_names(spec.policy)})
+        return spec.policy(**{f.name: float(p[f"{scheme}_{f.name}"]) for f in dataclasses.fields(spec.policy)})
     except ValueError as exc:
         raise ConfigError(f"invalid {scheme} policy: {exc}")
-
-
-def _field_names(policy_cls) -> list:
-    return [f.name for f in dataclasses.fields(policy_cls)]
 
 
 def _quad_rule(cfg: dict):
@@ -239,8 +238,10 @@ def parse_grid(text: str, as_int: bool = False):
             raise ConfigError(f"range grid values must be numbers, got {text!r}")
         if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
             raise ConfigError(f"bad grid range {text!r}")
-        count = int(round((stop - start) / step))
-        values = [start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-9]
+        count = (stop - start) / step
+        if not count + 1.0 <= MAX_GRID_POINTS:  # the quotient may overflow to inf
+            raise ConfigError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
+        values = [start + i * step for i in range(int(round(count)) + 1) if start + i * step <= stop + 1e-9]
     else:
         try:
             values = [float(x) for x in text.split(",") if x.strip()]
@@ -258,39 +259,23 @@ def parse_grid(text: str, as_int: bool = False):
     return values
 
 
-def _apply_sweep(cfg: dict, var: str, value, schemes) -> dict:
-    out = {section: dict(keys) for section, keys in cfg.items()}
+def _sweep_point(var: str, value, config: system.SystemConfig, policies: dict):
+    """The config and each scheme's policy of `policies` at one grid point of a sweep over var.
+
+    snr_db sets the noise power, and rate and n_elements their fields; alpha
+    sets the shared NOMA uplink share, and beta_r the surface split.
+    """
     if var == "snr_db":
-        out["system"]["snr_db"] = repr(float(value))
-    elif var == "n_elements":
-        out["system"]["n_elements"] = str(int(value))
-    elif var == "rate":
-        out["system"]["rate_bps_hz"] = repr(float(value))
-    elif var == "alpha":
-        _check_sweep_schemes(var, schemes, lambda spec: spec.noma)
-        v = float(value)
-        remainder = (1.0 - v) / 2.0
-        out["policy"]["tep_alpha_ap"] = repr(v)
-        out["policy"]["tep_alpha_t"] = repr(remainder)
-        out["policy"]["tep_alpha_r"] = repr(remainder)
-        out["policy"]["eep_alpha_it"] = repr(v)
-        out["policy"]["eep_alpha_et"] = repr(1.0 - v)
-    elif var == "beta_r":
-        _check_sweep_schemes(var, schemes, lambda spec: "beta_r" in _field_names(spec.policy))
-        v = float(value)
-        for scheme in schemes:
-            out["policy"][f"{scheme}_beta_r"] = repr(v)
-            out["policy"][f"{scheme}_beta_t"] = repr(1.0 - v)
-    else:
-        raise ConfigError(f"unknown sweep variable {var!r}; choose from {SWEEP_VARS}")
-    return out
-
-
-def _check_sweep_schemes(var: str, schemes, accepts) -> None:
-    """alpha sets the one shared uplink share of NOMA; beta_r, the surface split."""
-    for scheme in schemes:
-        if not accepts(system.SCHEMES[scheme]):
-            raise ConfigError(f"the {var} sweep does not apply to scheme {scheme!r}")
+        return _replace(config, n0=_noise_power(config.p_ap, value)), policies
+    if var in ("rate", "n_elements"):
+        return _replace(config, **{var: value}), policies
+    if var == "alpha":
+        remainder = (1.0 - value) / 2.0
+        changes = {"tep": dict(alpha_ap=value, alpha_t=remainder, alpha_r=remainder),
+                   "eep": dict(alpha_it=value, alpha_et=1.0 - value)}
+    else:  # beta_r
+        changes = dict.fromkeys(("tep", "eep"), dict(beta_r=value, beta_t=1.0 - value))
+    return config, {s: _replace(p, f"invalid {s} policy: ", **changes[s]) for s, p in policies.items()}
 
 
 def _csv_num(value) -> str:
@@ -359,18 +344,21 @@ def cmd_run(cfg: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid mc configuration: {exc}")
 
-    # one (scheme, config, policy) cell per grid point and scheme; one fit
-    # per distinct channel law and one policy per distinct [policy] section
-    points, cells, laws, policies = [], [], {}, {}
-    for value in grid:
-        swept = _apply_sweep(cfg, sweep, value, schemes)
-        config = build_system(swept, laws)
-        section = tuple(swept["policy"].items())
+    if sweep in ("alpha", "beta_r"):  # NOMA's shared uplink share and surface split
         for scheme in schemes:
-            if (scheme, section) not in policies:
-                policies[scheme, section] = build_policy(swept, scheme)
+            if not system.SCHEMES[scheme].noma:
+                raise ConfigError(f"the {sweep} sweep does not apply to scheme {scheme!r}")
+    # one (scheme, config, policy) cell per grid point and scheme; a point
+    # replaces fields of the one config and policies, so that the points of
+    # one channel law share its fits
+    base = build_system(cfg)
+    policies = {scheme: build_policy(cfg, scheme) for scheme in schemes}
+    points, cells = [], []
+    for value in grid:
+        config, swept = _sweep_point(sweep, value, base, policies)
+        for scheme in schemes:
             points.append((value, scheme))
-            cells.append((scheme, config, policies[scheme, section]))
+            cells.append((scheme, config, swept[scheme]))
 
     collected = []  # (value, scheme, engine, metric columns)
     if engine in ("analytic", "both"):
@@ -439,9 +427,9 @@ def cmd_optimize(cfg: dict) -> dict:
         "best_fitness",
     ]
     lines = [",".join(header)]
+    base = build_system(cfg)
     for n in n_grid:
-        swept = _apply_sweep(cfg, "n_elements", n, schemes=())
-        config = build_system(swept)
+        config = _replace(base, n_elements=n)
         for problem in problems:
             result = optimizer.ga_run(problem, config, delta_th, ga)
             lines.append(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import system
+from . import channel, system
 
 GAIN_MODES = ("independent_gains", "shared_h")
 
@@ -131,8 +131,8 @@ def _neg_unit_gamma(rng: np.random.Generator, m: float, out: np.ndarray, factor:
     return np.negative(rng.standard_gamma(m, out=out), out=out)
 
 
-def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int, rows: int) -> np.ndarray:
-    """(G_t, G_r) of the first `rows` trials of a chunk, as a (2, rows) array.
+def _chunk_gains(law: channel.ChannelLaw, mc: McConfig, index: int, rows: int) -> np.ndarray:
+    """(G_t, G_r) under `law` of the first `rows` trials of a chunk, as a (2, rows) array.
 
     The chunk is drawn in blocks of _BLOCK rows, only as many blocks as hold
     `rows` trials.  Each block draws the surface-side Gamma(m, 1) matrix x,
@@ -143,8 +143,8 @@ def _chunk_gains(config: system.SystemConfig, mc: McConfig, index: int, rows: in
     of uniforms, serve every block of the chunk.
     """
     rng = _chunk_rng(mc.seed, index)
-    ris, hops = config.fading_ris, (config.fading_t, config.fading_r)
-    x, y, factor = np.empty((3, _BLOCK, config.n_elements))
+    ris, hops = law.fading_ris, (law.fading_t, law.fading_r)
+    x, y, factor = np.empty((3, _BLOCK, law.n_elements))
     sums = np.empty((2, -(-rows // _BLOCK) * _BLOCK))
     for start in range(0, sums.shape[1], _BLOCK):
         _neg_unit_gamma(rng, ris.m, x, factor)
@@ -171,25 +171,26 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
     `k` trials of any run are bit-identical for every trials >= k: a
     longer simulation strictly refines a shorter one with the same seed.
     """
-    g_t, g_r = np.concatenate([_chunk_gains(config, mc, idx, rows) for idx, rows in _chunks(mc.trials)], axis=1)
+    g_t, g_r = np.concatenate([_chunk_gains(config.law, mc, idx, rows) for idx, rows in _chunks(mc.trials)], axis=1)
     return g_t, g_r
 
 
 def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
     """McCounts of every (scheme, config, policy) cell, in the order given.
 
-    Cells whose configs agree on the channel law (N and the three fading
-    laws, `system.cell_groups`) share one gain ensemble.  Each chunk of an
-    ensemble is drawn once, every cell of the ensemble is decoded on it
-    once, and the chunk is dropped; chunks run on `threads` workers.  Each
-    chunk's decode reuses one set of scratch rows for every cell: the SNRs
-    c * q, the cross-SINR quotient and four boolean masks.
+    Cells whose configs have equal laws, `config.law` (N and the three
+    fading laws, grouped by `system.cell_groups`), share one gain ensemble,
+    drawn from that law.  Each chunk of an ensemble is drawn once, every
+    cell of the ensemble is decoded on it once, and the chunk is dropped;
+    chunks run on `threads` workers.  Each chunk's decode reuses one set of
+    scratch rows for every cell: the SNRs c * q, the cross-SINR quotient and
+    four boolean masks.
     """
     tasks = [(group, chunk) for group in system.cell_groups(cells) for chunk in _chunks(mc.trials)]
 
     def count(task):
-        (config, index, *decoders), (idx, rows) = task
-        q = _chunk_gains(config, mc, idx, rows)
+        (law, index, *decoders), (idx, rows) = task
+        q = _chunk_gains(law, mc, idx, rows)
         q_t, q_r = np.power(q, 4, out=q)
         gamma_t, gamma_r, quotient = np.empty((3, rows))
         masks = np.empty((4, rows), dtype=bool)

@@ -165,30 +165,16 @@ def evaluate_batch(
 
     The rows are priced as one policy whose fields are arrays: one call of
     system.snr_coefficients, one of analytics.noma_metrics_batch on the
-    config's fits, and one of analytics.sum_throughput.  A row whose alpha
-    or beta_r lies outside (0, 1) raises ValueError.
+    fits of config.law, and one of analytics.sum_throughput.  A row whose
+    alpha or beta_r lies outside (0, 1) raises ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     policy = _policy(scheme, values[:, 0], values[:, 1])
     c_t, c_r = system.snr_coefficients(scheme, policy, config)
-    p_t, p_r, phi = analytics.noma_metrics_batch(config.fit_t, config.fit_r, c_t, c_r, config.snr_threshold)
+    p_t, p_r, phi = analytics.noma_metrics_batch(config.law.fit_t, config.law.fit_r, c_t, c_r, config.snr_threshold)
     throughput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy)
     aoi = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
     return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi
-
-
-def penalized_fitness(
-    alloc: Allocation,
-    config: system.SystemConfig,
-    delta_th: float,
-    penalty_coef: float = 1e3,
-) -> float:
-    """Throughput minus the linear age-violation penalty for one allocation."""
-    if not (delta_th > 1.0):
-        raise ValueError(f"delta_th must exceed 1, got {delta_th}")
-    values = np.array([[alloc.alpha, alloc.beta_r]])
-    fitness, _, _ = evaluate_batch(alloc.scheme, config, values, delta_th, penalty_coef)
-    return float(fitness[0])
 
 
 def grid_search(

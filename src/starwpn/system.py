@@ -16,12 +16,12 @@ scheme table `SCHEMES` records for each of them.
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelLaw, GammaApprox, NakagamiParams
+from .channel import ChannelLaw, NakagamiParams
 
 _SUM_TOL = 1e-9
 
@@ -60,13 +60,12 @@ class SystemConfig:
     fading_ris  Nakagami parameters of the AP-surface fades h_i
     fading_t/r  Nakagami parameters of the surface-user fades g_{x,i}
     rate        target rate R (bits/s/Hz); 2^R - 1 must be finite and > 0
-    law         init only: the channel.ChannelLaw of n_elements and the
-                three fading laws, whose fits this config takes, so that
-                configs given one law object share its fits; by default a
-                new one
-    fit_t/r     the Gamma fits of the users' cascades, set from the above;
-                one shared fit when both users' fading laws are equal, so
-                that its tables are built once
+    law         the channel.ChannelLaw of n_elements and the three fading
+                laws, which keeps the Gamma fits of the users' cascades; a
+                given law is kept when it equals that law, and any other
+                value (None by default) is replaced by a new one, so configs
+                handed one law object share its fits and tables, and so
+                does dataclasses.replace unless it changes N or a fading law
     """
 
     p_ap: float
@@ -82,11 +81,9 @@ class SystemConfig:
     fading_t: NakagamiParams
     fading_r: NakagamiParams
     rate: float
-    law: InitVar[ChannelLaw] = None
-    fit_t: GammaApprox = field(init=False, repr=False, compare=False)
-    fit_r: GammaApprox = field(init=False, repr=False, compare=False)
+    law: ChannelLaw = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self, law):
+    def __post_init__(self):
         for name in ("p_ap", "n0", "d0", "d_t", "d_r", "rate"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -103,10 +100,8 @@ class SystemConfig:
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
         own = ChannelLaw(self.n_elements, self.fading_ris, self.fading_t, self.fading_r)
-        if law is None:
-            law = own
-        elif law != own:
-            raise ValueError(f"law {law} is not the law of n_elements, fading_ris, fading_t and fading_r")
+        if self.law != own:
+            object.__setattr__(self, "law", own)
         for user in ("t", "r"):
             try:  # the received power P * l_x^2 that snr_coefficients forms
                 usable = 0 < self.p_ap * pathloss(self, user) ** 2 < math.inf
@@ -116,11 +111,9 @@ class SystemConfig:
                 raise ValueError(f"the path loss of user {user} leaves no finite positive received power: "
                                  f"p_ap, d0, d_{user}, exp0 or exp_{user} is out of range")
             # the closed forms integrate over this support of the fitted quartic gain
-            fit = getattr(law, f"fit_{user}")
-            object.__setattr__(self, f"fit_{user}", fit)
-            if not all(0 < x < math.inf for x in fit.support):
+            if not all(0 < x < math.inf for x in getattr(self.law, f"fit_{user}").support):
                 raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "
-                                 f"m_ris, omega_ris, m_{user} or omega_{user} is out of range")
+                                 f"n_elements, m_ris, omega_ris, m_{user} or omega_{user} is out of range")
 
     @property
     def snr_threshold(self) -> float:
@@ -255,21 +248,20 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
 
 
 def cell_groups(cells) -> list:
-    """(scheme, config, policy) cells grouped by channel law, in order of first appearance.
+    """(scheme, config, policy) cells grouped by config.law, in order of first appearance.
 
     The channel law is all the combined gains' law depends on: N and the
-    three fading laws.  Each group is a tuple (config, index, noma, c_t,
-    c_r, g): the first config of the law, then per cell of the group, as
+    three fading laws.  Each group is a tuple (law, index, noma, c_t, c_r,
+    g): the group's channel.ChannelLaw, then per cell of the group, as
     arrays in cell order, its position in `cells`, its scheme's NOMA flag,
     its SNR coefficients and its decoding threshold.  The closed forms and
-    the Monte Carlo engine both evaluate a whole group against one law.
+    the Monte Carlo engine both evaluate a whole group against its law.
     """
     groups = {}
     for i, (scheme, config, policy) in enumerate(cells):
-        law = (config.n_elements, config.fading_ris, config.fading_t, config.fading_r)
-        rows = groups.setdefault(law, (config, []))[1]
+        rows = groups.setdefault(config.law, [])
         rows.append((i, scheme_spec(scheme).noma, *snr_coefficients(scheme, policy, config), config.snr_threshold))
-    return [(config, *(np.array(col) for col in zip(*rows))) for config, rows in groups.values()]
+    return [(law, *(np.array(col) for col in zip(*rows))) for law, rows in groups.items()]
 
 
 def sic_outcome(gamma_t, gamma_r, gamma_th: float, scratch=None):

@@ -296,7 +296,9 @@ def test_criterion_8_ga_dominance_and_grid_match():
         cfg = make_config(35.0, 2.0, n)
         for problem, default in (("p1", DEFAULT_P1), ("p2", DEFAULT_P2)):
             res = optimizer.ga_run(problem, cfg, 10.0, ga)
-            base = optimizer.penalized_fitness(default, cfg, 10.0, ga.penalty_coef)
+            fitness, _, _ = optimizer.evaluate_batch(default.scheme, cfg, [[default.alpha, default.beta_r]], 10.0,
+                                                     ga.penalty_coef)
+            base = float(fitness[0])
             rows.append((n, problem, res.best_fitness, base, res.feasible))
             if n == 30:
                 kept[problem] = res

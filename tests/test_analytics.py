@@ -795,8 +795,8 @@ def test_survival_table_first_use_from_threads():
                                             make_config(n=9, fading_t=NakagamiParams(m=3.0, omega=1.0)))
              for scheme, pol in (("tep", TEP), ("eep", EEP), ("tdma", TDMA))]
     serial = analytics.closed_forms(cells)
-    fresh = [(scheme, dataclasses.replace(cfg), pol) for scheme, cfg, pol in cells]
-    assert all(cfg.fit_t is not old.fit_t for (_, cfg, _), (_, old, _) in zip(fresh, cells))
+    fresh = [(scheme, dataclasses.replace(cfg, law=None), pol) for scheme, cfg, pol in cells]
+    assert all(cfg.law.fit_t is not old.law.fit_t for (_, cfg, _), (_, old, _) in zip(fresh, cells))
     start = threading.Barrier(4)
     results = [None] * 4
 
@@ -833,7 +833,7 @@ def test_cdf_table_built_once_per_law(monkeypatch):
     monkeypatch.setattr(channel, "_build_cdf_table", spy)
     same = make_config(n=12, rate=0.5, snr_db=50.0)
     mixed = make_config(n=12, rate=0.5, snr_db=50.0, fading_r=NakagamiParams(m=3.0, omega=1.0))
-    for config, fits in ((same, [same.fit_t]), (mixed, [mixed.fit_r, mixed.fit_t])):
+    for config, fits in ((same, [same.law.fit_t]), (mixed, [mixed.law.fit_r, mixed.law.fit_t])):
         cells = [("tep", config, TEP), ("eep", config, EEP)]
         del builds[:]
         first = analytics.closed_forms(cells)
@@ -842,7 +842,7 @@ def test_cdf_table_built_once_per_law(monkeypatch):
     del builds[:]
     config = make_config(snr_db=40.0, rate=0.5, n=12)
     optimizer.ga_run("p1", config, 10.0, optimizer.GaConfig(population=12, generations=6, seed=3))
-    assert builds == [config.fit_t]
+    assert builds == [config.law.fit_t]
 
 
 def test_cdf_table_first_use_from_threads():
@@ -856,10 +856,10 @@ def test_cdf_table_first_use_from_threads():
         return [(scheme, cfg, pol) for cfg in configs for scheme, pol in (("tep", TEP), ("eep", EEP))]
 
     serial = analytics.closed_forms(cells(configs))
-    configs = [dataclasses.replace(cfg) for cfg in configs]
+    configs = [dataclasses.replace(cfg, law=None) for cfg in configs]
     fresh = cells(configs)
-    fits = [configs[0].fit_t, configs[1].fit_t, configs[1].fit_r]
-    assert configs[0].fit_r is fits[0] and not any("cdf_table" in vars(fit) for fit in fits)
+    fits = [configs[0].law.fit_t, configs[1].law.fit_t, configs[1].law.fit_r]
+    assert configs[0].law.fit_r is fits[0] and not any("cdf_table" in vars(fit) for fit in fits)
     start = threading.Barrier(4)
     results = [None] * 4
 

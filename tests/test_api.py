@@ -1,6 +1,7 @@
 """The API that code outside the package reads: the README example and the benchmark's names."""
 
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -51,3 +52,33 @@ def test_benchmark_names_resolve():
     assert channel.gauss_hermite_rule(int(cfg["quadrature"]["gh_order"])).order == 30
     # the traced clamp counters
     assert isinstance(analytics.clamp_stats.events, int) and isinstance(analytics.clamp_stats.checked, int)
+
+
+def test_benchmark_builds_systems_and_policies_by_keyword():
+    # perfbench/checks.py prices GA allocations this way: a SystemConfig and
+    # a TepPolicy or EepPolicy built by keyword, then perf_report(scheme,
+    # config, policy) with positional arguments
+    snr_db, rate, n_elements, alpha, beta_r = 35.0, 2.0, 30, 0.3, 0.6
+    config = system.SystemConfig(
+        p_ap=1.0,
+        n0=1.0 / 10.0 ** (snr_db / 10.0),
+        d0=30.0,
+        d_t=2.0,
+        d_r=4.0,
+        exp0=2.0,
+        exp_t=2.0,
+        exp_r=2.0,
+        n_elements=n_elements,
+        fading_ris=channel.NakagamiParams(2.0, 1.0),
+        fading_t=channel.NakagamiParams(2.0, 1.0),
+        fading_r=channel.NakagamiParams(2.0, 1.0),
+        rate=rate,
+    )
+    policies = {
+        "tep": system.TepPolicy(alpha_t=(1 - alpha) / 2, alpha_r=(1 - alpha) / 2, alpha_ap=alpha,
+                                beta_t=1 - beta_r, beta_r=beta_r),
+        "eep": system.EepPolicy(alpha_et=alpha, alpha_it=1 - alpha, beta_t=1 - beta_r, beta_r=beta_r),
+    }
+    for scheme, policy in policies.items():
+        rep = analytics.perf_report(scheme, config, policy)
+        assert 0.0 < rep.sum_throughput <= rate and 1.0 <= rep.avg_aoi < math.inf

@@ -94,13 +94,14 @@ def test_all_bundled_presets_are_well_formed():
         assert exp["engine"] in cli.ENGINES
         grid = parse_grid(exp["grid"], as_int=exp["sweep"] == "n_elements")
         assert grid
-        build_system(cfg)
+        base = build_system(cfg)
+        policies = {scheme: build_policy(cfg, scheme) for scheme in schemes}
         # every grid point gives a valid system and policy for every scheme
         for value in grid:
-            swept = cli._apply_sweep(cfg, exp["sweep"], value, schemes)
-            build_system(swept)
+            config, swept = cli._sweep_point(exp["sweep"], value, base, policies)
+            assert isinstance(config, system.SystemConfig) and config.law == base.law
             for scheme in schemes:
-                assert isinstance(build_policy(swept, scheme), system.SCHEMES[scheme].policy)
+                assert isinstance(swept[scheme], system.SCHEMES[scheme].policy)
 
 
 def test_parse_grid_forms():
@@ -122,6 +123,22 @@ def test_parse_grid_forms():
     for bad in ("a:b:c", "1:nan:1", "0:inf:1", "nan"):
         with pytest.raises(ConfigError):
             parse_grid(bad, as_int=True)
+
+
+def test_parse_grid_caps_the_point_count(tmp_path, capsys):
+    # a range whose point count overflows or is huge is a config error, not
+    # an OverflowError or a list of 10^300 values
+    assert len(parse_grid(f"1:{cli.MAX_GRID_POINTS}:1", as_int=True)) == cli.MAX_GRID_POINTS
+    for bad in ("0:1e300:1e-300", "0:1:1e-300", f"0:{cli.MAX_GRID_POINTS}:1"):
+        with pytest.raises(ConfigError, match="more than"):
+            parse_grid(bad)
+    for command, preset, override in (("run", "fig7", "experiment.grid=0:1e300:1e-300"),
+                                      ("run", "fig7", "experiment.grid=0:1:1e-300"),
+                                      ("optimize", "fig11", "ga.n_grid=1:1e300:1e-300"),
+                                      ("optimize", "fig11", "ga.n_grid=1:2:1e-300")):
+        assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_build_system_snr_conversion_and_validation():
@@ -180,8 +197,8 @@ def test_cmd_run_analytic_csv_shape(tmp_path):
     assert all(c[2] == "analytic" for c in cells)
     assert all(c[4] == "" and c[6] == "" for c in cells), "analytic rows carry no se"
 
-    # spot-check one cell against a direct evaluation
-    cfg35 = build_system(cli._apply_sweep(cfg, "snr_db", 35.0, ("tep",)))
+    # spot-check one cell against a direct evaluation; the ini's snr_db is 35
+    cfg35 = build_system(cfg)
     pol = build_policy(cfg, "tep")
     want = analytics.outage("tep", cfg35, pol)[0]
     got = float([c for c in cells if c[0] == "35" and c[1] == "tep"][0][3])
@@ -482,6 +499,30 @@ def test_main_rejects_fading_without_finite_support(tmp_path, capsys, override):
     assert not any(tmp_path.iterdir())
 
 
+def test_main_names_n_elements_when_the_swept_n_leaves_no_support(tmp_path, capsys):
+    argv = ["run", "--preset", "fig7", "--set", "experiment.sweep=n_elements", "--set", "experiment.grid=1e300",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "support of the quartic gain" in err and "n_elements" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, preset, override", [
+    ("run", "fig4", "system.snr_db=fast"),  # fig4 sweeps snr_db
+    ("run", "fig7", "system.rate_bps_hz=2000"),  # fig7 sweeps the rate
+    ("run", "fig8", "policy.tep_alpha_ap=0.9"),  # fig8 sweeps alpha
+    ("run", "fig10", "policy.eep_beta_r=x"),  # fig10 sweeps beta_r
+    ("optimize", "fig11", "system.n_elements=0"),  # optimize sweeps ga.n_grid
+])
+def test_main_validates_the_keys_a_sweep_overrides(tmp_path, capsys, command, preset, override):
+    # run and optimize build the config and the policies from every key once,
+    # then set the swept field at each grid point
+    assert main([command, "--preset", preset, "--set", override, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("override", ["system.rate_bps_hz=2000", "system.rate_bps_hz=1e-300",
                                       "ga.penalty_coef=inf", "ga.penalty_coef=nan", "ga.penalty_coef=1e300"])
 def test_main_rejects_rate_without_threshold_and_unusable_penalty(tmp_path, capsys, override):
@@ -581,14 +622,15 @@ def test_config_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("preset, sets, fits, policies", [
     ("fig7", (), 1, 2),
     ("fig7", ("system.m_r=3.0",), 2, 2),
-    ("fig7", ("experiment.sweep=n_elements", "experiment.grid=5,10,15"), 3, 2),
-    ("fig8", (), 1, 19 * 2),
-    ("fig10", (), 1, 19 * 2),
+    ("fig7", ("experiment.sweep=n_elements", "experiment.grid=5,10,15"), 4, 2),
+    ("fig8", (), 1, 2),
+    ("fig10", (), 1, 2),
 ])
 def test_run_fits_each_law_and_builds_each_policy_once(tmp_path, monkeypatch, preset, sets, fits, policies):
-    # a sweep fits each distinct channel law once and builds each scheme's
-    # policy once per distinct [policy] section: fig7 sweeps the rate, fig8
-    # alpha and fig10 beta_r, which change the policy at every point
+    # a sweep fits each distinct channel law once, the [system] section's
+    # (N = 30) included, and builds each scheme's policy once: fig7 sweeps
+    # the rate, and fig8 alpha and fig10 beta_r, whose points replace fields
+    # of the one policy
     calls = {"fit": 0, "policy": 0}
 
     def counted(name, fn):

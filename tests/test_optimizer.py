@@ -13,8 +13,8 @@ from starwpn.optimizer import (
     GaConfig,
     decode,
     ga_run,
+    evaluate_batch,
     grid_search,
-    penalized_fitness,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
@@ -120,13 +120,18 @@ def test_decode_rejects_bad_length():
         decode(np.zeros(32, dtype=np.uint8), "tep", bits_per_var=12)
 
 
+def fitness_of(alloc, config, delta_th, penalty_coef=1e3):
+    """The penalized fitness of one allocation, as a one-row batch."""
+    return float(evaluate_batch(alloc.scheme, config, [[alloc.alpha, alloc.beta_r]], delta_th, penalty_coef)[0][0])
+
+
 def test_penalized_fitness_zero_penalty_branch():
     cfg = make_config(snr_db=60.0)
     alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
     pol = alloc.policy()
     phi = analytics.success_prob("tep", cfg, pol)
     delta = 1.0 / phi
-    fit = penalized_fitness(alloc, cfg, delta_th=delta + 5.0)
+    fit = fitness_of(alloc, cfg, delta_th=delta + 5.0)
     p_t, p_r = analytics.outage("tep", cfg, pol)
     tput = analytics.sum_throughput("tep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput, rel=1e-9)
@@ -139,7 +144,7 @@ def test_penalized_fitness_linear_penalty_branch():
     phi = analytics.success_prob("eep", cfg, pol)
     delta = 1.0 / phi
     assert delta > 2.0, "test point must violate by a unit margin"
-    fit = penalized_fitness(alloc, cfg, delta_th=delta - 1.0)
+    fit = fitness_of(alloc, cfg, delta_th=delta - 1.0)
     p_t, p_r = analytics.outage("eep", cfg, pol)
     tput = analytics.sum_throughput("eep", (p_t, p_r), cfg.rate, pol)
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
@@ -180,13 +185,6 @@ def test_evaluate_batch_rejects_variables_outside_unit_interval(alpha, beta_r):
             optimizer.evaluate_batch(scheme, cfg, values, 10.0, 1e3)
     with pytest.raises(ValueError, match="scheme must be"):
         optimizer.evaluate_batch("tdma", cfg, values[:1], 10.0, 1e3)
-
-
-def test_penalized_fitness_validates_threshold():
-    cfg = make_config()
-    alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
-    with pytest.raises(ValueError):
-        penalized_fitness(alloc, cfg, delta_th=1.0)
 
 
 def test_constant_objective_returns_it(monkeypatch):
@@ -348,6 +346,5 @@ def test_memoization_consistency():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=10, generations=6, seed=2)
     res = ga_run("p1", cfg, delta_th=10.0, ga=ga)
-    direct = penalized_fitness(res.best, cfg, delta_th=10.0,
-                               penalty_coef=ga.penalty_coef)
+    direct = fitness_of(res.best, cfg, delta_th=10.0, penalty_coef=ga.penalty_coef)
     assert direct == pytest.approx(res.best_fitness, rel=1e-12)

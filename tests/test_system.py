@@ -84,20 +84,30 @@ def test_config_rejects_rate_without_finite_positive_threshold():
 
 
 def test_config_takes_the_fits_of_a_given_law():
-    # configs handed one law object share its fits (one shared fit when both
-    # users' fades are equal); without one, and under dataclasses.replace,
-    # a config fits its own law; a law that is not the config's is rejected
+    # configs handed one equal law share it and its fits (one shared fit when
+    # both users' fades are equal); a law that is not the config's is not
+    # taken, and without one a config makes its own
     nak3 = NakagamiParams(m=3.0, omega=1.0)
     law = ChannelLaw(30, NAK2, NAK2, nak3)
     a, b = make_config(rate=1.0, fading_r=nak3, law=law), make_config(rate=2.0, fading_r=nak3, law=law)
-    assert a.fit_t is b.fit_t is law.fit_t and a.fit_r is b.fit_r is law.fit_r and a.fit_r is not a.fit_t
-    fresh = dataclasses.replace(a)
-    assert fresh == a and fresh.fit_t is not a.fit_t and fresh.fit_t == a.fit_t
+    assert a.law is b.law is law and a.law.fit_r is not a.law.fit_t
     own = make_config()
-    assert own.fit_r is own.fit_t and make_config().fit_t is not own.fit_t
+    assert own.law == ChannelLaw(30, NAK2, NAK2, NAK2) and own.law.fit_r is own.law.fit_t
+    assert make_config().law is not own.law
     for other in (ChannelLaw(29, NAK2, NAK2, NAK2), ChannelLaw(30, NAK2, nak3, NAK2)):
-        with pytest.raises(ValueError, match="not the law"):
-            make_config(law=other)
+        cfg = make_config(law=other)
+        assert cfg.law is not other and cfg.law == own.law
+    # dataclasses.replace of the rate or the noise power shares the law and
+    # its fits; of N or a fading law it fits the new law
+    for changes in ({"rate": 2.0}, {"n0": 1e-6}):
+        swept = dataclasses.replace(a, **changes)
+        assert swept.law is law and swept.law.fit_t is a.law.fit_t and swept.law.fit_r is a.law.fit_r
+    for changes, want in (({"n_elements": 12}, ChannelLaw(12, NAK2, NAK2, nak3)),
+                          ({"fading_t": nak3}, ChannelLaw(30, NAK2, nak3, nak3)),
+                          ({"fading_ris": nak3}, ChannelLaw(30, nak3, NAK2, nak3))):
+        swept = dataclasses.replace(a, **changes)
+        assert swept.law == want and swept.law is not law and swept.law.fit_t is not a.law.fit_t
+        assert swept.law.n_elements == swept.n_elements and swept.law.fit_t.n_elements == swept.n_elements
 
 
 def test_uplink_snr_tep_unit_case():
