@@ -74,16 +74,17 @@ a panel sum, so the check sees all of them, at N = 1 too.  Probabilities
 are clamped to [0, 1] only after the check passes; clamp events are counted
 in `clamp_stats`.
 
-closed_forms is the one entry: it takes (scheme, config, policy) cells, the
-input montecarlo.mc_counts takes, and groups them by config.law (N and the
-three fading laws) with system.cell_groups, so a group shares the Gamma
-fits, and their tables, of one channel.ChannelLaw.  A group's NOMA cells go
-to noma_metrics_batch, which feeds the checked evaluator in blocks of
-_ROW_BLOCK rows to bound its working memory; its orthogonal cells are one
+closed_forms is the one entry, and the only caller of noma_metrics_batch.
+It takes (scheme, config, policy) cells, as montecarlo.mc_counts does;
+system.cell_groups gives one row per cell, or per element of a batch cell
+(an array n0 or rate, or array policy fields), and groups the rows by
+config.law (N and the three fading laws), so a group shares the Gamma fits
+and tables of one channel.ChannelLaw.  A group's NOMA rows go to
+noma_metrics_batch, which feeds the checked evaluator in blocks of
+_ROW_BLOCK rows to bound its working memory; its orthogonal rows are one
 vectorized Gamma CDF and survival evaluation.  outage, success_prob and
-perf_report are one-cell calls of it, and the CLI passes its whole cell
-list.  optimizer.evaluate_batch, whose rows share one scheme and one
-config, calls noma_metrics_batch directly on the fits of config.law.
+perf_report are one-row calls; the CLI passes a batch cell per scheme (and
+N), and optimizer.evaluate_batch one cell that holds a GA batch.
 """
 
 import math
@@ -362,16 +363,17 @@ def noma_metrics_batch(fit_t, fit_r, c_t, c_r, g) -> np.ndarray:
 
 
 def closed_forms(cells) -> np.ndarray:
-    """Checked (p_out_t, p_out_r, phi) of every (scheme, config, policy) cell.
+    """Checked (p_out_t, p_out_r, phi) of every row of (scheme, config, policy) cells.
 
-    Returns a (len(cells), 3) array in the order given.  Cells are grouped by
-    channel law (system.cell_groups), and each group's NOMA cells are
-    evaluated in one call of noma_metrics_batch; an orthogonal scheme's users
-    fail independently, so its outages are per-user Gamma CDFs and its
-    success probability their product of survivals.
+    Returns a (rows, 3) array, rows in cell order: one row per cell, or per
+    element of a batch cell (system.cell_groups).  Each channel law's NOMA
+    rows are evaluated in one call of noma_metrics_batch; an orthogonal
+    scheme's users fail independently, so its outages are per-user Gamma
+    CDFs and its success probability their product of survivals.
     """
-    out = np.empty((len(cells), 3))
-    for law, index, noma, c_t, c_r, g in system.cell_groups(cells):
+    groups = system.cell_groups(cells)
+    out = np.empty((sum(group[1].size for group in groups), 3))
+    for law, index, noma, c_t, c_r, g in groups:
         fit_t, fit_r = law.fit_t, law.fit_r
         if noma.any():
             out[index[noma]] = noma_metrics_batch(fit_t, fit_r, c_t[noma], c_r[noma], g[noma]).T
@@ -385,28 +387,27 @@ def closed_forms(cells) -> np.ndarray:
 
 
 def outage(scheme: str, config: system.SystemConfig, policy):
-    """Per-user outage probabilities (p_out_t, p_out_r) of one scheme."""
-    p_t, p_r, _ = closed_forms([(scheme, config, policy)])[0].tolist()
+    """Per-user outage probabilities (p_out_t, p_out_r) of a one-row cell; a batch cell raises ValueError."""
+    p_t, p_r, _ = closed_forms([(scheme, config, policy)]).reshape(3).tolist()
     return p_t, p_r
 
 
 def success_prob(scheme: str, config: system.SystemConfig, policy) -> float:
-    """Probability that both users are decoded in one block."""
-    return closed_forms([(scheme, config, policy)])[0, 2].item()
+    """Probability that both users are decoded in one block, of a one-row cell; a batch cell raises ValueError."""
+    return closed_forms([(scheme, config, policy)]).reshape(3)[2].item()
 
 
-def sum_throughput(scheme: str, outage_pair, rate: float, policy) -> float:
+def sum_throughput(scheme: str, outage_pair, rate, policy):
     """Block-normalized sum throughput from a per-user outage pair.
 
     NOMA users share one uplink slot; orthogonal users each send in their
-    own.  The outages may be arrays, with a policy whose fields are arrays
-    of the same batch (as optimizer.evaluate_batch passes them); the float
-    path calls no numpy.
+    own.  The outages, the rate and the policy's fields are floats, or
+    equal-length arrays of one batch (as optimizer.evaluate_batch and the
+    CLI pass them).
     """
     p_t, p_r = outage_pair
-    for p in (p_t, p_r):
-        if not (0.0 <= p <= 1.0 if isinstance(p, float) else np.all((p >= 0.0) & (p <= 1.0))):
-            raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
+    if not np.all((p_t >= 0.0) & (p_t <= 1.0) & (p_r >= 0.0) & (p_r <= 1.0)):
+        raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
     spec = system.scheme_spec(scheme)
     s_t, s_r = spec.shares(policy)
     if spec.noma:
@@ -432,8 +433,8 @@ def average_aoi(phi: float) -> float:
 
 
 def perf_report(scheme: str, config: system.SystemConfig, policy) -> PerfReport:
-    """All closed-form metrics of one scheme at one operating point."""
-    p_t, p_r, phi = closed_forms([(scheme, config, policy)])[0].tolist()
+    """All closed-form metrics of one scheme at one operating point; a batch cell raises ValueError."""
+    p_t, p_r, phi = closed_forms([(scheme, config, policy)]).reshape(3).tolist()
     return PerfReport(
         p_out_t=p_t,
         p_out_r=p_r,

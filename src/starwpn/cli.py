@@ -259,23 +259,32 @@ def parse_grid(text: str, as_int: bool = False):
     return values
 
 
-def _sweep_point(var: str, value, config: system.SystemConfig, policies: dict):
-    """The config and each scheme's policy of `policies` at one grid point of a sweep over var.
+def _sweep_cells(var: str, grid: list, config: system.SystemConfig, policies: dict) -> list:
+    """The (grid values, (scheme, config, policy)) blocks of a sweep over var, one cell each.
 
-    snr_db sets the noise power, and rate and n_elements their fields; alpha
-    sets the shared NOMA uplink share, and beta_r the surface split.
+    An n_elements sweep gives one config per N (N changes the channel law)
+    and a one-row cell per N and scheme.  Any other sweep gives one batch
+    cell per scheme for the whole grid: snr_db sets the config's n0, formed
+    in Python floats, and rate its rate; alpha sets the policies' shared
+    NOMA uplink share, and beta_r their surface split.
     """
+    if var == "n_elements":
+        configs = [(n, _replace(config, n_elements=n)) for n in grid]
+        return [([n], (scheme, swept, policy)) for n, swept in configs for scheme, policy in policies.items()]
     if var == "snr_db":
-        return _replace(config, n0=_noise_power(config.p_ap, value)), policies
-    if var in ("rate", "n_elements"):
-        return _replace(config, **{var: value}), policies
-    if var == "alpha":
-        remainder = (1.0 - value) / 2.0
-        changes = {"tep": dict(alpha_ap=value, alpha_t=remainder, alpha_r=remainder),
-                   "eep": dict(alpha_it=value, alpha_et=1.0 - value)}
-    else:  # beta_r
-        changes = dict.fromkeys(("tep", "eep"), dict(beta_r=value, beta_t=1.0 - value))
-    return config, {s: _replace(p, f"invalid {s} policy: ", **changes[s]) for s, p in policies.items()}
+        config = _replace(config, n0=np.array([_noise_power(config.p_ap, value) for value in grid]))
+    elif var == "rate":
+        config = _replace(config, rate=np.array(grid))
+    else:
+        value = np.array(grid)
+        if var == "alpha":
+            remainder = (1.0 - value) / 2.0
+            changes = {"tep": dict(alpha_ap=value, alpha_t=remainder, alpha_r=remainder),
+                       "eep": dict(alpha_it=value, alpha_et=1.0 - value)}
+        else:  # beta_r
+            changes = dict.fromkeys(("tep", "eep"), dict(beta_r=value, beta_t=1.0 - value))
+        policies = {s: _replace(p, f"invalid {s} policy: ", **changes[s]) for s, p in policies.items()}
+    return [(grid, (scheme, config, policy)) for scheme, policy in policies.items()]
 
 
 def _csv_num(value) -> str:
@@ -283,21 +292,24 @@ def _csv_num(value) -> str:
 
 
 def _metrics(scheme, config, policy, probs, ses=None) -> dict:
-    """METRICS of one cell, each (value, standard error or None).
+    """METRICS of a block of rows, each as a pair of columns (values, standard errors or None).
 
-    probs is the cell's (p_t, p_r, phi); ses, given for Monte Carlo rows,
-    their standard errors.
+    probs holds the block's (p_t, p_r, phi) columns; ses, given for Monte
+    Carlo rows, their standard errors.
     """
     p_t, p_r, phi = probs
     # a user's throughput is rate * share * (1 - p): scale_x = rate * share_x
     scale_t, scale_r = (analytics.user_throughput(scheme, u, 0.0, config.rate, policy) for u in "tr")
+    with np.errstate(divide="ignore"):
+        aoi = 1.0 / phi  # inf where phi = 0
     vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r),
-            analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy), phi, analytics.average_aoi(phi))
+            analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy), phi, aoi)
     errs = (None,) * len(METRICS)
     if ses is not None:
         se_t, se_r, se_phi = ses
-        errs = (se_t, se_r, scale_t * se_t, scale_r * se_r, float(np.hypot(scale_t * se_t, scale_r * se_r)),
-                se_phi, se_phi / phi**2 if phi > 0 else float("inf"))
+        # phi ** 2 in Python floats: numpy's square is not bit-identical to Python's power
+        se_aoi = np.array([se / p**2 if p > 0 else np.inf for se, p in zip(se_phi.tolist(), phi.tolist())])
+        errs = (se_t, se_r, scale_t * se_t, scale_r * se_r, np.hypot(scale_t * se_t, scale_r * se_r), se_phi, se_aoi)
     return dict(zip(METRICS, zip(vals, errs)))
 
 
@@ -309,15 +321,23 @@ def _output_name(cfg: dict, default: str) -> str:
     return name
 
 
+def _get_list(cfg, section, key, conv=str.strip) -> list:
+    """The comma-separated entries of section.key, each passed through conv; blanks dropped, one entry at least."""
+    items = [conv(item) for item in cfg[section][key].split(",") if item.strip()]
+    if not items:
+        raise ConfigError(f"{section}.{key} list is empty")
+    if len(set(items)) < len(items):  # a repeat would write its rows, columns or GA runs twice
+        raise ConfigError(f"{section}.{key} repeats an entry, got {cfg[section][key]!r}")
+    return items
+
+
 def cmd_run(cfg: dict) -> dict:
     exp = cfg["experiment"]
     name = _output_name(cfg, "sweep")
-    schemes = [s.strip() for s in exp["schemes"].split(",") if s.strip()]
-    if not schemes or any(s not in system.SCHEMES for s in schemes):
+    schemes = _get_list(cfg, "experiment", "schemes")
+    if any(s not in system.SCHEMES for s in schemes):
         raise ConfigError(f"schemes must be a non-empty subset of {tuple(system.SCHEMES)}")
-    metrics = [m.strip() for m in exp["metrics"].split(",") if m.strip()]
-    if not metrics:
-        raise ConfigError("metrics list is empty")
+    metrics = _get_list(cfg, "experiment", "metrics")
     for m in metrics:
         if m not in METRICS:
             raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
@@ -348,44 +368,31 @@ def cmd_run(cfg: dict) -> dict:
         for scheme in schemes:
             if not system.SCHEMES[scheme].noma:
                 raise ConfigError(f"the {sweep} sweep does not apply to scheme {scheme!r}")
-    # one (scheme, config, policy) cell per grid point and scheme; a point
-    # replaces fields of the one config and policies, so that the points of
-    # one channel law share its fits
-    base = build_system(cfg)
     policies = {scheme: build_policy(cfg, scheme) for scheme in schemes}
-    points, cells = [], []
-    for value in grid:
-        config, swept = _sweep_point(sweep, value, base, policies)
-        for scheme in schemes:
-            points.append((value, scheme))
-            cells.append((scheme, config, swept[scheme]))
+    blocks = _sweep_cells(sweep, grid, build_system(cfg), policies)
+    cells = [cell for _, cell in blocks]
+    ends = np.cumsum([len(values) for values, _ in blocks])[:-1]
 
-    collected = []  # (value, scheme, engine, metric columns)
+    collected = []  # (grid values, scheme, engine, metric columns) of each block
     if engine in ("analytic", "both"):
-        probs = analytics.closed_forms(cells).tolist()
-        for (value, scheme), cell, row in zip(points, cells, probs):
-            collected.append((value, scheme, "analytic", _metrics(*cell, row)))
+        for (values, cell), probs in zip(blocks, np.split(analytics.closed_forms(cells), ends)):
+            collected.append((values, cell[0], "analytic", _metrics(*cell, probs.T)))
     if engine in ("montecarlo", "both"):
         counts = montecarlo.mc_counts(cells, mc_cfg, threads)
-        for (value, scheme), cell, count in zip(points, cells, counts):
-            p_t, p_r, se_t, se_r = count.outage()
-            phi, se_phi = count.success()
-            collected.append((value, scheme, "montecarlo", _metrics(*cell, (p_t, p_r, phi), (se_t, se_r, se_phi))))
-    collected.sort(key=lambda r: (r[0], r[1], r[2]))
+        for (values, cell), rows in zip(blocks, np.split(np.arange(len(counts)), ends)):
+            p_t, p_r, se_t, se_r, phi, se_phi = np.array([counts[i].outage() + counts[i].success() for i in rows]).T
+            collected.append((values, cell[0], "montecarlo", _metrics(*cell, (p_t, p_r, phi), (se_t, se_r, se_phi))))
 
-    header = [sweep, "scheme", "engine"]
-    for m in metrics:
-        header.append(m)
-        header.append(f"{m}_se")
-    lines = [",".join(header)]
-    for value, scheme, eng, vals in collected:
-        fields = [_csv_num(value) if sweep != "n_elements" else str(value), scheme, eng]
-        for m in metrics:
-            v, se = vals[m]
-            fields.append(_csv_num(v))
-            fields.append("" if se is None else _csv_num(se))
-        lines.append(",".join(fields))
-    return {f"{name}.csv": "\n".join(lines) + "\n"}
+    header = [sweep, "scheme", "engine", *(m + se for m in metrics for se in ("", "_se"))]
+    rows = []  # (grid value, scheme, engine, CSV line)
+    for values, scheme, eng, cols in collected:
+        n = len(values)
+        fields = [[str(v) if sweep == "n_elements" else _csv_num(v) for v in values], [scheme] * n, [eng] * n]
+        for col in (col for m in metrics for col in cols[m]):
+            fields.append([""] * n if col is None else [_csv_num(x) for x in col.tolist()])
+        rows += zip(values, [scheme] * n, [eng] * n, map(",".join, zip(*fields)))
+    rows.sort(key=lambda r: r[:3])
+    return {f"{name}.csv": "\n".join([",".join(header), *(r[3] for r in rows)]) + "\n"}
 
 
 def cmd_optimize(cfg: dict) -> dict:
@@ -396,9 +403,7 @@ def cmd_optimize(cfg: dict) -> dict:
     delta_th = _get_float(cfg, "ga", "delta_th")
     if not delta_th > 1.0:
         raise ConfigError(f"ga.delta_th must exceed 1 (an average age in slots), got {delta_th}")
-    problems = [p.strip().lower() for p in ga_sec["problems"].split(",") if p.strip()]
-    if not problems:
-        raise ConfigError("ga.problems is empty")
+    problems = _get_list(cfg, "ga", "problems", lambda p: p.strip().lower())
     for p in problems:
         if p not in optimizer.PROBLEM_SCHEME:
             raise ConfigError(f"unknown problem {p!r}; choose from p1,p2")
@@ -414,40 +419,16 @@ def cmd_optimize(cfg: dict) -> dict:
         raise ConfigError(f"invalid GA configuration: {exc}")
     _quad_rule(cfg)
 
-    header = [
-        "n_elements",
-        "problem",
-        "scheme",
-        "alpha",
-        "beta_r",
-        "sum_throughput",
-        "aoi",
-        "feasible",
-        "generations_to_best",
-        "best_fitness",
-    ]
-    lines = [",".join(header)]
+    lines = ["n_elements,problem,scheme,alpha,beta_r,sum_throughput,aoi,feasible,generations_to_best,best_fitness"]
     base = build_system(cfg)
     for n in n_grid:
         config = _replace(base, n_elements=n)
         for problem in problems:
             result = optimizer.ga_run(problem, config, delta_th, ga)
-            lines.append(
-                ",".join(
-                    [
-                        str(n),
-                        problem,
-                        result.best.scheme,
-                        _csv_num(result.best.alpha),
-                        _csv_num(result.best.beta_r),
-                        _csv_num(result.best_throughput),
-                        _csv_num(result.aoi_at_best),
-                        "true" if result.feasible else "false",
-                        str(result.generations_to_best),
-                        _csv_num(result.best_fitness),
-                    ]
-                )
-            )
+            nums = (result.best.alpha, result.best.beta_r, result.best_throughput, result.aoi_at_best)
+            lines.append(",".join([str(n), problem, result.best.scheme, *map(_csv_num, nums),
+                                   "true" if result.feasible else "false", str(result.generations_to_best),
+                                   _csv_num(result.best_fitness)]))
     return {f"{name}_optimize.csv": "\n".join(lines) + "\n"}
 
 

@@ -176,17 +176,18 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
 
 
 def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
-    """McCounts of every (scheme, config, policy) cell, in the order given.
+    """McCounts of every row of (scheme, config, policy) cells, rows in cell order.
 
-    Cells whose configs have equal laws, `config.law` (N and the three
-    fading laws, grouped by `system.cell_groups`), share one gain ensemble,
-    drawn from that law.  Each chunk of an ensemble is drawn once, every
-    cell of the ensemble is decoded on it once, and the chunk is dropped;
-    chunks run on `threads` workers.  Each chunk's decode reuses one set of
-    scratch rows for every cell: the SNRs c * q, the cross-SINR quotient and
-    four boolean masks.
+    A batch cell gives one row per element (`system.cell_groups`, which
+    groups the rows by `config.law`: N and the three fading laws).  Rows of
+    one law share one gain ensemble, drawn from that law.  Each chunk of an
+    ensemble is drawn once, every row of the ensemble is decoded on it
+    once, and the chunk is dropped; chunks run on `threads` workers.  Each
+    chunk's decode reuses one set of scratch rows for every row: the SNRs
+    c * q, the cross-SINR quotient and four boolean masks.
     """
-    tasks = [(group, chunk) for group in system.cell_groups(cells) for chunk in _chunks(mc.trials)]
+    groups = system.cell_groups(cells)
+    tasks = [(group, chunk) for group in groups for chunk in _chunks(mc.trials)]
 
     def count(task):
         (law, index, *decoders), (idx, rows) = task
@@ -206,7 +207,7 @@ def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
             out.append((rows - ok_t, rows - ok_r, np.count_nonzero(np.logical_and(t_ok, r_ok, out=masks[0]))))
         return index, out
 
-    totals = np.zeros((len(cells), 3), dtype=np.int64)
+    totals = np.zeros((sum(group[1].size for group in groups), 3), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for index, counts in pool.map(count, tasks):
             totals[index] += counts
@@ -214,13 +215,15 @@ def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
 
 
 def mc_outage(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
-    """Empirical per-user outage (p_t, p_r, se_t, se_r) of one cell."""
-    return mc_counts([(scheme, config, policy)], mc)[0].outage()
+    """Empirical per-user outage (p_t, p_r, se_t, se_r) of a one-row cell; a batch cell raises ValueError."""
+    (counts,) = mc_counts([(scheme, config, policy)], mc)
+    return counts.outage()
 
 
 def mc_success(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
-    """Empirical probability (phi, se) that both users decode in one block."""
-    return mc_counts([(scheme, config, policy)], mc)[0].success()
+    """Empirical probability (phi, se) that both users decode in one block, of a one-row cell (not a batch)."""
+    (counts,) = mc_counts([(scheme, config, policy)], mc)
+    return counts.success()
 
 
 def aoi_simulate(source, slots: int, seed: int = 0) -> AoiTrace:

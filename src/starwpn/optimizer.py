@@ -17,7 +17,7 @@ uniformly), crossover is single-point, mutation is per-bit, and a configured
 number of elites survives unchanged.  Fitness evaluation is vectorized
 across the whole population and memoized by chromosome: evaluate_batch
 prices a batch of fresh chromosomes as one policy whose fields are arrays,
-with one call of the checked NOMA kernel and no per-row Python.  The memo
+one batch cell of the checked closed forms, with no per-row Python.  The memo
 is the run's only record: the returned allocation is the fittest memo entry
 that meets the age constraint, or, if none does, the least-violating one
 (fitness breaks ties, then the earlier evaluation wins).
@@ -163,15 +163,13 @@ def evaluate_batch(
 ):
     """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r).
 
-    The rows are priced as one policy whose fields are arrays: one call of
-    system.snr_coefficients, one of analytics.noma_metrics_batch on the
-    fits of config.law, and one of analytics.sum_throughput.  A row whose
-    alpha or beta_r lies outside (0, 1) raises ValueError.
+    The rows are priced as one policy whose fields are arrays: one batch
+    cell of analytics.closed_forms and one call of analytics.sum_throughput.
+    A row whose alpha or beta_r lies outside (0, 1) raises ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     policy = _policy(scheme, values[:, 0], values[:, 1])
-    c_t, c_r = system.snr_coefficients(scheme, policy, config)
-    p_t, p_r, phi = analytics.noma_metrics_batch(config.law.fit_t, config.law.fit_r, c_t, c_r, config.snr_threshold)
+    p_t, p_r, phi = analytics.closed_forms([(scheme, config, policy)]).T
     throughput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy)
     aoi = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
     return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi

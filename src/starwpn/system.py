@@ -26,23 +26,31 @@ from .channel import ChannelLaw, NakagamiParams
 _SUM_TOL = 1e-9
 
 
+def _batch_size(values: dict) -> int:
+    """The common length of the arrays among `values`, 1 if all are floats; arrays are 1-D and never broadcast."""
+    shapes = {name: value.shape for name, value in values.items() if getattr(value, "ndim", 0)}
+    if len(set(shapes.values())) > 1 or any(len(shape) != 1 for shape in shapes.values()):
+        raise ValueError(f"the arrays of a batch must be 1-D and of equal length, got shapes {shapes}")
+    return next(iter(shapes.values()), (1,))[0]
+
+
+def _require(value, ok, message: str) -> None:
+    """Raise ValueError(message.format(x)), x the first element of value (a float or 1-D array) where ok is False."""
+    if not np.asarray(ok).all():  # np.all is slower on a batch of a few dozen
+        raise ValueError(message.format(np.atleast_1d(value)[~np.atleast_1d(ok)][0].item()))
+
+
 def _check_policy(policy, *sum_groups) -> None:
     """Every field of `policy` lies strictly inside (0,1), and each group of field names sums to 1.
 
-    The fields are floats, or equal-length arrays that hold a batch of
-    policies; a batch fails on its first bad element.  The float path calls
-    no numpy.
+    The fields are floats, or equal-length 1-D arrays that hold a batch of
+    policies; a batch fails on its first bad element (NaN included).
     """
+    _batch_size(vars(policy))
     for name, value in vars(policy).items():
-        if isinstance(value, np.ndarray):
-            value = value[~((value > 0.0) & (value < 1.0))]  # the bad elements, NaN included
-            if value.size:
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {value[0]}")
-        elif not (0.0 < value < 1.0):
-            raise ValueError(f"{name} must lie strictly inside (0,1), got {value}")
+        _require(value, (value > 0.0) & (value < 1.0), f"{name} must lie strictly inside (0,1), got {{}}")
     for names in sum_groups:
-        off = abs(sum(getattr(policy, name) for name in names) - 1.0) > _SUM_TOL
-        if off.any() if isinstance(off, np.ndarray) else off:
+        if np.asarray(abs(sum(getattr(policy, name) for name in names) - 1.0) > _SUM_TOL).any():
             raise ValueError(f"{' + '.join(names)} must equal 1")
 
 
@@ -51,7 +59,7 @@ class SystemConfig:
     """Physical and protocol-independent parameters.
 
     p_ap        access point transmit power (W)
-    n0          noise power (W)
+    n0          noise power (W); a float, or a 1-D array for a batch
     d0          AP to surface distance (m)
     d_t, d_r    surface to user distances (m)
     exp0        path-loss exponent of the AP-surface segment
@@ -59,13 +67,19 @@ class SystemConfig:
     n_elements  surface element count N
     fading_ris  Nakagami parameters of the AP-surface fades h_i
     fading_t/r  Nakagami parameters of the surface-user fades g_{x,i}
-    rate        target rate R (bits/s/Hz); 2^R - 1 must be finite and > 0
+    rate        target rate R (bits/s/Hz); 2^R - 1 must be finite and > 0;
+                a float, or a 1-D array for a batch
     law         the channel.ChannelLaw of n_elements and the three fading
                 laws, which keeps the Gamma fits of the users' cascades; a
                 given law is kept when it equals that law, and any other
                 value (None by default) is replaced by a new one, so configs
                 handed one law object share its fits and tables, and so
                 does dataclasses.replace unless it changes N or a fading law
+    snr_threshold  2^R - 1, set from rate one element at a time in Python
+                floats: numpy's power is not bit-identical to Python's
+
+    An array n0 or rate (both of one length) makes a batch of configs on
+    one law, one per element (cell_groups); a check names the first bad one.
     """
 
     p_ap: float
@@ -82,18 +96,19 @@ class SystemConfig:
     fading_r: NakagamiParams
     rate: float
     law: ChannelLaw = field(default=None, repr=False, compare=False)
+    snr_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _batch_size({"n0": self.n0, "rate": self.rate})
         for name in ("p_ap", "n0", "d0", "d_t", "d_r", "rate"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        try:
-            threshold = 2.0 ** float(self.rate) - 1.0
-        except OverflowError:
-            threshold = math.inf
-        if not 0 < threshold < math.inf:  # 2^R overflows, or rounds to 1 for R below about 1.6e-16
-            raise ValueError(f"rate {self.rate} gives no finite positive decoding threshold 2^R - 1: "
-                             f"system.rate_bps_hz is out of range")
+            value = getattr(self, name)
+            _require(value, (value > 0) & (value < math.inf), f"{name} must be finite and > 0, got {{}}")
+        # 2^R overflows from R = 1024 on, and rounds to 1 for R below about 1.6e-16
+        threshold = [2.0 ** rate - 1.0 if rate < 1024 else math.inf for rate in np.atleast_1d(self.rate).tolist()]
+        threshold = np.array(threshold) if np.ndim(self.rate) else threshold[0]
+        _require(self.rate, (threshold > 0) & (threshold < math.inf), "rate {} gives no finite positive decoding "
+                 "threshold 2^R - 1: system.rate_bps_hz is out of range")
+        object.__setattr__(self, "snr_threshold", threshold)
         for name in ("exp0", "exp_t", "exp_r"):
             if not (1 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
@@ -114,11 +129,6 @@ class SystemConfig:
             if not all(0 < x < math.inf for x in getattr(self.law, f"fit_{user}").support):
                 raise ValueError(f"the fading of user {user} leaves no finite positive support of the quartic gain: "
                                  f"n_elements, m_ris, omega_ris, m_{user} or omega_{user} is out of range")
-
-    @property
-    def snr_threshold(self) -> float:
-        """Decoding threshold 2^R - 1, kept consistent with `rate` by construction."""
-        return 2.0 ** self.rate - 1.0
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,8 @@ SCHEMES = {
         EepPolicy,
         noma=True,
         shares=lambda p: (p.alpha_it, p.alpha_it),
-        snr_scale=lambda p, k_t, k_r: (k_t * p.beta_t**2 * p.alpha_et, k_r * p.beta_r**2 * p.alpha_et),
+        snr_scale=lambda p, k_t, k_r: (k_t * (p.beta_t * p.beta_t) * p.alpha_et,
+                                       k_r * (p.beta_r * p.beta_r) * p.alpha_et),
     ),
     "tdma": Scheme(
         TdmaPolicy,
@@ -235,9 +246,9 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
     tdma: c_x = P * l_x^2 * alpha_x / (alpha_ap_x * N0)
 
     The denominator is always the user's uplink share; the products are
-    formed left to right in this order, so outputs stay bit-stable.  A
-    policy whose fields are arrays gives arrays, equal element by element
-    to the one-policy calls.
+    formed left to right in this order, and a square is a product, so
+    outputs stay bit-stable.  A batch (an array n0 or policy fields) gives
+    arrays, equal element by element to the one-row calls.
     """
     spec = scheme_spec(scheme)
     k_t = config.p_ap * pathloss(config, "t") ** 2
@@ -248,20 +259,26 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
 
 
 def cell_groups(cells) -> list:
-    """(scheme, config, policy) cells grouped by config.law, in order of first appearance.
+    """The rows of (scheme, config, policy) cells grouped by config.law, in order of first appearance.
 
-    The channel law is all the combined gains' law depends on: N and the
-    three fading laws.  Each group is a tuple (law, index, noma, c_t, c_r,
-    g): the group's channel.ChannelLaw, then per cell of the group, as
-    arrays in cell order, its position in `cells`, its scheme's NOMA flag,
-    its SNR coefficients and its decoding threshold.  The closed forms and
-    the Monte Carlo engine both evaluate a whole group against its law.
+    A batch cell (an array n0 or rate, or array policy fields, all 1-D and
+    of one length, else ValueError) gives one row per element, any other
+    cell one row; rows are numbered in cell order.  The channel law is all
+    the combined gains' law depends on: N and the three fading laws.  Each
+    group is a tuple (law, index, noma, c_t, c_r, g): the group's
+    channel.ChannelLaw, then per row, as arrays, its number, its scheme's
+    NOMA flag, its SNR coefficients and its decoding threshold.  The closed
+    forms and the Monte Carlo engine both evaluate a whole group at once.
     """
-    groups = {}
-    for i, (scheme, config, policy) in enumerate(cells):
+    groups, start = {}, 0
+    for scheme, config, policy in cells:
+        size = _batch_size({"n0": config.n0, "rate": config.rate, **vars(policy)})
+        cols = (*snr_coefficients(scheme, policy, config), config.snr_threshold)
         rows = groups.setdefault(config.law, [])
-        rows.append((i, scheme_spec(scheme).noma, *snr_coefficients(scheme, policy, config), config.snr_threshold))
-    return [(law, *(np.array(col) for col in zip(*rows))) for law, rows in groups.items()]
+        rows.append((np.arange(start, start + size), np.full(size, scheme_spec(scheme).noma),
+                     *(np.full(size, col) for col in cols)))
+        start += size
+    return [(law, *map(np.concatenate, zip(*rows))) for law, rows in groups.items()]
 
 
 def sic_outcome(gamma_t, gamma_r, gamma_th: float, scratch=None):

@@ -96,12 +96,17 @@ def test_all_bundled_presets_are_well_formed():
         assert grid
         base = build_system(cfg)
         policies = {scheme: build_policy(cfg, scheme) for scheme in schemes}
-        # every grid point gives a valid system and policy for every scheme
-        for value in grid:
-            config, swept = cli._sweep_point(exp["sweep"], value, base, policies)
-            assert isinstance(config, system.SystemConfig) and config.law == base.law
-            for scheme in schemes:
-                assert isinstance(swept[scheme], system.SCHEMES[scheme].policy)
+        # the sweep's cells are valid and hold every grid point once per
+        # scheme: a batch cell per scheme, or a one-row cell per N and scheme
+        blocks = cli._sweep_cells(exp["sweep"], grid, base, policies)
+        per_n = exp["sweep"] == "n_elements"
+        assert [scheme for _, (scheme, _, _) in blocks] == schemes * (len(grid) if per_n else 1)
+        assert [v for values, _ in blocks[:: len(schemes)] for v in values] == grid
+        for values, (scheme, config, policy) in blocks:
+            assert isinstance(config, system.SystemConfig) and (per_n or config.law == base.law)
+            assert isinstance(policy, system.SCHEMES[scheme].policy)
+            (_, rows, *_), = system.cell_groups([(scheme, config, policy)])
+            assert rows.tolist() == list(range(len(values)))
 
 
 def test_parse_grid_forms():
@@ -619,6 +624,18 @@ def test_config_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert not faults, "\n".join(faults[:20])
 
 
+# SystemConfig and policy constructions of each case below: one config, plus
+# one batch config for an snr_db or rate sweep or one config per N, and one
+# policy per scheme, plus one batch policy per scheme for alpha or beta_r
+RUN_CONSTRUCTIONS = {
+    ("fig7", ()): (2, 2),
+    ("fig7", ("system.m_r=3.0",)): (2, 2),
+    ("fig7", ("experiment.sweep=n_elements", "experiment.grid=5,10,15")): (4, 2),
+    ("fig8", ()): (1, 4),
+    ("fig10", ()): (1, 4),
+}
+
+
 @pytest.mark.parametrize("preset, sets, fits, policies", [
     ("fig7", (), 1, 2),
     ("fig7", ("system.m_r=3.0",), 2, 2),
@@ -628,10 +645,11 @@ def test_config_fuzz_exits_cleanly(tmp_path, monkeypatch, capsys):
 ])
 def test_run_fits_each_law_and_builds_each_policy_once(tmp_path, monkeypatch, preset, sets, fits, policies):
     # a sweep fits each distinct channel law once, the [system] section's
-    # (N = 30) included, and builds each scheme's policy once: fig7 sweeps
-    # the rate, and fig8 alpha and fig10 beta_r, whose points replace fields
-    # of the one policy
-    calls = {"fit": 0, "policy": 0}
+    # (N = 30) included, and builds each scheme's policy from the config
+    # once; it builds no config or policy per grid point: fig7 sweeps the
+    # rate, one batch config, and fig8 alpha and fig10 beta_r, one batch
+    # policy per scheme
+    calls = {"fit": 0, "policy": 0, "configs": 0, "policies": 0}
 
     def counted(name, fn):
         def spy(*args):
@@ -644,11 +662,43 @@ def test_run_fits_each_law_and_builds_each_policy_once(tmp_path, monkeypatch, pr
         if hasattr(module, "gamma_fit"):
             monkeypatch.setattr(module, "gamma_fit", fit)
     monkeypatch.setattr(cli, "build_policy", counted("policy", cli.build_policy))
+    monkeypatch.setattr(system.SystemConfig, "__post_init__", counted("configs", system.SystemConfig.__post_init__))
+    monkeypatch.setattr(system, "_check_policy", counted("policies", system._check_policy))  # every policy's check
     argv = ["run", "--preset", preset, *(arg for kv in sets for arg in ("--set", kv)), "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert calls == {"fit": fits, "policy": policies}
+    configs, built = RUN_CONSTRUCTIONS[preset, sets]
+    assert calls == {"fit": fits, "policy": policies, "configs": configs, "policies": built}
     if not sets:
         assert hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest() == ANALYTIC_PRESET_SHA256[preset]
+
+
+@pytest.mark.parametrize("command, preset, override, key", [
+    ("run", "fig4", "experiment.schemes=tep,tep", "experiment.schemes"),
+    ("run", "fig4", "experiment.metrics=aoi,outage_t,aoi", "experiment.metrics"),
+    ("optimize", "fig11", "ga.problems=p1,p1", "ga.problems"),
+    ("optimize", "fig11", "ga.problems=p2, P2", "ga.problems"),
+])
+def test_main_rejects_a_repeated_list_entry(tmp_path, capsys, command, preset, override, key):
+    # a repeated scheme, metric or problem would write its rows or columns
+    # twice; it is a config error that names the key
+    argv = [command, "--preset", preset, "--set", override, "--set", "ga.generations=1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "repeats" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_keeps_repeated_grid_values(tmp_path):
+    # a repeated grid value stays legal: each of its rows appears once per
+    # repeat, with the bytes of a run without the repeat
+    files = {}
+    for grid in ("20,25", "25,20,25"):
+        argv = ["run", "--preset", "fig4", "--set", f"experiment.grid={grid}", "--trials", "3000",
+                "--set", "experiment.engine=both", "--out", str(tmp_path / grid)]
+        assert main(argv) == 0
+        files[grid] = (tmp_path / grid / "fig4.csv").read_text().splitlines()
+    header, *rows = files["20,25"]
+    assert files["25,20,25"] == [header, *(row for row in rows for _ in range(1 + row.startswith("25,")))]
 
 
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
