@@ -85,9 +85,14 @@ _ROW_BLOCK rows to bound its working memory; its orthogonal rows are one
 vectorized Gamma CDF and survival evaluation.  outage, success_prob and
 perf_report are one-row calls; the CLI passes a batch cell per scheme (and
 N), and optimizer.evaluate_batch one cell that holds a GA batch.
+
+metrics derives the paper's metrics (METRICS) from rows of (p_out_t,
+p_out_r, phi) of either engine: the users' throughputs, their sum and the
+average AoI 1/phi.  cli.cmd_run calls it on closed_forms rows and on
+montecarlo.estimates rows with their standard errors, and perf_report on
+one closed-form row.
 """
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -107,8 +112,8 @@ __all__ = [
     "outage",
     "success_prob",
     "sum_throughput",
-    "user_throughput",
-    "average_aoi",
+    "METRICS",
+    "metrics",
     "perf_report",
     "noma_metrics_batch",
 ]
@@ -415,30 +420,37 @@ def sum_throughput(scheme: str, outage_pair, rate, policy):
     return rate * (s_t * (1.0 - p_t) + s_r * (1.0 - p_r))
 
 
-def user_throughput(scheme: str, user: str, p_out: float, rate: float, policy) -> float:
-    """One user's throughput contribution (its share of sum_throughput)."""
-    if user not in ("t", "r"):
-        raise ValueError(f"user must be 't' or 'r', got {user!r}")
-    share = system.scheme_spec(scheme).shares(policy)["tr".index(user)]
-    return rate * share * (1.0 - p_out)
+METRICS = ("outage_t", "outage_r", "throughput_t", "throughput_r", "sum_throughput", "phi", "aoi")
 
 
-def average_aoi(phi: float) -> float:
-    """Average age of information 1/phi; phi = 0 maps to float('inf')."""
-    if not (0.0 <= phi <= 1.0):
-        raise ValueError(f"success probability must lie in [0,1], got {phi}")
-    if phi == 0.0:
-        return math.inf
-    return 1.0 / phi
+def metrics(scheme: str, rate, policy, probs, ses=None) -> dict:
+    """METRICS of rows, each as a pair (values, standard errors or None).
+
+    probs holds the rows' (p_out_t, p_out_r, phi) columns; ses, given for
+    Monte Carlo estimates, their standard errors.  The rate and the
+    policy's fields are floats or arrays of the rows, as in sum_throughput.
+    User x's throughput is rate * share_x * (1 - p_x), and the average AoI
+    1/phi, inf where phi = 0.
+    """
+    p_t, p_r, phi = probs
+    s_t, s_r = system.scheme_spec(scheme).shares(policy)
+    scale_t, scale_r = rate * s_t, rate * s_r
+    with np.errstate(divide="ignore", over="ignore"):  # 1/phi is inf where phi is 0 or subnormal
+        aoi = np.divide(1.0, phi)
+    vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r),
+            sum_throughput(scheme, (p_t, p_r), rate, policy), phi, aoi)
+    errs = (None,) * len(METRICS)
+    if ses is not None:
+        se_t, se_r, se_phi = ses
+        # phi ** 2 in Python floats: numpy's square is not bit-identical to Python's power
+        se_aoi = np.array([se / p**2 if p > 0 else np.inf for se, p in zip(se_phi.tolist(), phi.tolist())])
+        errs = (se_t, se_r, scale_t * se_t, scale_r * se_r, np.hypot(scale_t * se_t, scale_r * se_r), se_phi, se_aoi)
+    return dict(zip(METRICS, zip(vals, errs)))
 
 
 def perf_report(scheme: str, config: system.SystemConfig, policy) -> PerfReport:
     """All closed-form metrics of one scheme at one operating point; a batch cell raises ValueError."""
-    p_t, p_r, phi = closed_forms([(scheme, config, policy)]).reshape(3).tolist()
-    return PerfReport(
-        p_out_t=p_t,
-        p_out_r=p_r,
-        sum_throughput=sum_throughput(scheme, (p_t, p_r), config.rate, policy),
-        success_prob=phi,
-        avg_aoi=average_aoi(phi),
-    )
+    (row,) = closed_forms([(scheme, config, policy)])
+    cols = {name: float(value) for name, (value, _) in metrics(scheme, config.rate, policy, row).items()}
+    return PerfReport(p_out_t=cols["outage_t"], p_out_r=cols["outage_r"], sum_throughput=cols["sum_throughput"],
+                      success_prob=cols["phi"], avg_aoi=cols["aoi"])

@@ -95,7 +95,6 @@ DEFAULTS = {
 EXTRA_KEYS = {"ga": {"delta_th"}}
 
 SWEEP_VARS = ("snr_db", "n_elements", "rate", "alpha", "beta_r")
-METRICS = ("outage_t", "outage_r", "throughput_t", "throughput_r", "sum_throughput", "phi", "aoi")
 ENGINES = ("analytic", "montecarlo", "both")
 MAX_GRID_POINTS = 10**6  # of a start:stop:step grid; the largest preset has 20
 
@@ -291,32 +290,10 @@ def _csv_num(value) -> str:
     return format(float(value), ".17g")
 
 
-def _metrics(scheme, config, policy, probs, ses=None) -> dict:
-    """METRICS of a block of rows, each as a pair of columns (values, standard errors or None).
-
-    probs holds the block's (p_t, p_r, phi) columns; ses, given for Monte
-    Carlo rows, their standard errors.
-    """
-    p_t, p_r, phi = probs
-    # a user's throughput is rate * share * (1 - p): scale_x = rate * share_x
-    scale_t, scale_r = (analytics.user_throughput(scheme, u, 0.0, config.rate, policy) for u in "tr")
-    with np.errstate(divide="ignore"):
-        aoi = 1.0 / phi  # inf where phi = 0
-    vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r),
-            analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy), phi, aoi)
-    errs = (None,) * len(METRICS)
-    if ses is not None:
-        se_t, se_r, se_phi = ses
-        # phi ** 2 in Python floats: numpy's square is not bit-identical to Python's power
-        se_aoi = np.array([se / p**2 if p > 0 else np.inf for se, p in zip(se_phi.tolist(), phi.tolist())])
-        errs = (se_t, se_r, scale_t * se_t, scale_r * se_r, np.hypot(scale_t * se_t, scale_r * se_r), se_phi, se_aoi)
-    return dict(zip(METRICS, zip(vals, errs)))
-
-
 def _output_name(cfg: dict, default: str) -> str:
     """experiment.name, or default when blank; a plain file name, never a path."""
     name = cfg["experiment"]["name"].strip() or default
-    if name in (".", "..") or "/" in name or "\\" in name:
+    if name in (".", "..") or "/" in name or "\\" in name or "\0" in name:
         raise ConfigError(f"experiment.name must be a plain file name, got {name!r}")
     return name
 
@@ -335,12 +312,13 @@ def cmd_run(cfg: dict) -> dict:
     exp = cfg["experiment"]
     name = _output_name(cfg, "sweep")
     schemes = _get_list(cfg, "experiment", "schemes")
-    if any(s not in system.SCHEMES for s in schemes):
-        raise ConfigError(f"schemes must be a non-empty subset of {tuple(system.SCHEMES)}")
+    for s in schemes:
+        if s not in system.SCHEMES:
+            raise ConfigError(f"experiment.schemes has unknown scheme {s!r}; choose from {tuple(system.SCHEMES)}")
     metrics = _get_list(cfg, "experiment", "metrics")
     for m in metrics:
-        if m not in METRICS:
-            raise ConfigError(f"unknown metric {m!r}; choose from {METRICS}")
+        if m not in analytics.METRICS:
+            raise ConfigError(f"unknown metric {m!r}; choose from {analytics.METRICS}")
     engine = exp["engine"]
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}")
@@ -371,26 +349,23 @@ def cmd_run(cfg: dict) -> dict:
     policies = {scheme: build_policy(cfg, scheme) for scheme in schemes}
     blocks = _sweep_cells(sweep, grid, build_system(cfg), policies)
     cells = [cell for _, cell in blocks]
-    ends = np.cumsum([len(values) for values, _ in blocks])[:-1]
-
-    collected = []  # (grid values, scheme, engine, metric columns) of each block
+    runs = []  # (engine, (rows, 3) probabilities in cell order, their standard errors or None)
     if engine in ("analytic", "both"):
-        for (values, cell), probs in zip(blocks, np.split(analytics.closed_forms(cells), ends)):
-            collected.append((values, cell[0], "analytic", _metrics(*cell, probs.T)))
+        runs.append(("analytic", analytics.closed_forms(cells), None))
     if engine in ("montecarlo", "both"):
-        counts = montecarlo.mc_counts(cells, mc_cfg, threads)
-        for (values, cell), rows in zip(blocks, np.split(np.arange(len(counts)), ends)):
-            p_t, p_r, se_t, se_r, phi, se_phi = np.array([counts[i].outage() + counts[i].success() for i in rows]).T
-            collected.append((values, cell[0], "montecarlo", _metrics(*cell, (p_t, p_r, phi), (se_t, se_r, se_phi))))
+        runs.append(("montecarlo", *montecarlo.estimates(montecarlo.mc_counts(cells, mc_cfg, threads), mc_cfg.trials)))
 
     header = [sweep, "scheme", "engine", *(m + se for m in metrics for se in ("", "_se"))]
+    bounds = np.cumsum([0] + [len(values) for values, _ in blocks]).tolist()
     rows = []  # (grid value, scheme, engine, CSV line)
-    for values, scheme, eng, cols in collected:
-        n = len(values)
-        fields = [[str(v) if sweep == "n_elements" else _csv_num(v) for v in values], [scheme] * n, [eng] * n]
-        for col in (col for m in metrics for col in cols[m]):
-            fields.append([""] * n if col is None else [_csv_num(x) for x in col.tolist()])
-        rows += zip(values, [scheme] * n, [eng] * n, map(",".join, zip(*fields)))
+    for eng, probs, ses in runs:
+        for (values, (scheme, config, policy)), lo, hi in zip(blocks, bounds, bounds[1:]):
+            cols = analytics.metrics(scheme, config.rate, policy, probs[lo:hi].T, None if ses is None else ses[lo:hi].T)
+            n = len(values)
+            fields = [[str(v) if sweep == "n_elements" else _csv_num(v) for v in values], [scheme] * n, [eng] * n]
+            for col in (col for m in metrics for col in cols[m]):
+                fields.append([""] * n if col is None else [_csv_num(x) for x in col.tolist()])
+            rows += zip(values, [scheme] * n, [eng] * n, map(",".join, zip(*fields)))
     rows.sort(key=lambda r: r[:3])
     return {f"{name}.csv": "\n".join([",".join(header), *(r[3] for r in rows)]) + "\n"}
 
@@ -495,7 +470,9 @@ def main(argv=None) -> int:
             cfg["mc"]["trials"] = str(args.trials)
         if args.threads is not None:
             cfg["experiment"]["threads"] = str(args.threads)
-        out_dir = Path(args.out) if args.out else Path(cfg["experiment"]["out_dir"])
+        out_dir = Path(args.out or cfg["experiment"]["out_dir"])
+        if "\0" in str(out_dir):
+            raise ConfigError(f"experiment.out_dir must not contain a NUL byte, got {cfg['experiment']['out_dir']!r}")
         start = time.perf_counter()
         if args.command == "run":
             files = cmd_run(cfg)

@@ -7,7 +7,9 @@ from its own generator spawned as SeedSequence(entropy=seed, spawn_key=
 drawn and keeps only integer event counts, which sum to the same totals in
 any order; so chunks run on worker threads, cells that share a gain
 ensemble share its draws, and memory holds one chunk of gains per worker
-whatever the trial count.  `mc_gains` concatenates the same chunks in chunk
+whatever the trial count.  It returns the totals as one (rows, 3) int64 array
+in cell order, and `estimates` turns any part of it into rates and their
+binomial standard errors.  `mc_gains` concatenates the same chunks in chunk
 order.
 
 Within a chunk, gains are drawn in blocks of _BLOCK rows (`_chunk_gains`
@@ -84,30 +86,6 @@ class AoiTrace:
             raise ValueError("average age below 1 is impossible")
 
 
-@dataclass(frozen=True)
-class McCounts:
-    """Decode counts of one cell: trials, users t and r not decoded, both decoded."""
-
-    trials: int
-    out_t: int
-    out_r: int
-    both_ok: int
-
-    def _rate(self, count: int):
-        """(p, se) of an event seen `count` times in `trials`."""
-        p = count / self.trials
-        return p, math.sqrt(p * (1.0 - p) / self.trials)
-
-    def outage(self):
-        """Empirical per-user outage (p_t, p_r, se_t, se_r)."""
-        (p_t, se_t), (p_r, se_r) = self._rate(self.out_t), self._rate(self.out_r)
-        return p_t, p_r, se_t, se_r
-
-    def success(self):
-        """Empirical probability (phi, se) that both users decode in one block."""
-        return self._rate(self.both_ok)
-
-
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -175,12 +153,14 @@ def mc_gains(config: system.SystemConfig, mc: McConfig):
     return g_t, g_r
 
 
-def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
-    """McCounts of every row of (scheme, config, policy) cells, rows in cell order.
+def mc_counts(cells, mc: McConfig, threads: int = 1) -> np.ndarray:
+    """int64 event counts (out_t, out_r, both_ok) of (scheme, config, policy) cells, (rows, 3) in cell order.
 
-    A batch cell gives one row per element (`system.cell_groups`, which
-    groups the rows by `config.law`: N and the three fading laws).  Rows of
-    one law share one gain ensemble, drawn from that law.  Each chunk of an
+    out_t and out_r count the trials where user t or r is not decoded, and
+    both_ok those where both are; `estimates` makes them rates.  A batch
+    cell gives one row per element (`system.cell_groups`, which groups the
+    rows by `config.law`: N and the three fading laws).  Rows of one law
+    share one gain ensemble, drawn from that law.  Each chunk of an
     ensemble is drawn once, every row of the ensemble is decoded on it
     once, and the chunk is dropped; chunks run on `threads` workers.  Each
     chunk's decode reuses one set of scratch rows for every row: the SNRs
@@ -211,19 +191,31 @@ def mc_counts(cells, mc: McConfig, threads: int = 1) -> list:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for index, counts in pool.map(count, tasks):
             totals[index] += counts
-    return [McCounts(mc.trials, *map(int, row)) for row in totals]
+    return totals
+
+
+def estimates(counts, trials: int):
+    """(p, se) of events seen `counts` times in `trials` trials, elementwise.
+
+    p = counts / trials, and se = sqrt(p (1 - p) / trials) its binomial
+    standard error; `counts` is an array of mc_counts or a part of one.
+    """
+    p = counts / trials
+    return p, np.sqrt(p * (1.0 - p) / trials)
 
 
 def mc_outage(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
     """Empirical per-user outage (p_t, p_r, se_t, se_r) of a one-row cell; a batch cell raises ValueError."""
-    (counts,) = mc_counts([(scheme, config, policy)], mc)
-    return counts.outage()
+    (row,) = mc_counts([(scheme, config, policy)], mc)
+    (p_t, p_r, _), (se_t, se_r, _) = (x.tolist() for x in estimates(row, mc.trials))
+    return p_t, p_r, se_t, se_r
 
 
 def mc_success(scheme: str, config: system.SystemConfig, policy, mc: McConfig):
     """Empirical probability (phi, se) that both users decode in one block, of a one-row cell (not a batch)."""
-    (counts,) = mc_counts([(scheme, config, policy)], mc)
-    return counts.success()
+    (row,) = mc_counts([(scheme, config, policy)], mc)
+    p, se = estimates(row[2], mc.trials)
+    return p.item(), se.item()
 
 
 def aoi_simulate(source, slots: int, seed: int = 0) -> AoiTrace:

@@ -23,7 +23,7 @@ from starwpn.channel import (
     gamma_fit,
     quartic_gain_cdf,
 )
-from starwpn.montecarlo import McConfig, aoi_simulate, mc_counts, mc_success
+from starwpn.montecarlo import McConfig, aoi_simulate, estimates, mc_counts, mc_success
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
 SNR_GRID = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
@@ -98,9 +98,9 @@ def test_criterion_2_outage_matches_monte_carlo():
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D), ("tdma", TDMA_D)):
             points.append((snr, scheme, cfg, pol, ana[scheme]))
     counts = mc_counts([(scheme, cfg, pol) for _, scheme, cfg, pol, _ in points], mc, threads=2)
+    p, se = estimates(counts, mc.trials)
     cells = []
-    for (snr, scheme, _, _, ref), count in zip(points, counts):
-        p_t, p_r, se_t, se_r = count.outage()
+    for (snr, scheme, _, _, ref), (p_t, p_r, _), (se_t, se_r, _) in zip(points, p.tolist(), se.tolist()):
         cells.append((snr, scheme, "t", p_t, se_t, ref[0]))
         cells.append((snr, scheme, "r", p_r, se_r, ref[1]))
     m = sum(1 for cell in cells if cell[3] < 1e-3)
@@ -188,32 +188,21 @@ def test_criterion_5_throughput_unimodality():
     # Per-user throughput vs rate at 40 dB and vs the energy/information time
     # split at 35 dB: each of the eight per-user curves has exactly one
     # interior maximum on a 20-point grid.
-    curves = {}
+    # one batch cell per curve: an array of rates, or policies whose fields are arrays
     r_grid = np.linspace(0.25, 5.0, 20)
-    for scheme, pol in (("tep", TEP_D), ("eep", EEP_D)):
-        ys = {"t": [], "r": []}
-        for rate in r_grid:
-            cfg = make_config(40.0, float(rate), 30)
-            pair = analytics.outage(scheme, cfg, pol)
-            ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], float(rate), pol))
-            ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], float(rate), pol))
-        for user, y in ys.items():
-            curves[f"rate.{scheme}.{user}"] = y
     a_grid = np.linspace(0.05, 0.95, 20)
-    cfg = make_config(35.0, 2.0, 30)
-    for scheme in ("tep", "eep"):
-        ys = {"t": [], "r": []}
-        for a in a_grid:
-            if scheme == "tep":
-                rem = (1.0 - float(a)) / 2.0
-                pol = system.TepPolicy(rem, rem, float(a), 0.4, 0.6)
-            else:
-                pol = system.EepPolicy(1.0 - float(a), float(a), 0.4, 0.6)
-            pair = analytics.outage(scheme, cfg, pol)
-            ys["t"].append(analytics.user_throughput(scheme, "t", pair[0], 2.0, pol))
-            ys["r"].append(analytics.user_throughput(scheme, "r", pair[1], 2.0, pol))
-        for user, y in ys.items():
-            curves[f"split.{scheme}.{user}"] = y
+    rem = (1.0 - a_grid) / 2.0
+    cells = {
+        "rate.tep": ("tep", make_config(40.0, r_grid, 30), TEP_D),
+        "rate.eep": ("eep", make_config(40.0, r_grid, 30), EEP_D),
+        "split.tep": ("tep", make_config(35.0, 2.0, 30), system.TepPolicy(rem, rem, a_grid, 0.4, 0.6)),
+        "split.eep": ("eep", make_config(35.0, 2.0, 30), system.EepPolicy(1.0 - a_grid, a_grid, 0.4, 0.6)),
+    }
+    curves = {}
+    for name, (scheme, cfg, pol) in cells.items():
+        cols = analytics.metrics(scheme, cfg.rate, pol, analytics.closed_forms([(scheme, cfg, pol)]).T)
+        for user in "tr":
+            curves[f"{name}.{user}"] = cols[f"throughput_{user}"][0]
     bad = [name for name, y in curves.items()
            if not unimodal(y, atol=1e-8 * max(np.max(np.abs(y)), 1e-300))]
     ok = not bad
@@ -232,7 +221,8 @@ def test_criterion_6_aoi_consistency():
     cfg = make_config(35.0, 2.0, 32)
     rows = {}
     for scheme, pol in (("tep", TEP_6), ("eep", EEP_6), ("tdma", TDMA_D)):
-        phi = analytics.success_prob(scheme, cfg, pol)
+        (row,) = analytics.closed_forms([(scheme, cfg, pol)])
+        phi = float(row[2])
         mc_phi, _ = mc_success(scheme, cfg, pol, McConfig(trials=10**6, seed=271))
         trace = aoi_simulate(phi, 10**6, seed=99)
         phat = trace.successes / trace.slots
@@ -240,7 +230,7 @@ def test_criterion_6_aoi_consistency():
             "phi_rel": abs(phi - mc_phi) / mc_phi,
             "renewal_rel": abs(trace.average_age - 1.0 / phat) * phat,
             "sim_age": trace.average_age,
-            "aoi": analytics.average_aoi(phi),
+            "aoi": float(analytics.metrics(scheme, cfg.rate, pol, row)["aoi"][0]),
         }
     checks = {
         "phi within 5% of MC": all(r["phi_rel"] < 0.05 for r in rows.values()),
@@ -265,10 +255,8 @@ def test_criterion_7_aoi_optimal_power_split():
     # 35 dB, N=30, R=2 lies in [0.5, 0.7] on a 0.05-step grid.
     beta_grid = np.arange(0.05, 0.9501, 0.05)
     cfg = make_config(35.0, 2.0, 30)
-    aois = []
-    for b in beta_grid:
-        pol = system.EepPolicy(0.5, 0.5, 1.0 - float(b), float(b))
-        aois.append(analytics.average_aoi(analytics.success_prob("eep", cfg, pol)))
+    pol = system.EepPolicy(0.5, 0.5, 1.0 - beta_grid, beta_grid)
+    aois = analytics.metrics("eep", cfg.rate, pol, analytics.closed_forms([("eep", cfg, pol)]).T)["aoi"][0]
     i = int(np.argmin(aois))
     beta_star = float(beta_grid[i])
     ok = 0.5 <= beta_star <= 0.7

@@ -14,14 +14,13 @@ from starwpn import analytics, channel, optimizer, system
 from starwpn.analytics import (
     PerfReport,
     QuadratureError,
-    average_aoi,
     clamp_stats,
+    metrics,
     noma_metrics_batch,
     outage,
     perf_report,
     success_prob,
     sum_throughput,
-    user_throughput,
 )
 from starwpn.channel import NakagamiParams, gamma_fit, quartic_gain_quantiles
 
@@ -387,9 +386,7 @@ def test_sum_throughput_forms():
         sum_throughput("tep", (1.5, 0.0), 2.0, TEP)
     with pytest.raises(ValueError):
         sum_throughput("ofdma", (0.1, 0.1), 2.0, TEP)
-    assert user_throughput("tdma", "r", 0.5, 2.0, TDMA) == 2.0 * 0.25 * 0.5
-    with pytest.raises(ValueError):
-        user_throughput("tep", "q", 0.1, 2.0, TEP)
+    assert metrics("tdma", 2.0, TDMA, np.array([0.0, 0.5, 0.0]))["throughput_r"][0] == 2.0 * 0.25 * 0.5
 
 
 def test_noma_beats_baseline_at_high_snr():
@@ -401,15 +398,14 @@ def test_noma_beats_baseline_at_high_snr():
     assert t_eep > t_tdma
 
 
+def _aoi(phi):
+    """The metrics aoi column of success probabilities phi, with both users always decoded."""
+    return metrics("tep", 1.0, TEP, (np.zeros_like(phi), np.zeros_like(phi), phi))["aoi"][0].tolist()
+
+
 def test_average_aoi_values():
-    assert average_aoi(1.0) == 1.0
-    assert average_aoi(0.5) == 2.0
-    assert average_aoi(0.25) == 4.0
-    assert average_aoi(0.0) == math.inf
-    with pytest.raises(ValueError):
-        average_aoi(1.5)
-    grid = np.linspace(0.05, 1.0, 40)
-    vals = [average_aoi(float(p)) for p in grid]
+    assert _aoi(np.array([1.0, 0.5, 0.25, 0.0])) == [1.0, 2.0, 4.0, math.inf]
+    vals = _aoi(np.linspace(0.05, 1.0, 40))
     assert all(v >= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -443,6 +439,35 @@ def test_perf_report_consistency():
     assert 0.0 <= rep2.p_out_t <= 1.0
     rep3 = perf_report("tdma", cfg, TDMA)
     assert rep3.success_prob <= 1.0
+
+
+def test_perf_report_equals_metrics_of_its_row():
+    cfg = make_config(snr_db=35.0, rate=2.0)
+    cells = [("tep", cfg, TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
+    for cell, row in zip(cells, analytics.closed_forms(cells)):
+        scheme, _, pol = cell
+        cols = {name: value.tolist() for name, (value, _) in metrics(scheme, cfg.rate, pol, row[:, None]).items()}
+        rep = perf_report(*cell)
+        assert [rep.p_out_t, rep.p_out_r, rep.sum_throughput, rep.success_prob, rep.avg_aoi] == [
+            cols[name][0] for name in ("outage_t", "outage_r", "sum_throughput", "phi", "aoi")]
+        # the two users' throughputs make up the sum
+        assert cols["throughput_t"][0] + cols["throughput_r"][0] == pytest.approx(rep.sum_throughput, rel=1e-12)
+
+
+def test_metrics_of_rows_with_standard_errors():
+    # two NOMA rows with errors as a Monte Carlo engine gives them: each
+    # throughput's error is its user's scaled, the sum's their root sum of
+    # squares, and an AoI's se / phi**2 (inf where phi = 0)
+    probs = np.array([[0.1, 1.0], [0.2, 1.0], [0.75, 0.0]])
+    ses = np.array([[0.01, 0.0], [0.02, 0.0], [0.03, 0.0]])
+    cols = metrics("eep", 2.0, EEP, probs, ses)
+    assert list(cols) == list(analytics.METRICS)
+    assert cols["throughput_t"][0].tolist() == [2.0 * 0.5 * 0.9, 0.0]
+    assert cols["throughput_t"][1].tolist() == [2.0 * 0.5 * 0.01, 0.0]
+    assert cols["sum_throughput"][1][0] == pytest.approx(math.hypot(0.01, 0.02), rel=1e-15)
+    assert cols["aoi"][0].tolist() == [1.0 / 0.75, math.inf]
+    assert cols["aoi"][1].tolist() == [0.03 / 0.75**2, math.inf]
+    assert all(se is None for _, se in metrics("eep", 2.0, EEP, probs).values())
 
 
 def _batch_rows(cases, n):

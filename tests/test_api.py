@@ -54,6 +54,12 @@ def test_benchmark_names_resolve():
     assert isinstance(analytics.clamp_stats.events, int) and isinstance(analytics.clamp_stats.checked, int)
 
 
+def test_analytics_all_names_resolve():
+    # a stale entry breaks `from starwpn.analytics import *`
+    assert all(hasattr(analytics, name) for name in analytics.__all__)
+    exec("from starwpn.analytics import *", {})
+
+
 def test_benchmark_builds_systems_and_policies_by_keyword():
     # perfbench/checks.py prices GA allocations this way: a SystemConfig and
     # a TepPolicy or EepPolicy built by keyword, then perf_report(scheme,

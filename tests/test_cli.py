@@ -90,7 +90,7 @@ def test_all_bundled_presets_are_well_formed():
         schemes = [s for s in exp["schemes"].split(",") if s.strip()]
         assert schemes and all(s in system.SCHEMES for s in schemes)
         for metric in exp["metrics"].split(","):
-            assert metric.strip() in cli.METRICS
+            assert metric.strip() in analytics.METRICS
         assert exp["engine"] in cli.ENGINES
         grid = parse_grid(exp["grid"], as_int=exp["sweep"] == "n_elements")
         assert grid
@@ -477,6 +477,28 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_main_rejects_a_nul_byte_in_a_file_name(tmp_path, capsys):
+    # argv cannot carry a NUL byte, but an INI file can; the file system
+    # would refuse it with a ValueError
+    for key, value, message in (
+        ("name", "a\0b", "plain file name"),
+        ("out_dir", f"{tmp_path}/o\0x", "NUL byte"),
+    ):
+        for command in ("run", "optimize"):
+            ini = tmp_path / "nul.ini"
+            ini.write_bytes(f"[experiment]\n{key} = {value}\n[ga]\ndelta_th = 10\n".encode())
+            argv = [command, str(ini)] + ([] if key == "out_dir" else ["--out", str(tmp_path / "out")])
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["nul.ini"]
+
+
+def test_run_names_an_unknown_scheme():
+    with pytest.raises(ConfigError) as err:
+        cmd_run(load_config(preset="fig4", sets=["experiment.schemes=TEP"]))
+    assert str(err.value) == "experiment.schemes has unknown scheme 'TEP'; choose from ('tep', 'eep', 'tdma')"
+
+
 @pytest.mark.parametrize(
     "override",
     ["system.snr_db=-inf", "system.snr_db=-4000", "system.snr_db=4000", "system.d0_m=1e-200",
@@ -554,7 +576,7 @@ FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "4.9e-324", "
 FUZZ_SIZES = {"mc.trials", "ga.population", "ga.generations", "ga.n_grid", "system.n_elements", "experiment.threads"}
 FUZZ_SIZE_VALUES = ("0", "-1", "1", "2", "nan", "", "x")
 FUZZ_RUN = ("run", "--preset", "fig4", "--set", "experiment.grid=40", "--set", "experiment.engine=both",
-            "--set", "mc.trials=3000", "--set", "experiment.metrics=" + ",".join(cli.METRICS))
+            "--set", "mc.trials=3000", "--set", "experiment.metrics=" + ",".join(analytics.METRICS))
 FUZZ_OPTIMIZE = ("optimize", "--preset", "fig11", "--set", "ga.n_grid=5", "--set", "ga.generations=2",
                  "--set", "ga.population=4")
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from starwpn.montecarlo import (
     AoiTrace,
     McConfig,
     aoi_simulate,
+    estimates,
     mc_counts,
     mc_gains,
     mc_outage,
@@ -181,7 +183,8 @@ def test_mc_outage_deterministic_and_gain_reuse():
     # a cell counted alongside others that share its ensemble equals the
     # cell counted alone
     cells = [("tep", make_config(snr_db=30.0, n=8), TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
-    assert mc_counts(cells, mc)[1].outage() == a
+    (p_t, p_r, _), (se_t, se_r, _) = estimates(mc_counts(cells, mc)[1], mc.trials)
+    assert (p_t, p_r, se_t, se_r) == a
 
 
 def _reference_counts(scheme, cfg, pol, gains):
@@ -225,12 +228,11 @@ def test_mc_counts_match_reference_decode(gain_mode):
         want = [_reference_counts(s, c, p, gains[c.n_elements]) for s, c, p in order]
         for threads in (1, 2):
             got = mc_counts(order, mc, threads=threads)
-            assert [(c.out_t, c.out_r, c.both_ok) for c in got] == want
-            assert all(c.trials == trials for c in got)
+            assert got.dtype == np.int64 and got.tolist() == [list(w) for w in want]
     assert any(0 < w[0] < trials for w in want)  # the comparison is not trivial
     # the grouped cells' counts are pinned too: the stream is part of the
     # package version
-    counts = [(c.out_t, c.out_r, c.both_ok) for c in mc_counts(cells, mc)]
+    counts = [tuple(row) for row in mc_counts(cells, mc).tolist()]
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == COUNTS_SHA256[gain_mode]
 
 
@@ -244,8 +246,8 @@ def test_mc_matches_closed_forms_at_default_point():
         "tdma": analytics.outage("tdma", cfg, TDMA),
     }
     cells = [("tep", cfg, TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
-    for (scheme, _, _), counts in zip(cells, mc_counts(cells, mc)):
-        p_t, p_r, se_t, se_r = counts.outage()
+    p, se = estimates(mc_counts(cells, mc), mc.trials)
+    for (scheme, _, _), (p_t, p_r, _), (se_t, se_r, _) in zip(cells, p, se):
         for est, se, ref in ((p_t, se_t, ana[scheme][0]), (p_r, se_r, ana[scheme][1])):
             if est >= 1e-3:
                 assert abs(ref - est) < 0.10 * est, (scheme, est, ref)
@@ -261,15 +263,25 @@ def test_mc_matches_closed_forms_at_default_point():
                 assert abs(ref - est) <= slack, (scheme, est, ref)
 
 
+def test_estimates_are_rates_and_binomial_standard_errors():
+    # bit for bit the Python-float forms, counts of 0 and of every trial included
+    for trials in (1, 7, 30_000, 123_456_789):
+        counts = np.array([[0, 1, trials // 3], [trials // 2, trials - 1, trials]], dtype=np.int64)
+        p, se = estimates(counts, trials)
+        assert p.shape == se.shape == counts.shape
+        for count, got_p, got_se in zip(counts.ravel().tolist(), p.ravel().tolist(), se.ravel().tolist()):
+            want = count / trials
+            assert (got_p, got_se) == (want, math.sqrt(want * (1.0 - want) / trials))
+
+
 def test_mc_success_limits_and_bound():
     cfg = make_config(rate=1e-12, n=2)
     phi, se = mc_success("tep", cfg, TEP, McConfig(trials=10**5, seed=6))
     assert phi == 1.0 and se == 0.0
     cfg = make_config(snr_db=35.0, rate=2.0, n=32)
     pol = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.4, beta_r=0.6)
-    counts = mc_counts([("tep", cfg, pol)], McConfig(trials=4 * 10**5, seed=7))[0]
-    phi, se_phi = counts.success()
-    p_t, p_r, se_t, se_r = counts.outage()
+    mc = McConfig(trials=4 * 10**5, seed=7)
+    (p_t, p_r, phi), (se_t, se_r, se_phi) = estimates(mc_counts([("tep", cfg, pol)], mc)[0], mc.trials)
     assert phi <= min(1.0 - p_t, 1.0 - p_r) + 3.0 * (se_phi + se_t + se_r)
     ana = analytics.success_prob("tep", cfg, pol)
     assert abs(ana - phi) < 0.05 * phi
