@@ -82,15 +82,16 @@ config.law (N and the three fading laws), so a group shares the Gamma fits
 and tables of one channel.ChannelLaw.  A group's NOMA rows go to
 noma_metrics_batch, which feeds the checked evaluator in blocks of
 _ROW_BLOCK rows to bound its working memory; its orthogonal rows are one
-vectorized Gamma CDF and survival evaluation.  outage, success_prob and
-perf_report are one-row calls; the CLI passes a batch cell per scheme (and
-N), and optimizer.evaluate_batch one cell that holds a GA batch.
+vectorized Gamma CDF and survival evaluation.  perf_report is the one-row
+call; the CLI passes a batch cell per scheme (and N), and
+optimizer.evaluate_batch one cell that holds a GA batch.
 
-metrics derives the paper's metrics (METRICS) from rows of (p_out_t,
-p_out_r, phi) of either engine: the users' throughputs, their sum and the
-average AoI 1/phi.  cli.cmd_run calls it on closed_forms rows and on
-montecarlo.estimates rows with their standard errors, and perf_report on
-one closed-form row.
+metrics is the only code that derives the paper's metrics (METRICS) from
+rows of (p_out_t, p_out_r, phi) of either engine: the users' throughputs,
+their sum and the average AoI 1/phi.  cli.cmd_run calls it on closed_forms
+rows and on montecarlo.estimates rows with their standard errors,
+perf_report on one closed-form row, and optimizer.evaluate_batch on a GA
+batch, whose fitness caps the age.
 """
 
 import threading
@@ -109,9 +110,6 @@ __all__ = [
     "PerfReport",
     "clamp_stats",
     "closed_forms",
-    "outage",
-    "success_prob",
-    "sum_throughput",
     "METRICS",
     "metrics",
     "perf_report",
@@ -391,54 +389,30 @@ def closed_forms(cells) -> np.ndarray:
     return out
 
 
-def outage(scheme: str, config: system.SystemConfig, policy):
-    """Per-user outage probabilities (p_out_t, p_out_r) of a one-row cell; a batch cell raises ValueError."""
-    p_t, p_r, _ = closed_forms([(scheme, config, policy)]).reshape(3).tolist()
-    return p_t, p_r
-
-
-def success_prob(scheme: str, config: system.SystemConfig, policy) -> float:
-    """Probability that both users are decoded in one block, of a one-row cell; a batch cell raises ValueError."""
-    return closed_forms([(scheme, config, policy)]).reshape(3)[2].item()
-
-
-def sum_throughput(scheme: str, outage_pair, rate, policy):
-    """Block-normalized sum throughput from a per-user outage pair.
-
-    NOMA users share one uplink slot; orthogonal users each send in their
-    own.  The outages, the rate and the policy's fields are floats, or
-    equal-length arrays of one batch (as optimizer.evaluate_batch and the
-    CLI pass them).
-    """
-    p_t, p_r = outage_pair
-    if not np.all((p_t >= 0.0) & (p_t <= 1.0) & (p_r >= 0.0) & (p_r <= 1.0)):
-        raise ValueError(f"outage probabilities must lie in [0,1], got {outage_pair}")
-    spec = system.scheme_spec(scheme)
-    s_t, s_r = spec.shares(policy)
-    if spec.noma:
-        return rate * s_t * (2.0 - p_t - p_r)
-    return rate * (s_t * (1.0 - p_t) + s_r * (1.0 - p_r))
-
-
 METRICS = ("outage_t", "outage_r", "throughput_t", "throughput_r", "sum_throughput", "phi", "aoi")
 
 
 def metrics(scheme: str, rate, policy, probs, ses=None) -> dict:
     """METRICS of rows, each as a pair (values, standard errors or None).
 
-    probs holds the rows' (p_out_t, p_out_r, phi) columns; ses, given for
-    Monte Carlo estimates, their standard errors.  The rate and the
-    policy's fields are floats or arrays of the rows, as in sum_throughput.
-    User x's throughput is rate * share_x * (1 - p_x), and the average AoI
-    1/phi, inf where phi = 0.
+    probs holds the rows' (p_out_t, p_out_r, phi) columns, the outages in
+    [0, 1] (else ValueError); ses, given for Monte Carlo estimates, their
+    standard errors.  The rate and the policy's fields are floats or arrays
+    of the rows.  User x's throughput is rate * share_x * (1 - p_x).  The
+    block-normalized sum throughput has NOMA users share one uplink slot
+    and orthogonal users each send in their own.  The average AoI is 1/phi,
+    inf where phi = 0.
     """
     p_t, p_r, phi = probs
-    s_t, s_r = system.scheme_spec(scheme).shares(policy)
+    if not np.all((p_t >= 0.0) & (p_t <= 1.0) & (p_r >= 0.0) & (p_r <= 1.0)):
+        raise ValueError(f"outage probabilities must lie in [0,1], got {(p_t, p_r)}")
+    spec = system.scheme_spec(scheme, policy)
+    s_t, s_r = spec.shares(policy)
     scale_t, scale_r = rate * s_t, rate * s_r
+    total = rate * s_t * (2.0 - p_t - p_r) if spec.noma else rate * (s_t * (1.0 - p_t) + s_r * (1.0 - p_r))
     with np.errstate(divide="ignore", over="ignore"):  # 1/phi is inf where phi is 0 or subnormal
         aoi = np.divide(1.0, phi)
-    vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r),
-            sum_throughput(scheme, (p_t, p_r), rate, policy), phi, aoi)
+    vals = (p_t, p_r, scale_t * (1.0 - p_t), scale_r * (1.0 - p_r), total, phi, aoi)
     errs = (None,) * len(METRICS)
     if ses is not None:
         se_t, se_r, se_phi = ses

@@ -17,7 +17,8 @@ uniformly), crossover is single-point, mutation is per-bit, and a configured
 number of elites survives unchanged.  Fitness evaluation is vectorized
 across the whole population and memoized by chromosome: evaluate_batch
 prices a batch of fresh chromosomes as one policy whose fields are arrays,
-one batch cell of the checked closed forms, with no per-row Python.  The memo
+one batch cell of the checked closed forms whose throughput and age
+analytics.metrics derives, with no per-row Python.  The memo
 is the run's only record: the returned allocation is the fittest memo entry
 that meets the age constraint, or, if none does, the least-violating one
 (fitness breaks ties, then the earlier evaluation wins).
@@ -35,7 +36,7 @@ from . import analytics, system
 VAR_LO = 0.01
 VAR_HI = 0.99
 
-_AOI_CAP = 1e12  # age assigned when the success probability underflows
+_AOI_CAP = 1e12  # the fitness's age cap, reached where phi <= 1e-12 (the metrics age 1/phi is inf at phi = 0)
 
 PROBLEM_SCHEME = {"p1": "tep", "p2": "eep"}
 
@@ -164,14 +165,14 @@ def evaluate_batch(
     """Penalized fitness, raw throughput, and age for rows of (alpha, beta_r).
 
     The rows are priced as one policy whose fields are arrays: one batch
-    cell of analytics.closed_forms and one call of analytics.sum_throughput.
-    A row whose alpha or beta_r lies outside (0, 1) raises ValueError.
+    cell of analytics.closed_forms, whose sum throughput and age
+    analytics.metrics derives; the age is capped at _AOI_CAP.  A row whose
+    alpha or beta_r lies outside (0, 1) raises ValueError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     policy = _policy(scheme, values[:, 0], values[:, 1])
-    p_t, p_r, phi = analytics.closed_forms([(scheme, config, policy)]).T
-    throughput = analytics.sum_throughput(scheme, (p_t, p_r), config.rate, policy)
-    aoi = 1.0 / np.maximum(phi, 1.0 / _AOI_CAP)
+    cols = analytics.metrics(scheme, config.rate, policy, analytics.closed_forms([(scheme, config, policy)]).T)
+    throughput, aoi = cols["sum_throughput"][0], np.minimum(cols["aoi"][0], _AOI_CAP)
     return throughput - penalty_coef * np.maximum(0.0, aoi - delta_th), throughput, aoi
 
 

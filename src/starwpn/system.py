@@ -16,7 +16,7 @@ scheme table `SCHEMES` records for each of them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -227,12 +227,15 @@ SCHEMES = {
 }
 
 
-def scheme_spec(scheme: str) -> Scheme:
-    """Table entry of a scheme name (case-insensitive)."""
+def scheme_spec(scheme: str, policy) -> Scheme:
+    """Table entry of a scheme name (case-insensitive); a policy lacking its policy class's fields raises ValueError."""
     try:
-        return SCHEMES[scheme.lower()]
+        spec = SCHEMES[scheme.lower()]
     except KeyError:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}") from None
+    if not all(hasattr(policy, f.name) for f in fields(spec.policy)):
+        raise ValueError(f"scheme {scheme!r} takes a {spec.policy.__name__}, got a {type(policy).__name__}")
+    return spec
 
 
 def snr_coefficients(scheme: str, policy, config: SystemConfig):
@@ -250,7 +253,7 @@ def snr_coefficients(scheme: str, policy, config: SystemConfig):
     outputs stay bit-stable.  A batch (an array n0 or policy fields) gives
     arrays, equal element by element to the one-row calls.
     """
-    spec = scheme_spec(scheme)
+    spec = scheme_spec(scheme, policy)
     k_t = config.p_ap * pathloss(config, "t") ** 2
     k_r = config.p_ap * pathloss(config, "r") ** 2
     e_t, e_r = spec.snr_scale(policy, k_t, k_r)
@@ -275,7 +278,7 @@ def cell_groups(cells) -> list:
         size = _batch_size({"n0": config.n0, "rate": config.rate, **vars(policy)})
         cols = (*snr_coefficients(scheme, policy, config), config.snr_threshold)
         rows = groups.setdefault(config.law, [])
-        rows.append((np.arange(start, start + size), np.full(size, scheme_spec(scheme).noma),
+        rows.append((np.arange(start, start + size), np.full(size, scheme_spec(scheme, policy).noma),
                      *(np.full(size, col) for col in cols)))
         start += size
     return [(law, *map(np.concatenate, zip(*rows))) for law, rows in groups.items()]

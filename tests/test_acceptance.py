@@ -91,9 +91,9 @@ def test_criterion_2_outage_matches_monte_carlo():
     for snr in SNR_GRID:
         cfg = make_config(snr, 1.0, 30)
         ana = {
-            "tep": analytics.outage("tep", cfg, TEP_D),
-            "eep": analytics.outage("eep", cfg, EEP_D),
-            "tdma": analytics.outage("tdma", cfg, TDMA_D),
+            "tep": analytics.closed_forms([("tep", cfg, TEP_D)])[0].tolist(),
+            "eep": analytics.closed_forms([("eep", cfg, EEP_D)])[0].tolist(),
+            "tdma": analytics.closed_forms([("tdma", cfg, TDMA_D)])[0].tolist(),
         }
         for scheme, pol in (("tep", TEP_D), ("eep", EEP_D), ("tdma", TDMA_D)):
             points.append((snr, scheme, cfg, pol, ana[scheme]))
@@ -131,9 +131,9 @@ def test_criterion_3_outage_orderings_at_40db():
     # At 40 dB (N=30, R=1): EEP beats TEP for the near user, TEP beats EEP
     # for the far user, and TDMA beats both NOMA schemes per user.
     cfg = make_config(40.0, 1.0, 30)
-    tep = analytics.outage("tep", cfg, TEP_D)
-    eep = analytics.outage("eep", cfg, EEP_D)
-    tdma = analytics.outage("tdma", cfg, TDMA_D)
+    tep = analytics.closed_forms([("tep", cfg, TEP_D)])[0].tolist()
+    eep = analytics.closed_forms([("eep", cfg, EEP_D)])[0].tolist()
+    tdma = analytics.closed_forms([("tdma", cfg, TDMA_D)])[0].tolist()
     checks = {
         "eep_t < tep_t": eep[0] < tep[0],
         "tep_r < eep_r": tep[1] < eep[1],
@@ -157,10 +157,8 @@ def test_criterion_4_single_throughput_crossover():
     rows = []
     for snr in SNR_GRID:
         cfg = make_config(snr, 2.0, 30)
-        t_tep = analytics.sum_throughput(
-            "tep", analytics.outage("tep", cfg, TEP_D), 2.0, TEP_D)
-        t_eep = analytics.sum_throughput(
-            "eep", analytics.outage("eep", cfg, EEP_D), 2.0, EEP_D)
+        t_tep = analytics.perf_report("tep", cfg, TEP_D).sum_throughput
+        t_eep = analytics.perf_report("eep", cfg, EEP_D).sum_throughput
         rows.append((snr, t_tep, t_eep))
     diffs = [t - e for _, t, e in rows]
     signs = [np.sign(d) for d in diffs]

@@ -15,14 +15,12 @@ from starwpn.analytics import (
     PerfReport,
     QuadratureError,
     clamp_stats,
+    closed_forms,
     metrics,
     noma_metrics_batch,
-    outage,
     perf_report,
-    success_prob,
-    sum_throughput,
 )
-from starwpn.channel import NakagamiParams, gamma_fit, quartic_gain_quantiles
+from starwpn.channel import NakagamiParams, gamma_fit, quartic_gain_quantiles, quartic_gain_sf
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
 
@@ -126,10 +124,9 @@ def test_outage_tep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=35.0, rate=2.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("tep", cfg, TEP)
+    p_t, p_r, phi = closed_forms([("tep", cfg, TEP)])[0]
     assert abs(p_t - ref_t) < 1e-6 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    phi = success_prob("tep", cfg, TEP)
     assert abs(phi - ref_phi) < 1e-9 * ref_phi
 
     # t near the surface, r far from it: the deadlock is under
@@ -139,20 +136,19 @@ def test_outage_tep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("tep", TEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("tep", cfg, TEP)
+    p_t, p_r, phi = closed_forms([("tep", cfg, TEP)])[0]
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    assert abs(success_prob("tep", cfg, TEP) - ref_phi) < 1e-5 * ref_phi
+    assert abs(phi - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=30.0, rate=1.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("eep", cfg, EEP)
+    p_t, p_r, phi = closed_forms([("eep", cfg, EEP)])[0]
     assert abs(p_t - ref_t) < 1e-7 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    phi = success_prob("eep", cfg, EEP)
     assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
 
     # t near the surface, r far from it: the deadlock is under
@@ -162,10 +158,10 @@ def test_outage_eep_matches_adaptive_quadrature():
     cfg = make_config(snr_db=40.0, rate=1.0, d_t=1.0, d_r=15.0)
     c_t, c_r = system.snr_coefficients("eep", EEP, cfg)
     ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-    p_t, p_r = outage("eep", cfg, EEP)
+    p_t, p_r, phi = closed_forms([("eep", cfg, EEP)])[0]
     assert abs(p_t - ref_t) < 1e-9 * ref_t
     assert abs(p_r - ref_r) < 1e-9 * ref_r
-    assert abs(success_prob("eep", cfg, EEP) - ref_phi) < 1e-5 * ref_phi
+    assert abs(phi - ref_phi) < 1e-5 * ref_phi
 
 
 def test_outage_below_unity_threshold_matches_quadrature():
@@ -177,8 +173,7 @@ def test_outage_below_unity_threshold_matches_quadrature():
     # the oracle's deadlock integrand is signed, so its outputs miss the
     # both-decodable-first overlap mass j in a fixed pattern: each outage is
     # low by j and the success probability is high by j
-    p_t, p_r = outage("tep", cfg, TEP)
-    phi = success_prob("tep", cfg, TEP)
+    p_t, p_r, phi = closed_forms([("tep", cfg, TEP)])[0]
     j1 = p_t - ref_t
     j2 = p_r - ref_r
     j3 = ref_phi - phi
@@ -213,7 +208,7 @@ def test_outage_below_unity_threshold_matches_quadrature():
     assert lower > quartic_gain_quantiles(fit_t)[1]
     overlap = quad_expect(fit_t, both_first, lower, math.inf, [2 * lower], epsabs=0.0)
     assert overlap > 0.25 * (tails - overlap)
-    assert abs(success_prob("tep", cfg, TEP) - (tails - overlap)) < 1e-5 * (tails - overlap)
+    assert abs(perf_report("tep", cfg, TEP).success_prob - (tails - overlap)) < 1e-5 * (tails - overlap)
 
 
 def test_direct_deadlock_below_unity_threshold():
@@ -241,7 +236,7 @@ def test_direct_deadlock_below_unity_threshold():
                     + quad_expect(fit_r, window, g / c_r, g / (c_r * (1.0 - g))))
         assert deadlock < analytics._DEADLOCK_SWITCH
         ref_t = deadlock + quad_expect(fit_t, r_first, 0.0, g / c_t, [g / (2 * c_t)])
-        assert abs(outage("tep", cfg, TEP)[0] - ref_t) < 1e-10 * ref_t
+        assert abs(perf_report("tep", cfg, TEP).p_out_t - ref_t) < 1e-10 * ref_t
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -260,45 +255,64 @@ def test_small_n_matches_adaptive_quadrature(scheme, n):
         cfg = make_config(snr_db=snr_db, rate=2.0, n=n, d0=d0)
         c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
         ref_t, ref_r, ref_phi = quad_oracle_noma(cfg, c_t, c_r)
-        p_t, p_r = outage(scheme, cfg, pol)
-        phi = success_prob(scheme, cfg, pol)
+        p_t, p_r, phi = closed_forms([(scheme, cfg, pol)])[0]
         assert abs(p_t - ref_t) < 1e-7 * ref_t
         assert abs(p_r - ref_r) < 1e-7 * ref_r
         assert abs(phi - ref_phi) < 1e-9 * max(ref_phi, 1e-12)
         assert max(abs(p_t - ref_t), abs(p_r - ref_r), abs(phi - ref_phi)) < 1e-9
 
 
+def test_survival_table_fallback_matches_adaptive_quadrature():
+    # N = 200 with the default fading (m = 2 on every link) is a law whose
+    # survival table misses its 1e-12 bound at every segment count: where Q
+    # lies between 1e-30 and 1e-21 the table's error stays near 1.2e-12, and
+    # some of its midpoints land there.  Its table then calls the exact law,
+    # and the closed forms run on that path
+    cfg = make_config(n=200)
+    fit = cfg.law.fit_t
+    assert fit.survival_table.coef is None
+    x = np.geomspace(fit.support[0] / 10.0, fit.support[1] * 10.0, 1000)
+    assert fit.survival_table(x).tobytes() == quartic_gain_sf(fit, x).tobytes()
+    cells = [(scheme, make_config(snr_db=float(snr_db), rate=rate, n=200), pol)
+             for scheme, pol in (("tep", TEP), ("eep", EEP)) for rate in (0.5, 1.0, 2.0) for snr_db in range(12)]
+    for (scheme, c, pol), row in zip(cells, closed_forms(cells).tolist()):
+        ref = quad_oracle_noma(c, *system.snr_coefficients(scheme, pol, c))
+        for got, want in zip(row, ref):
+            if want > 1e-12:
+                assert abs(got - want) < 1e-7 * want, (scheme, c.snr_threshold, c.n0, got, want)
+
+
 def test_frozen_reference_values():
     cfg = make_config(snr_db=35.0, rate=1.0)
-    p_t, p_r = outage("tep", cfg, TEP)
+    p_t, p_r, _ = closed_forms([("tep", cfg, TEP)])[0]
     assert abs(p_r - 1.569143411059e-01) < 1e-9 * 1.569143411059e-01
     assert abs(p_t - 3.791373880205e-08) < 1e-6 * 3.791373880205e-08
-    p_t20, _ = outage("tep", make_config(snr_db=20.0, rate=1.0), TEP)
+    p_t20 = perf_report("tep", make_config(snr_db=20.0, rate=1.0), TEP).p_out_t
     assert abs(p_t20 - 4.265677070e-01) < 1e-6
 
 
 def test_outage_vanishing_threshold():
     cfg = make_config(rate=1e-9)
-    p_t, p_r = outage("tep", cfg, TEP)
+    p_t, p_r, phi_tep = closed_forms([("tep", cfg, TEP)])[0]
     assert p_t < 1e-6 and p_r < 1e-6
-    p_t, p_r = outage("eep", cfg, EEP)
+    p_t, p_r, _ = closed_forms([("eep", cfg, EEP)])[0]
     assert p_t < 1e-6 and p_r < 1e-6
-    p_t, p_r = outage("tdma", cfg, TDMA)
+    p_t, p_r, phi_tdma = closed_forms([("tdma", cfg, TDMA)])[0]
     assert p_t < 1e-200 and p_r < 1e-200
-    assert success_prob("tep", cfg, TEP) > 1.0 - 1e-6
-    assert success_prob("tdma", cfg, TDMA) > 1.0 - 1e-6
+    assert phi_tep > 1.0 - 1e-6
+    assert phi_tdma > 1.0 - 1e-6
 
 
 def test_outage_vanishing_power():
     cfg = make_config(snr_db=-40.0)
-    for pair in (outage("tep", cfg, TEP), outage("eep", cfg, EEP), outage("tdma", cfg, TDMA)):
+    for pair in closed_forms([("tep", cfg, TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]):
         assert pair[0] > 1.0 - 1e-6 and pair[1] > 1.0 - 1e-6
 
 
 def test_eep_symmetric_users():
     cfg = make_config(d_t=3.0, d_r=3.0)
     pol = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.5, beta_r=0.5)
-    p_t, p_r = outage("eep", cfg, pol)
+    p_t, p_r, _ = closed_forms([("eep", cfg, pol)])[0]
     assert abs(p_t - p_r) < 1e-10
 
 
@@ -308,14 +322,14 @@ def test_eep_beta_shift_lowers_outage():
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     for snr in (25.0, 30.0, 35.0, 40.0):
         cfg = make_config(snr_db=snr)
-        _, pr_lo = outage("eep", cfg, base)
-        _, pr_hi = outage("eep", cfg, boosted)
+        pr_lo = perf_report("eep", cfg, base).p_out_r
+        pr_hi = perf_report("eep", cfg, boosted).p_out_r
         assert pr_hi < pr_lo
     # at 20 dB both sit within representation noise of 1; only require that
     # the shift does not measurably hurt
     cfg = make_config(snr_db=20.0)
-    _, pr_lo = outage("eep", cfg, base)
-    _, pr_hi = outage("eep", cfg, boosted)
+    pr_lo = perf_report("eep", cfg, base).p_out_r
+    pr_hi = perf_report("eep", cfg, boosted).p_out_r
     assert pr_hi <= pr_lo + 1e-12
 
 
@@ -326,8 +340,8 @@ def test_eep_beta_shift_reverses_when_deadlock_dominates():
     base = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.6, beta_r=0.4)
     boosted = system.EepPolicy(alpha_et=0.5, alpha_it=0.5, beta_t=0.4, beta_r=0.6)
     cfg = make_config(snr_db=50.0)
-    p_lo = outage("eep", cfg, base)
-    p_hi = outage("eep", cfg, boosted)
+    p_lo = closed_forms([("eep", cfg, base)])[0]
+    p_hi = closed_forms([("eep", cfg, boosted)])[0]
     assert p_hi[1] > p_lo[1]
     assert abs(p_hi[1] - 1.303448e-05) < 1e-3 * 1.303448e-05
     # pure deadlock regime: both users fail together
@@ -337,8 +351,8 @@ def test_eep_beta_shift_reverses_when_deadlock_dominates():
 def test_tdma_alpha_halving():
     cfg = make_config()
     half = system.TdmaPolicy(alpha_t=0.125, alpha_r=0.375, alpha_ap_t=0.25, alpha_ap_r=0.25)
-    p_full = outage("tdma", cfg, TDMA)[0]
-    p_half = outage("tdma", cfg, half)[0]
+    p_full = perf_report("tdma", cfg, TDMA).p_out_t
+    p_half = perf_report("tdma", cfg, half).p_out_t
     assert p_half > p_full
 
 
@@ -346,8 +360,8 @@ def test_mirror_symmetry():
     cfg = make_config(snr_db=35.0, rate=2.0)
     mirror = make_config(snr_db=35.0, rate=2.0, d_t=4.0, d_r=2.0)
     pol_m = system.TepPolicy(alpha_t=0.25, alpha_r=0.25, alpha_ap=0.5, beta_t=0.4, beta_r=0.6)
-    p = outage("tep", cfg, TEP)
-    q = outage("tep", mirror, pol_m)
+    p = closed_forms([("tep", cfg, TEP)])[0]
+    q = closed_forms([("tep", mirror, pol_m)])[0]
     assert abs(p[0] - q[1]) < 1e-10
     assert abs(p[1] - q[0]) < 1e-10
 
@@ -356,13 +370,13 @@ def test_outage_monotone_in_snr_and_elements():
     tep_prev = (1.1, 1.1)
     for snr in range(20, 55, 5):
         cfg = make_config(snr_db=float(snr))
-        pair = outage("tep", cfg, TEP)
+        pair = closed_forms([("tep", cfg, TEP)])[0]
         assert pair[0] <= tep_prev[0] + 1e-12
         assert pair[1] <= tep_prev[1] + 1e-12
         tep_prev = pair
     prev = (1.1, 1.1)
     for n in (10, 20, 30, 40):
-        pair = outage("tep", make_config(n=n), TEP)
+        pair = closed_forms([("tep", make_config(n=n), TEP)])[0]
         assert pair[0] <= prev[0] + 1e-12
         assert pair[1] <= prev[1] + 1e-12
         prev = pair
@@ -378,22 +392,22 @@ def test_quadrature_order_stability(monkeypatch):
 
 
 def test_sum_throughput_forms():
-    assert sum_throughput("tep", (0.0, 0.0), 2.0, TEP) == 2.0 * 2.0 * 0.5
-    assert sum_throughput("tep", (1.0, 1.0), 2.0, TEP) == 0.0
-    assert sum_throughput("eep", (0.0, 0.0), 1.0, EEP) == 1.0
-    assert sum_throughput("tdma", (0.0, 1.0), 2.0, TDMA) == 2.0 * 0.25
+    assert metrics("tep", 2.0, TEP, (0.0, 0.0, 1.0))["sum_throughput"][0] == 2.0 * 2.0 * 0.5
+    assert metrics("tep", 2.0, TEP, (1.0, 1.0, 0.0))["sum_throughput"][0] == 0.0
+    assert metrics("eep", 1.0, EEP, (0.0, 0.0, 1.0))["sum_throughput"][0] == 1.0
+    assert metrics("tdma", 2.0, TDMA, (0.0, 1.0, 0.0))["sum_throughput"][0] == 2.0 * 0.25
     with pytest.raises(ValueError):
-        sum_throughput("tep", (1.5, 0.0), 2.0, TEP)
+        metrics("tep", 2.0, TEP, (1.5, 0.0, 0.0))
     with pytest.raises(ValueError):
-        sum_throughput("ofdma", (0.1, 0.1), 2.0, TEP)
+        metrics("ofdma", 2.0, TEP, (0.1, 0.1, 0.8))
     assert metrics("tdma", 2.0, TDMA, np.array([0.0, 0.5, 0.0]))["throughput_r"][0] == 2.0 * 0.25 * 0.5
 
 
 def test_noma_beats_baseline_at_high_snr():
     cfg = make_config(snr_db=40.0, rate=2.0)
-    t_tep = sum_throughput("tep", outage("tep", cfg, TEP), cfg.rate, TEP)
-    t_eep = sum_throughput("eep", outage("eep", cfg, EEP), cfg.rate, EEP)
-    t_tdma = sum_throughput("tdma", outage("tdma", cfg, TDMA), cfg.rate, TDMA)
+    t_tep = perf_report("tep", cfg, TEP).sum_throughput
+    t_eep = perf_report("eep", cfg, EEP).sum_throughput
+    t_tdma = perf_report("tdma", cfg, TDMA).sum_throughput
     assert t_tep > t_tdma
     assert t_eep > t_tdma
 
@@ -413,15 +427,13 @@ def test_average_aoi_values():
 def test_success_prob_bounded_by_marginals():
     for snr in (25.0, 30.0, 35.0):
         cfg = make_config(snr_db=snr, rate=2.0)
-        p_t, p_r = outage("tep", cfg, TEP)
-        phi = success_prob("tep", cfg, TEP)
+        p_t, p_r, phi = closed_forms([("tep", cfg, TEP)])[0]
         assert phi <= min(1.0 - p_t, 1.0 - p_r) + 1e-9
 
 
 def test_tdma_success_factorizes():
     cfg = make_config(snr_db=35.0, rate=2.0)
-    p_t, p_r = outage("tdma", cfg, TDMA)
-    phi = success_prob("tdma", cfg, TDMA)
+    p_t, p_r, phi = closed_forms([("tdma", cfg, TDMA)])[0]
     assert abs(phi - (1.0 - p_t) * (1.0 - p_r)) < 1e-12
 
 
@@ -429,10 +441,10 @@ def test_perf_report_consistency():
     cfg = make_config(snr_db=35.0, rate=2.0)
     rep = perf_report("tep", cfg, TEP)
     assert isinstance(rep, PerfReport)
-    p_t, p_r = outage("tep", cfg, TEP)
+    p_t, p_r, phi = closed_forms([("tep", cfg, TEP)])[0]
     assert abs(rep.p_out_t - p_t) < 1e-12
     assert abs(rep.p_out_r - p_r) < 1e-12
-    assert abs(rep.sum_throughput - sum_throughput("tep", (p_t, p_r), 2.0, TEP)) < 1e-12
+    assert abs(rep.sum_throughput - metrics("tep", 2.0, TEP, (p_t, p_r, phi))["sum_throughput"][0]) < 1e-12
     assert abs(rep.avg_aoi - 1.0 / rep.success_prob) < 1e-9
     # the other NOMA scheme and the baseline
     rep2 = perf_report("eep", cfg, EEP)
@@ -514,7 +526,7 @@ def test_batch_matches_scalar_path():
     for cell, row in zip(cells, probs.tolist()):
         rep = perf_report(*cell)
         assert row == [rep.p_out_t, rep.p_out_r, rep.success_prob]
-        assert row == list(outage(*cell)) + [success_prob(*cell)]
+        assert row == closed_forms([cell])[0].tolist()
 
 
 def test_batch_doubles_panels_only_where_needed(monkeypatch):
@@ -609,7 +621,7 @@ def test_tiny_phi_matches_adaptive_quadrature(snr_db, scheme, rate):
     pol = {"tep": TEP, "eep": EEP}[scheme]
     ref_phi = quad_oracle_noma(cfg, *system.snr_coefficients(scheme, pol, cfg))[2]
     assert 0.0 < ref_phi < 1e-14
-    assert abs(success_prob(scheme, cfg, pol) - ref_phi) < 1e-5 * ref_phi
+    assert abs(perf_report(scheme, cfg, pol).success_prob - ref_phi) < 1e-5 * ref_phi
 
 
 def _criterion9_cells():
@@ -682,7 +694,7 @@ def test_direct_deadlock_blind_spot():
 
     ref_r = 1.0 - quad_expect(fit_t, r_first, 0.0, math.inf) - quad_expect(fit_r, t_first, g / c_r, math.inf)
     assert abs(ref_r - 0.812300202441811) < 1e-13
-    p_r = outage(scheme, cfg, pol)[1]
+    p_r = perf_report(scheme, cfg, pol).p_out_r
     assert abs(p_r - ref_r) < 1e-12
     assert quad_oracle_noma(cfg, c_t, c_r)[1] < ref_r - 8e-6  # the oracle's blind spot
 
@@ -759,7 +771,7 @@ def test_randomized_sweep_stays_in_range():
 def test_clamp_stats_reset():
     clamp_stats.reset()
     assert clamp_stats.events == 0 and clamp_stats.checked == 0
-    outage("tdma", make_config(), TDMA)
+    closed_forms([("tdma", make_config(), TDMA)])
     assert clamp_stats.checked >= 2
 
 

@@ -1,5 +1,6 @@
 """The API that code outside the package reads: the README example and the benchmark's names."""
 
+import ast
 import inspect
 import math
 import re
@@ -52,6 +53,26 @@ def test_benchmark_names_resolve():
     assert channel.gauss_hermite_rule(int(cfg["quadrature"]["gh_order"])).order == 30
     # the traced clamp counters
     assert isinstance(analytics.clamp_stats.events, int) and isinstance(analytics.clamp_stats.checked, int)
+
+
+# independent oracles that only tests call, kept on purpose
+ORACLES = {"aoi_simulate", "grid_search"}
+
+
+def test_public_functions_have_a_caller_in_the_package():
+    # code that only tests call is deleted unless it is an oracle: every
+    # public function of the modules the benchmark's tracer wraps whole is
+    # named somewhere in src/, or is a benchmark name or an oracle
+    package = Path(analytics.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    loads = [node for tree in trees for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    named = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None) for node in loads}
+    exempt = ORACLES | {name for _, name in BENCHMARK_NAMES}
+    for module in (analytics, montecarlo, optimizer):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        public = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        uncalled = [name for name in public if not name.startswith("_") and name not in named | exempt]
+        assert not uncalled, f"{module.__name__}: {uncalled} have no caller in src/"
 
 
 def test_analytics_all_names_resolve():

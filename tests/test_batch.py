@@ -130,13 +130,26 @@ def test_batch_cell_rejects_a_policy_of_another_length():
 
 
 def test_one_row_calls_reject_a_batch_cell():
-    # outage, success_prob, perf_report, mc_outage and mc_success price one
-    # operating point; a batch would otherwise give its first row only
+    # perf_report, mc_outage and mc_success price one operating point; a
+    # batch would otherwise give its first row only
     batch = ("tep", make_config(rate=np.array([0.5, 1.0])), TEP)
     mc = montecarlo.McConfig(trials=1000, seed=1)
-    for call in (analytics.outage, analytics.success_prob, analytics.perf_report):
-        with pytest.raises(ValueError):
-            call(*batch)
+    with pytest.raises(ValueError):
+        analytics.perf_report(*batch)
     for call in (montecarlo.mc_outage, montecarlo.mc_success):
         with pytest.raises(ValueError):
             call(*batch, mc)
+
+
+@pytest.mark.parametrize("scheme, policy", [("tep", EEP), ("eep", TDMA), ("tdma", TEP)], ids=["tep", "eep", "tdma"])
+def test_a_policy_of_another_scheme_is_rejected(scheme, policy):
+    # the scheme table's lambdas would otherwise fail on a missing field with
+    # an AttributeError; the pairing is checked where the scheme is looked up
+    cell = (scheme, make_config(), policy)
+    mc = montecarlo.McConfig(trials=1000, seed=1)
+    match = f"scheme {scheme!r} takes a {system.SCHEMES[scheme].policy.__name__}, got a {type(policy).__name__}$"
+    for call in (lambda: analytics.closed_forms([cell]), lambda: montecarlo.mc_counts([cell], mc),
+                 lambda: analytics.metrics(scheme, 1.0, policy, (0.1, 0.2, 0.7)),
+                 lambda: analytics.perf_report(*cell), lambda: montecarlo.mc_outage(*cell, mc)):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -205,7 +205,7 @@ def test_cmd_run_analytic_csv_shape(tmp_path):
     # spot-check one cell against a direct evaluation; the ini's snr_db is 35
     cfg35 = build_system(cfg)
     pol = build_policy(cfg, "tep")
-    want = analytics.outage("tep", cfg35, pol)[0]
+    want = analytics.perf_report("tep", cfg35, pol).p_out_t
     got = float([c for c in cells if c[0] == "35" and c[1] == "tep"][0][3])
     assert got == pytest.approx(want, rel=1e-15)
 

@@ -192,7 +192,7 @@ def _reference_counts(scheme, cfg, pol, gains):
     c_t, c_r = system.snr_coefficients(scheme, pol, cfg)
     gamma_t, gamma_r = c_t * gains[0] ** 4, c_r * gains[1] ** 4
     g = cfg.snr_threshold
-    if system.scheme_spec(scheme).noma:
+    if system.scheme_spec(scheme, pol).noma:
         t_ok, r_ok = system.sic_outcome(gamma_t, gamma_r, g)
     else:
         t_ok, r_ok = gamma_t >= g, gamma_r >= g
@@ -241,9 +241,9 @@ def test_mc_matches_closed_forms_at_default_point():
     cfg = make_config(snr_db=40.0, rate=1.0)
     mc = McConfig(trials=10**6, seed=2718)
     ana = {
-        "tep": analytics.outage("tep", cfg, TEP),
-        "eep": analytics.outage("eep", cfg, EEP),
-        "tdma": analytics.outage("tdma", cfg, TDMA),
+        "tep": analytics.closed_forms([("tep", cfg, TEP)])[0],
+        "eep": analytics.closed_forms([("eep", cfg, EEP)])[0],
+        "tdma": analytics.closed_forms([("tdma", cfg, TDMA)])[0],
     }
     cells = [("tep", cfg, TEP), ("eep", cfg, EEP), ("tdma", cfg, TDMA)]
     p, se = estimates(mc_counts(cells, mc), mc.trials)
@@ -283,7 +283,7 @@ def test_mc_success_limits_and_bound():
     mc = McConfig(trials=4 * 10**5, seed=7)
     (p_t, p_r, phi), (se_t, se_r, se_phi) = estimates(mc_counts([("tep", cfg, pol)], mc)[0], mc.trials)
     assert phi <= min(1.0 - p_t, 1.0 - p_r) + 3.0 * (se_phi + se_t + se_r)
-    ana = analytics.success_prob("tep", cfg, pol)
+    ana = analytics.perf_report("tep", cfg, pol).success_prob
     assert abs(ana - phi) < 0.05 * phi
 
 

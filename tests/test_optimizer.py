@@ -129,11 +129,10 @@ def test_penalized_fitness_zero_penalty_branch():
     cfg = make_config(snr_db=60.0)
     alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
     pol = alloc.policy()
-    phi = analytics.success_prob("tep", cfg, pol)
-    delta = 1.0 / phi
+    rep = analytics.perf_report("tep", cfg, pol)
+    delta = 1.0 / rep.success_prob
     fit = fitness_of(alloc, cfg, delta_th=delta + 5.0)
-    p_t, p_r = analytics.outage("tep", cfg, pol)
-    tput = analytics.sum_throughput("tep", (p_t, p_r), cfg.rate, pol)
+    tput = rep.sum_throughput
     assert fit == pytest.approx(tput, rel=1e-9)
 
 
@@ -141,12 +140,11 @@ def test_penalized_fitness_linear_penalty_branch():
     cfg = make_config(snr_db=60.0)
     alloc = Allocation(scheme="eep", alpha=0.5, beta_r=0.4)
     pol = alloc.policy()
-    phi = analytics.success_prob("eep", cfg, pol)
-    delta = 1.0 / phi
+    rep = analytics.perf_report("eep", cfg, pol)
+    delta = 1.0 / rep.success_prob
     assert delta > 2.0, "test point must violate by a unit margin"
     fit = fitness_of(alloc, cfg, delta_th=delta - 1.0)
-    p_t, p_r = analytics.outage("eep", cfg, pol)
-    tput = analytics.sum_throughput("eep", (p_t, p_r), cfg.rate, pol)
+    tput = rep.sum_throughput
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
 
 
@@ -170,6 +168,24 @@ def test_evaluate_batch_matches_scalar_path(scheme, m_r):
         assert throughput[row] == rep.sum_throughput
         assert aoi[row] == age
         assert fitness[row] == rep.sum_throughput - coef * max(0.0, age - delta_th)
+
+
+@pytest.mark.parametrize("scheme", ["tep", "eep"])
+def test_evaluate_batch_age_cap_edges(monkeypatch, scheme):
+    # success probabilities at and around the cap's edge 1e-12, down to 0 and
+    # a subnormal, where the metrics age 1/phi is inf: the fitness's age is
+    # 1/max(phi, 1e-12) bit for bit, and its throughput the metrics' sum
+    phi = np.array([0.0, 5e-324, 1e-300, np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0), 0.5, 1.0])
+    probs = np.column_stack((np.linspace(0.0, 1.0, phi.size), np.linspace(1.0, 0.0, phi.size), phi))
+    monkeypatch.setattr(analytics, "closed_forms", lambda cells: probs)
+    values = np.column_stack((np.linspace(0.1, 0.9, phi.size), np.linspace(0.8, 0.2, phi.size)))
+    cfg, delta_th, coef = make_config(), 10.0, 1e3
+    fitness, throughput, aoi = optimizer.evaluate_batch(scheme, cfg, values, delta_th, coef)
+    assert aoi.tobytes() == (1.0 / np.maximum(phi, 1e-12)).tobytes()
+    policy = optimizer._policy(scheme, values[:, 0], values[:, 1])
+    want = analytics.metrics(scheme, cfg.rate, policy, probs.T)["sum_throughput"][0]
+    assert throughput.tobytes() == want.tobytes()
+    assert fitness.tobytes() == (want - coef * np.maximum(0.0, aoi - delta_th)).tobytes()
 
 
 @pytest.mark.parametrize("alpha, beta_r", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.2, 0.5),
