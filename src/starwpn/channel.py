@@ -111,20 +111,6 @@ class GammaApprox:
         return _build_cdf_table(self)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a Gauss-Hermite rule (weight e^(-x^2) on R).
-
-    No closed form reads one.  Only cli's check of [quadrature] gh_order and
-    perfbench/worker.py's set-up step build one; all three go together
-    (ROADMAP item 8).
-    """
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 def cascade_moment(n: float, link1: NakagamiParams, link2: NakagamiParams) -> float:
     """E[(h*g)^n] for independent Nakagami envelopes h and g.
 
@@ -409,16 +395,16 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite nodes/weights of the given order (1 <= order <= 200).
+def gauss_hermite_rule(order: int) -> tuple:
+    """Gauss-Hermite (nodes, weights) of the given order (1 <= order <= 200), weight e^(-x^2) on R.
 
-    Read by perfbench/worker.py's set-up step, which skips its config timing
-    without it; it stays until that step stops reading it (ROADMAP item 8).
+    No closed form reads one.  Only cli's check of [quadrature] gh_order and
+    perfbench/worker.py's set-up step, which skips its config timing without
+    it, build one; all three go together (ROADMAP item 8).
     """
     if not (1 <= order <= 200):
         raise ValueError(f"Gauss-Hermite order must be in [1, 200], got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    return np.polynomial.hermite.hermgauss(order)
 
 
 def combined_gain_sample(

@@ -400,8 +400,8 @@ def cmd_optimize(cfg: dict) -> dict:
         config = _replace(base, n_elements=n)
         for problem in problems:
             result = optimizer.ga_run(problem, config, delta_th, ga)
-            nums = (result.best.alpha, result.best.beta_r, result.best_throughput, result.aoi_at_best)
-            lines.append(",".join([str(n), problem, result.best.scheme, *map(_csv_num, nums),
+            nums = (result.alpha, result.beta_r, result.best_throughput, result.aoi_at_best)
+            lines.append(",".join([str(n), problem, result.scheme, *map(_csv_num, nums),
                                    "true" if result.feasible else "false", str(result.generations_to_best),
                                    _csv_num(result.best_fitness)]))
     return {f"{name}_optimize.csv": "\n".join(lines) + "\n"}

@@ -14,16 +14,16 @@ constraint is enforced through an additive penalty on the fitness.
 Chromosomes are fixed-length bit arrays; selection is truncation-style (a
 top fraction of the ranked population fathers children, mothers are drawn
 uniformly), crossover is single-point, mutation is per-bit, and a configured
-number of elites survives unchanged.  Fitness evaluation is vectorized
-across the whole population and memoized by chromosome: evaluate_batch
-prices a batch of fresh chromosomes as one policy whose fields are arrays,
-one batch cell of the checked closed forms whose throughput and age
-analytics.metrics derives, with no per-row Python.  The memo
-is the run's only record: the returned allocation is the fittest memo entry
-that meets the age constraint, or, if none does, the least-violating one
-(fitness breaks ties, then the earlier evaluation wins).
-generations_to_best is the first generation whose best fitness equals the
-best of the whole run.
+number of elites survives unchanged.  Each chromosome is priced once:
+evaluate_batch prices a generation's fresh chromosomes as one policy whose
+fields are arrays, one batch cell of the checked closed forms whose
+throughput and age analytics.metrics derives, with no per-row Python.  The
+run keeps one record of everything it priced, a column of (fitness,
+throughput, age) per chromosome in order of first evaluation.  The result
+is the record's fittest column that meets the age constraint, or, if none
+does, the least-violating one (fitness breaks ties, then the earlier
+evaluation wins).  generations_to_best is the first generation whose best
+fitness equals the best of the whole run.
 """
 
 import math
@@ -86,31 +86,6 @@ class GaConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Decision variables of one individual.
-
-    alpha is the uplink fraction alpha_ap for the time-switching scheme and
-    the charging fraction alpha_et for the energy-splitting scheme.  The
-    remaining protocol fractions follow from the equality constraints.
-    """
-
-    scheme: str
-    alpha: float
-    beta_r: float
-
-    def __post_init__(self):
-        if self.scheme not in _POLICY_FIELDS:
-            raise ValueError(f"scheme must be 'tep' or 'eep', got {self.scheme!r}")
-        for name in ("alpha", "beta_r"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {v}")
-
-    def policy(self):
-        return _policy(self.scheme, self.alpha, self.beta_r)
-
-
 def _policy(scheme: str, alpha, beta_r):
     """The scheme's policy of the GA variables; arrays of them give one policy whose fields are arrays."""
     try:
@@ -122,9 +97,16 @@ def _policy(scheme: str, alpha, beta_r):
 
 @dataclass(frozen=True)
 class GaResult:
-    """Best allocation found, its metrics, and the per-generation trace."""
+    """Best allocation found, its metrics, and the per-generation trace.
 
-    best: Allocation
+    alpha is the uplink fraction alpha_ap for the time-switching scheme and
+    the charging fraction alpha_et for the energy-splitting scheme; the
+    remaining protocol fractions follow from the equality constraints.
+    """
+
+    scheme: str
+    alpha: float
+    beta_r: float
     best_fitness: float
     best_throughput: float
     feasible: bool
@@ -135,24 +117,11 @@ class GaResult:
 
 def _bits_to_unit(bits: np.ndarray, bits_per_var: int) -> np.ndarray:
     """Rows of Gray-coded bits -> per-variable values in (VAR_LO, VAR_HI)."""
-    rows, width = bits.shape
-    if width % bits_per_var:
-        raise ValueError(f"bitstring length {width} is not a multiple of {bits_per_var}")
-    nvar = width // bits_per_var
     # Gray -> binary: each binary digit is the XOR of all Gray digits above it
-    binary = np.bitwise_xor.accumulate(bits.reshape(rows, nvar, bits_per_var), axis=-1)
+    binary = np.bitwise_xor.accumulate(bits.reshape(bits.shape[0], -1, bits_per_var), axis=-1)
     weights = 2.0 ** np.arange(bits_per_var - 1, -1, -1)
     levels = binary @ weights
     return VAR_LO + (VAR_HI - VAR_LO) * levels / (2.0**bits_per_var - 1.0)
-
-
-def decode(bits: np.ndarray, scheme: str, bits_per_var: int = 16) -> Allocation:
-    """The allocation of a Gray-coded chromosome; rejects chromosomes that are not two variables long."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size != 2 * bits_per_var:
-        raise ValueError(f"expected {2 * bits_per_var} bits, got shape {bits.shape}")
-    alpha, beta_r = _bits_to_unit(bits[None, :], bits_per_var)[0]
-    return Allocation(scheme=scheme, alpha=float(alpha), beta_r=float(beta_r))
 
 
 def evaluate_batch(
@@ -225,21 +194,19 @@ def ga_run(
     rng = np.random.default_rng(np.random.SeedSequence(ga.seed))
     pop = rng.integers(0, 2, size=(ga.population, width), dtype=np.uint8)
 
-    memo = {}  # chromosome bytes -> (fitness, throughput, age), in order of first evaluation
+    column = {}  # chromosome bytes -> its column of record, in order of first evaluation
+    record = np.empty((3, 0))  # (fitness, throughput, age) of every chromosome priced
     history = []
 
-    def evaluate(rows: np.ndarray) -> np.ndarray:
-        keys = [rows[i].tobytes() for i in range(rows.shape[0])]
-        fresh = {k: i for i, k in enumerate(keys) if k not in memo}  # each new chromosome once, first seen first
-        if fresh:
-            values = _bits_to_unit(rows[list(fresh.values())], ga.bits_per_var)
-            fit, tput, age = evaluate_batch(scheme, config, values, delta_th, ga.penalty_coef)
-            for j, k in enumerate(fresh):
-                memo[k] = (float(fit[j]), float(tput[j]), float(age[j]))
-        return np.array([memo[k][0] for k in keys])
-
     for gen in range(1, ga.generations + 1):
-        fitness = evaluate(pop)
+        keys = [row.tobytes() for row in pop]
+        fresh = {k: i for i, k in enumerate(keys) if k not in column}  # each new chromosome once, first seen first
+        if fresh:
+            column.update(zip(fresh, range(len(column), len(column) + len(fresh))))
+            values = _bits_to_unit(pop[list(fresh.values())], ga.bits_per_var)
+            priced = evaluate_batch(scheme, config, values, delta_th, ga.penalty_coef)
+            record = np.concatenate([record, priced], axis=1)
+        fitness = record[0, [column[k] for k in keys]]
         order = np.argsort(-fitness, kind="stable")
         history.append(float(fitness[order[0]]))
         if gen == ga.generations:
@@ -255,15 +222,16 @@ def ga_run(
         kids ^= (rng.random((children, width)) < ga.mutation_p).astype(np.uint8)
         pop = np.concatenate([pop[order[: ga.elitism]], kids])
 
-    # feasible before infeasible, then the least violation, then fitness
-    def rank(key):
-        fit, _, age = memo[key]
-        return (age < delta_th, min(0.0, delta_th - age), fit)
-
-    chosen = max(memo, key=rank)
-    fit_val, tput_val, age_val = memo[chosen]
+    # the last key sorts first: feasible before infeasible, then the least violation, then fitness, then the earliest
+    fit, _, age = record
+    best = int(np.lexsort((-np.arange(age.size), fit, np.minimum(0.0, delta_th - age), age < delta_th))[-1])
+    fit_val, tput_val, age_val = map(float, record[:, best])
+    chosen = np.frombuffer(list(column)[best], dtype=np.uint8)
+    alpha, beta_r = _bits_to_unit(chosen[None, :], ga.bits_per_var)[0]
     return GaResult(
-        best=decode(np.frombuffer(chosen, dtype=np.uint8), scheme, ga.bits_per_var),
+        scheme=scheme,
+        alpha=float(alpha),
+        beta_r=float(beta_r),
         best_fitness=fit_val,
         best_throughput=tput_val,
         feasible=age_val < delta_th,

@@ -31,9 +31,9 @@ SNR_GRID = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 TEP_D = system.TepPolicy(0.25, 0.25, 0.5, 0.6, 0.4)
 EEP_D = system.EepPolicy(0.5, 0.5, 0.6, 0.4)
 TDMA_D = system.TdmaPolicy(0.25, 0.25, 0.25, 0.25)
-# the same defaults as points of the GA search spaces of P1 and P2
-DEFAULT_P1 = optimizer.Allocation("tep", alpha=TEP_D.alpha_ap, beta_r=TEP_D.beta_r)
-DEFAULT_P2 = optimizer.Allocation("eep", alpha=EEP_D.alpha_et, beta_r=EEP_D.beta_r)
+# the same defaults as (scheme, alpha, beta_r) points of the GA search spaces of P1 and P2
+DEFAULT_P1 = ("tep", TEP_D.alpha_ap, TEP_D.beta_r)
+DEFAULT_P2 = ("eep", EEP_D.alpha_et, EEP_D.beta_r)
 # power split favoring the far user, used by the AoI operating points
 TEP_6 = system.TepPolicy(0.25, 0.25, 0.5, 0.4, 0.6)
 EEP_6 = system.EepPolicy(0.5, 0.5, 0.4, 0.6)
@@ -280,10 +280,9 @@ def test_criterion_8_ga_dominance_and_grid_match():
     kept = {}
     for n in (10, 20, 30, 40, 50):
         cfg = make_config(35.0, 2.0, n)
-        for problem, default in (("p1", DEFAULT_P1), ("p2", DEFAULT_P2)):
+        for problem, (scheme, alpha, beta_r) in (("p1", DEFAULT_P1), ("p2", DEFAULT_P2)):
             res = optimizer.ga_run(problem, cfg, 10.0, ga)
-            fitness, _, _ = optimizer.evaluate_batch(default.scheme, cfg, [[default.alpha, default.beta_r]], 10.0,
-                                                     ga.penalty_coef)
+            fitness, _, _ = optimizer.evaluate_batch(scheme, cfg, [[alpha, beta_r]], 10.0, ga.penalty_coef)
             base = float(fitness[0])
             rows.append((n, problem, res.best_fitness, base, res.feasible))
             if n == 30:
@@ -295,8 +294,8 @@ def test_criterion_8_ga_dominance_and_grid_match():
         a, b, f = optimizer.grid_search(problem, cfg30, 10.0, steps=256)
         res = kept[problem]
         grid_gaps[problem] = (
-            abs(res.best.alpha - a) / cell,
-            abs(res.best.beta_r - b) / cell,
+            abs(res.alpha - a) / cell,
+            abs(res.beta_r - b) / cell,
             f - res.best_fitness,
         )
     secs = perf_counter() - t0

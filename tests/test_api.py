@@ -50,27 +50,30 @@ def test_benchmark_names_resolve():
         assert set(params) <= set(inspect.signature(fn).parameters), f"{module.__name__}.{name}"
     # the worker's set-up step: resolve the preset and build the rule from its key
     cfg = cli.load_config(None, "fig4", [])
-    assert channel.gauss_hermite_rule(int(cfg["quadrature"]["gh_order"])).order == 30
+    nodes, weights = channel.gauss_hermite_rule(int(cfg["quadrature"]["gh_order"]))
+    assert nodes.shape == weights.shape == (30,)
     # the traced clamp counters
     assert isinstance(analytics.clamp_stats.events, int) and isinstance(analytics.clamp_stats.checked, int)
 
 
-# independent oracles that only tests call, kept on purpose
-ORACLES = {"aoi_simulate", "grid_search"}
+# independent oracles that only tests call, kept on purpose: the age
+# simulator, the GA's grid search, the exact mass the law tables are checked
+# against, and the exact cascade sampler
+ORACLES = {"aoi_simulate", "grid_search", "quartic_gain_mass", "combined_gain_sample"}
 
 
 def test_public_functions_have_a_caller_in_the_package():
     # code that only tests call is deleted unless it is an oracle: every
-    # public function of the modules the benchmark's tracer wraps whole is
-    # named somewhere in src/, or is a benchmark name or an oracle
+    # public function and class of the package's modules is named somewhere
+    # in src/, or is a benchmark name or an oracle
     package = Path(analytics.__file__).resolve().parent
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
     loads = [node for tree in trees for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
     named = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None) for node in loads}
     exempt = ORACLES | {name for _, name in BENCHMARK_NAMES}
-    for module in (analytics, montecarlo, optimizer):
+    for module in (analytics, channel, cli, montecarlo, optimizer, system):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-        public = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        public = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         uncalled = [name for name in public if not name.startswith("_") and name not in named | exempt]
         assert not uncalled, f"{module.__name__}: {uncalled} have no caller in src/"
 

@@ -348,23 +348,24 @@ def test_table_mass_matches_exact_mass(m, n):
 
 
 def test_gauss_hermite_rule_basics():
-    r1 = gauss_hermite_rule(1)
-    assert r1.nodes.shape == (1,) and abs(r1.nodes[0]) < 1e-15
-    assert abs(r1.weights[0] - math.sqrt(math.pi)) < 1e-14
-    r2 = gauss_hermite_rule(2)
-    assert np.allclose(np.sort(r2.nodes), [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-14)
-    assert np.allclose(r2.weights, math.sqrt(math.pi) / 2, atol=1e-14)
+    nodes, weights = gauss_hermite_rule(1)
+    assert nodes.shape == (1,) and abs(nodes[0]) < 1e-15
+    assert abs(weights[0] - math.sqrt(math.pi)) < 1e-14
+    nodes, weights = gauss_hermite_rule(2)
+    assert np.allclose(np.sort(nodes), [-1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-14)
+    assert np.allclose(weights, math.sqrt(math.pi) / 2, atol=1e-14)
     for w in (1, 2, 5, 30, 200):
-        rule = gauss_hermite_rule(w)
-        assert abs(np.sum(rule.weights) - math.sqrt(math.pi)) < 1e-12 * math.sqrt(math.pi)
-        assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
+        nodes, weights = gauss_hermite_rule(w)
+        assert nodes.shape == weights.shape == (w,)
+        assert abs(np.sum(weights) - math.sqrt(math.pi)) < 1e-12 * math.sqrt(math.pi)
+        assert np.allclose(nodes, -nodes[::-1], atol=1e-12)
 
 
 def test_gauss_hermite_polynomial_exactness():
     # degree <= 2W-1 exact; odd degrees vanish by symmetry
-    rule = gauss_hermite_rule(5)
+    nodes, weights = gauss_hermite_rule(5)
     for deg in range(10):
-        approx = np.sum(rule.weights * rule.nodes**deg)
+        approx = np.sum(weights * nodes**deg)
         if deg % 2 == 1:
             exact = 0.0
         else:

@@ -388,6 +388,10 @@ OTHER_PRESET_SHA256 = {
                         "2008c2c43088b64c4ef5e61ccb10d5c70ec54f48ea80c0a429a13341e17b2cf2"),
     "fig11": (("optimize", "--preset", "fig11"), "fig11_optimize.csv",
               "91fe6f6fe78be7305896bcb46e1982a22554e0e0faebc26f6e730e6338fd8a81"),
+    # no N = 10 row meets an age ceiling of 1.5, so the GA returns the least violation; both N = 30 rows meet it
+    "fig11-infeasible": (("optimize", "--preset", "fig11", "--seed", "5", "--set", "ga.delta_th=1.5",
+                          "--set", "ga.n_grid=10,30"), "fig11_optimize.csv",
+                         "37851876c2e682f29a0125969fb3dc213aa955609d1a81fec352562aaf732602"),
 }
 
 

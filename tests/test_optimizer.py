@@ -9,9 +9,7 @@ import pytest
 from starwpn import analytics, optimizer, system
 from starwpn.channel import NakagamiParams
 from starwpn.optimizer import (
-    Allocation,
     GaConfig,
-    decode,
     ga_run,
     evaluate_batch,
     grid_search,
@@ -63,22 +61,16 @@ def test_gaconfig_validation():
     GaConfig(population=10, elitism=9)
 
 
-def test_allocation_validation_and_policy():
-    with pytest.raises(ValueError):
-        Allocation(scheme="fdma", alpha=0.5, beta_r=0.5)
-    with pytest.raises(ValueError):
-        Allocation(scheme="tep", alpha=0.0, beta_r=0.5)
-    with pytest.raises(ValueError):
-        Allocation(scheme="eep", alpha=0.5, beta_r=1.0)
-
-    pol = Allocation(scheme="tep", alpha=0.6, beta_r=0.3).policy()
+def test_policy_of_ga_variables():
+    # the range checks are evaluate_batch's, tested below
+    pol = optimizer._policy("tep", 0.6, 0.3)
     assert isinstance(pol, system.TepPolicy)
     assert pol.alpha_ap == 0.6
     assert pol.alpha_t == pytest.approx(0.2, rel=1e-15)
     assert pol.alpha_r == pytest.approx(0.2, rel=1e-15)
     assert pol.beta_t == pytest.approx(0.7, rel=1e-15)
 
-    pol = Allocation(scheme="eep", alpha=0.55, beta_r=0.45).policy()
+    pol = optimizer._policy("eep", 0.55, 0.45)
     assert isinstance(pol, system.EepPolicy)
     assert pol.alpha_et == 0.55
     assert pol.alpha_it == pytest.approx(0.45, rel=1e-15)
@@ -91,59 +83,45 @@ def gray_bits(level, bits=16):
     return np.array([(gray >> shift) & 1 for shift in range(bits - 1, -1, -1)], dtype=np.uint8)
 
 
-def test_encode_decode_bounds():
-    zeros = np.zeros(32, dtype=np.uint8)
-    a = decode(zeros, "tep")
-    assert a.alpha == 0.01 and a.beta_r == 0.01
-    top = np.concatenate([gray_bits(2**16 - 1)] * 2)
-    a = decode(top, "eep")
-    assert a.alpha == pytest.approx(0.99, rel=1e-15)
-    assert a.beta_r == pytest.approx(0.99, rel=1e-15)
+def test_gray_levels_bounds_and_adjacency():
+    zeros = np.zeros((1, 32), dtype=np.uint8)
+    assert optimizer._bits_to_unit(zeros, 16).tolist() == [[0.01, 0.01]]
+    top = np.concatenate([gray_bits(2**16 - 1)] * 2)[None, :]
+    alpha, beta_r = optimizer._bits_to_unit(top, 16)[0]
+    assert alpha == pytest.approx(0.99, rel=1e-15)
+    assert beta_r == pytest.approx(0.99, rel=1e-15)
     # adjacent levels are one bit apart (Gray code), also across the
     # 0x9FFF -> 0xA000 boundary where a plain binary code flips 14 bits, and
-    # decode to neighbouring values; likewise on an 8-bit code
+    # map to neighbouring values; likewise on an 8-bit code
     for bits, lvl in ((16, 0x9FFF), (8, 0x9F)):
         step = 0.98 / (2**bits - 1)
         lo, hi = (np.concatenate([gray_bits(v, bits), gray_bits(0, bits)]) for v in (lvl, lvl + 1))
         assert int(np.count_nonzero(lo != hi)) == 1
-        a, b = decode(lo, "tep", bits), decode(hi, "tep", bits)
-        assert a.alpha == pytest.approx(0.01 + lvl * step, rel=1e-15)
-        assert b.alpha - a.alpha == pytest.approx(step, rel=1e-9)
+        a, b = optimizer._bits_to_unit(np.stack([lo, hi]), bits)[:, 0]
+        assert a == pytest.approx(0.01 + lvl * step, rel=1e-15)
+        assert b - a == pytest.approx(step, rel=1e-9)
 
 
-def test_decode_rejects_bad_length():
-    with pytest.raises(ValueError):
-        decode(np.zeros(31, dtype=np.uint8), "tep")
-    with pytest.raises(ValueError):
-        decode(np.zeros((2, 16), dtype=np.uint8), "tep")
-    with pytest.raises(ValueError):
-        decode(np.zeros(32, dtype=np.uint8), "tep", bits_per_var=12)
-
-
-def fitness_of(alloc, config, delta_th, penalty_coef=1e3):
+def fitness_of(scheme, alpha, beta_r, config, delta_th, penalty_coef=1e3):
     """The penalized fitness of one allocation, as a one-row batch."""
-    return float(evaluate_batch(alloc.scheme, config, [[alloc.alpha, alloc.beta_r]], delta_th, penalty_coef)[0][0])
+    return float(evaluate_batch(scheme, config, [[alpha, beta_r]], delta_th, penalty_coef)[0][0])
 
 
 def test_penalized_fitness_zero_penalty_branch():
     cfg = make_config(snr_db=60.0)
-    alloc = Allocation(scheme="tep", alpha=0.5, beta_r=0.4)
-    pol = alloc.policy()
-    rep = analytics.perf_report("tep", cfg, pol)
+    rep = analytics.perf_report("tep", cfg, optimizer._policy("tep", 0.5, 0.4))
     delta = 1.0 / rep.success_prob
-    fit = fitness_of(alloc, cfg, delta_th=delta + 5.0)
+    fit = fitness_of("tep", 0.5, 0.4, cfg, delta_th=delta + 5.0)
     tput = rep.sum_throughput
     assert fit == pytest.approx(tput, rel=1e-9)
 
 
 def test_penalized_fitness_linear_penalty_branch():
     cfg = make_config(snr_db=60.0)
-    alloc = Allocation(scheme="eep", alpha=0.5, beta_r=0.4)
-    pol = alloc.policy()
-    rep = analytics.perf_report("eep", cfg, pol)
+    rep = analytics.perf_report("eep", cfg, optimizer._policy("eep", 0.5, 0.4))
     delta = 1.0 / rep.success_prob
     assert delta > 2.0, "test point must violate by a unit margin"
-    fit = fitness_of(alloc, cfg, delta_th=delta - 1.0)
+    fit = fitness_of("eep", 0.5, 0.4, cfg, delta_th=delta - 1.0)
     tput = rep.sum_throughput
     assert fit == pytest.approx(tput - 1e3, rel=1e-9)
 
@@ -152,7 +130,7 @@ def test_penalized_fitness_linear_penalty_branch():
 @pytest.mark.parametrize("m_r", [2.0, 3.0])
 def test_evaluate_batch_matches_scalar_path(scheme, m_r):
     # one array policy prices the batch; every row equals the one-allocation
-    # path (Allocation.policy, perf_report) bit for bit, the variable bounds
+    # path (_policy, perf_report) bit for bit, the variable bounds
     # 0.01 and 0.99 included, at 35 dB (fig11's operating point) and at a
     # rate whose ages cross the 10-slot threshold, so both penalty branches
     # run; with m_r = 3 the users' laws differ
@@ -163,7 +141,7 @@ def test_evaluate_batch_matches_scalar_path(scheme, m_r):
     fitness, throughput, aoi = optimizer.evaluate_batch(scheme, cfg, values, delta_th, coef)
     assert (aoi < delta_th).any() and (aoi > delta_th).any()
     for row, (alpha, beta_r) in enumerate(values.tolist()):
-        rep = analytics.perf_report(scheme, cfg, Allocation(scheme, alpha, beta_r).policy())
+        rep = analytics.perf_report(scheme, cfg, optimizer._policy(scheme, alpha, beta_r))
         age = 1.0 / max(rep.success_prob, 1e-12)
         assert throughput[row] == rep.sum_throughput
         assert aoi[row] == age
@@ -191,12 +169,10 @@ def test_evaluate_batch_age_cap_edges(monkeypatch, scheme):
 @pytest.mark.parametrize("alpha, beta_r", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (1.2, 0.5),
                                            (math.nan, 0.5)])
 def test_evaluate_batch_rejects_variables_outside_unit_interval(alpha, beta_r):
-    # one bad row among good ones fails the batch, as its Allocation would
+    # one bad row among good ones fails the batch
     cfg = make_config()
     values = np.array([[0.5, 0.4], [alpha, beta_r], [0.3, 0.6]])
     for scheme in ("tep", "eep"):
-        with pytest.raises(ValueError):
-            Allocation(scheme, alpha, beta_r)
         with pytest.raises(ValueError, match="must lie strictly inside"):
             optimizer.evaluate_batch(scheme, cfg, values, 10.0, 1e3)
     with pytest.raises(ValueError, match="scheme must be"):
@@ -223,7 +199,7 @@ def test_separable_objective_hits_optimum(monkeypatch):
     hits = 0
     for seed in range(20):
         res = ga_run("p1", cfg, delta_th=10.0, ga=GaConfig(seed=seed))
-        if max(abs(res.best.alpha - 0.3), abs(res.best.beta_r - 0.7)) <= 0.02:
+        if max(abs(res.alpha - 0.3), abs(res.beta_r - 0.7)) <= 0.02:
             hits += 1
     assert hits >= 19, f"only {hits}/20 seeds converged"
 
@@ -235,11 +211,10 @@ def test_ga_deterministic_per_seed(monkeypatch):
     a = ga_run("p2", cfg, delta_th=10.0, ga=ga)
     b = ga_run("p2", cfg, delta_th=10.0, ga=ga)
     assert a.history == b.history
-    assert a.best == b.best
-    assert a.best_fitness == b.best_fitness
+    assert a == b
     # values of this seeded run; any change to the RNG stream or breeding moves them
-    assert a.best.alpha == 0.29205935759517815
-    assert a.best.beta_r == 0.6947962157625697
+    assert a.alpha == 0.29205935759517815
+    assert a.beta_r == 0.6947962157625697
     assert a.best_fitness == -9.013317219098269e-05
     assert a.generations_to_best == 30
 
@@ -296,7 +271,7 @@ def test_selection_least_violation_when_none_feasible(monkeypatch):
     res = ga_run("p1", make_config(), delta_th=10.0,
                  ga=GaConfig(population=16, generations=12, seed=4))
     assert res.feasible is False
-    assert res.best.alpha == min(a for a, _ in seen)
+    assert res.alpha == min(a for a, _ in seen)
     assert any(a + b > res.best_fitness for a, b in seen)
     assert res.generations_to_best == res.history.index(max(res.history)) + 1
 
@@ -314,9 +289,9 @@ def test_ga_real_problem_smoke_and_flags():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=16, generations=12, seed=42)
     res = ga_run("p2", cfg, delta_th=10.0, ga=ga)
-    assert 0.01 <= res.best.alpha <= 0.99
-    assert 0.01 <= res.best.beta_r <= 0.99
-    assert isinstance(res.best.policy(), system.EepPolicy)
+    assert res.scheme == "eep"
+    assert 0.01 <= res.alpha <= 0.99
+    assert 0.01 <= res.beta_r <= 0.99
     assert res.feasible == (res.aoi_at_best < 10.0)
     assert math.isfinite(res.best_fitness)
     assert len(res.history) == 12
@@ -362,5 +337,5 @@ def test_memoization_consistency():
     cfg = make_config(snr_db=58.0)
     ga = GaConfig(population=10, generations=6, seed=2)
     res = ga_run("p1", cfg, delta_th=10.0, ga=ga)
-    direct = fitness_of(res.best, cfg, delta_th=10.0, penalty_coef=ga.penalty_coef)
+    direct = fitness_of(res.scheme, res.alpha, res.beta_r, cfg, delta_th=10.0, penalty_coef=ga.penalty_coef)
     assert direct == pytest.approx(res.best_fitness, rel=1e-12)
