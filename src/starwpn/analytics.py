@@ -14,18 +14,18 @@ disjoint events:
 
 Each event is the probability that the own gain lies in a window of a and b,
 integrated against the other user's quartic-gain density.  The law of the
-quartic gain (its survival, window mass, quantiles and density) comes from
-channel; this module only integrates it, on composite Gauss-Kronrod (QK15)
-panels over the density's support, its TAIL_MASS (1e-28) lower and upper
-quantiles y_lo and y_hi, which the fit keeps (GammaApprox.support).  One
-layout, _panels, serves every integral: a head (0, s) of a panel on
-[0, lo] and log-uniform panels on [lo, s], and a tail [s, top] of
-log-uniform panels, split at the kernel's edge s.  Inside a log-uniform
-panel the nodes are uniform in ln y, where the density's
-integrable endpoint y^((nk-4)/4) (nk = N*k, the Gamma shape of the
+quartic gain (its survival, window mass, quantiles and density) is the
+methods of its channel.GammaApprox; this module only calls them and
+integrates, on composite Gauss-Kronrod (QK15) panels over the density's
+support, its TAIL_MASS (1e-28) lower and upper quantiles y_lo and y_hi,
+which the fit keeps as its support property.  One layout, _panels, serves
+every integral: a head (0, s) of a panel on [0, lo] and log-uniform panels
+on [lo, s], and a tail [s, top] of log-uniform panels, split at the kernel's
+edge s.  Inside a log-uniform panel the nodes are uniform in ln y, where the
+density's integrable endpoint y^((nk-4)/4) (nk = N*k, the Gamma shape of the
 co-phased sum) is a smooth exponential.  The tail runs until the density
-above s keeps TAIL_MASS of its own mass, so a tail from near or past y_hi
-is not cut off.  User x's decodable-first kernel (own gain above b) is
+above s keeps TAIL_MASS of its own mass, so a tail from near or past y_hi is
+not cut off.  User x's decodable-first kernel (own gain above b) is
 integrated once, split at s = g/c_o: the head H_x (the other user, decoded
 next, misses g) and the tail T_x (it clears g) are sums of non-negative
 terms.  So phi = T_t + T_r - overlap never cancels, p_out_t = deadlock +
@@ -33,13 +33,13 @@ H_r, and the deadlock is 1 - (H_t + T_t) - (H_r + T_r) + overlap.
 
 Both users' decodable-first passes run as one stacked pass over 2 x rows:
 the rows on r's gain, split at g/c_r, then the rows on t's gain, split at
-g/c_t.  So the panel layout, the table lookup and the G7/K15 contraction
-run once per call.  The calls into the law (the survival and inverse
-survival that end the tail, the density, the survival table) run once per
-distinct fit (_by_fit): once in all when both users share one fit, as
-system.SystemConfig arranges for equal laws, and once per half otherwise.
-Every array op is elementwise or reduces within a row, so a row's values
-are those of a pass that ran each user on its own.
+g/c_t.  So the panel layout, the table lookup and the G7/K15 contraction run
+once per call.  The law's methods that the pass calls (sf and isf, which end
+the tail, log_pdf, and the survival table) run once per distinct fit
+(_by_fit, which selects them by name): once in all when both users share one
+fit, as system.SystemConfig arranges for equal laws, and once per half
+otherwise.  Every array op is elementwise or reduces within a row, so a
+row's values are those of a pass that ran each user on its own.
 
 For thresholds below one (R < 1) the two "decoded first" events are no
 longer exclusive; the overlap (both cross SINRs clear g, own gain in [b, a])
@@ -54,7 +54,7 @@ its own tail ends.
 
 The decodable-first kernel reads the own survival from the fit's checked
 survival table, and the overlap and deadlock windows read their mass from
-the fit's CDF and survival tables (channel.quartic_gain_table_mass), so no
+the fit's CDF and survival tables (GammaApprox.table_mass), so no
 incomplete gamma function is evaluated at a kernel node unless a window
 end lies below the lower quantile or past the survival table's top.  The
 panel layout calls the exact law.  The G7/K15 check below cannot see the
@@ -100,10 +100,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import system
-from .channel import (
-    TAIL_MASS, log_quartic_gain_pdf, quartic_gain_cdf, quartic_gain_isf, quartic_gain_sf,
-    quartic_gain_table_mass,
-)
+from .channel import TAIL_MASS
 
 __all__ = [
     "QuadratureError",
@@ -179,14 +176,14 @@ _ROW_BLOCK = 64  # NOMA rows per kernel call; bounds the working memory
 
 
 def _by_fit(law, fits, x):
-    """law(fit, x) with the rows of x in len(fits) equal blocks, block i under fits[i].
+    """The method or table named law of each fit at x, the rows of x in len(fits) equal blocks, block i under fits[i].
 
     A single call over all rows when every block has the same fit, one call
     per block otherwise.
     """
     if all(fit is fits[0] for fit in fits):
-        return law(fits[0], x)
-    return np.concatenate([law(fit, part) for fit, part in zip(fits, np.split(x, len(fits)))])
+        return getattr(fits[0], law)(x)
+    return np.concatenate([getattr(fit, law)(part) for fit, part in zip(fits, np.split(x, len(fits)))])
 
 
 def _panels(fits, start, npanel, head=True, stop=np.inf):
@@ -210,8 +207,8 @@ def _panels(fits, start, npanel, head=True, stop=np.inf):
     rows = start.size
     y_lo, y_hi = np.repeat(np.array([fit.support for fit in fits]).T, rows // len(fits), axis=1)
     start = np.maximum(start, y_lo)
-    beyond = TAIL_MASS * _by_fit(quartic_gain_sf, fits, start)
-    top = np.where(beyond > 0.0, _by_fit(quartic_gain_isf, fits, beyond), start)
+    beyond = TAIL_MASS * _by_fit("sf", fits, start)
+    top = np.where(beyond > 0.0, _by_fit("isf", fits, beyond), start)
     u_start = np.log(start)
     u_tail = np.log(np.maximum(np.minimum(top, stop), start)) - u_start
     n = npanel - 1 if head else npanel
@@ -234,7 +231,7 @@ def _panels(fits, start, npanel, head=True, stop=np.inf):
         w = np.concatenate(((0.5 * lo)[:, None, None] * _GK_WEIGHTS[:, None, None, :], w), axis=2)
         n_head = n_head + 1
     y = y.reshape(rows, -1)
-    return y, w.reshape(2, rows, -1) * np.exp(_by_fit(log_quartic_gain_pdf, fits, y)), n_head[:, None]
+    return y, w.reshape(2, rows, -1) * np.exp(_by_fit("log_pdf", fits, y)), n_head[:, None]
 
 
 def _first_int(fits_q, cq, cp, g, y, wf, n_head):
@@ -247,7 +244,7 @@ def _first_int(fits_q, cq, cp, g, y, wf, n_head):
     Both are sums of non-negative terms.
     """
     b = g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None]
-    kern = _by_fit(lambda fit, x: fit.survival_table(x), fits_q, b)
+    kern = _by_fit("survival_table", fits_q, b)
     panels = (kern * wf).reshape(2, g.size, -1, _GK_NODES.size).sum(axis=-1)
     head = np.arange(panels.shape[-1]) < n_head
     return np.where(head, panels, 0.0).sum(axis=-1), np.where(head, 0.0, panels).sum(axis=-1)
@@ -264,7 +261,7 @@ def _window_int(kernel, fit_q, cq, cp, g, y, wf):
     g, cq, cpy = g[:, None], cq[:, None], cp[:, None] * y
     b = g * (cpy + 1.0) / cq
     a = (cpy - g) / (cq * g)
-    kern = quartic_gain_table_mass(fit_q, a, b) if kernel == "deadlock" else quartic_gain_table_mass(fit_q, b, a)
+    kern = fit_q.table_mass(a, b) if kernel == "deadlock" else fit_q.table_mass(b, a)
     return (kern * wf).sum(axis=-1)
 
 
@@ -383,8 +380,7 @@ def closed_forms(cells) -> np.ndarray:
         orth = ~noma
         if orth.any():
             w_t, w_r = g[orth] / c_t[orth], g[orth] / c_r[orth]
-            vals = np.stack((quartic_gain_cdf(fit_t, w_t), quartic_gain_cdf(fit_r, w_r),
-                             quartic_gain_sf(fit_t, w_t) * quartic_gain_sf(fit_r, w_r)))
+            vals = np.stack((fit_t.cdf(w_t), fit_r.cdf(w_r), fit_t.sf(w_t) * fit_r.sf(w_r)))
             out[index[orth]] = _clamp_probs(vals, "orthogonal closed form").T
     return out
 

@@ -33,7 +33,6 @@ first segment so the modeling gap can be measured.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,9 +57,7 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            channel._require_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:

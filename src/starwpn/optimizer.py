@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, system
+from . import analytics, channel, system
 
 VAR_LO = 0.01
 VAR_HI = 0.99
@@ -64,6 +64,8 @@ class GaConfig:
     elitism: int = 1
 
     def __post_init__(self):
+        for name in ("population", "generations", "bits_per_var", "elitism", "seed"):
+            channel._require_int(name, getattr(self, name))
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if self.generations < 1:

@@ -64,7 +64,7 @@ class SystemConfig:
     d_t, d_r    surface to user distances (m)
     exp0        path-loss exponent of the AP-surface segment
     exp_t/exp_r path-loss exponents of the surface-user segments
-    n_elements  surface element count N
+    n_elements  surface element count N, an integer >= 1 (the law's fit checks it)
     fading_ris  Nakagami parameters of the AP-surface fades h_i
     fading_t/r  Nakagami parameters of the surface-user fades g_{x,i}
     rate        target rate R (bits/s/Hz); 2^R - 1 must be finite and > 0;
@@ -112,8 +112,6 @@ class SystemConfig:
         for name in ("exp0", "exp_t", "exp_r"):
             if not (1 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
         own = ChannelLaw(self.n_elements, self.fading_ris, self.fading_t, self.fading_r)
         if self.law != own:
             object.__setattr__(self, "law", own)

@@ -21,7 +21,6 @@ from starwpn.channel import (
     NakagamiParams,
     combined_gain_sample,
     gamma_fit,
-    quartic_gain_cdf,
 )
 from starwpn.montecarlo import McConfig, aoi_simulate, estimates, mc_counts, mc_success
 
@@ -62,7 +61,7 @@ def test_criterion_1_distribution_fidelity():
         fit = gamma_fit(NAK2, NAK2, n)
         s = combined_gain_sample(NAK2, NAK2, n, 10**6, seed=2024 + n) ** 4
         s.sort()
-        cdf = quartic_gain_cdf(fit, s)
+        cdf = fit.cdf(s)
         i = np.arange(1, s.size + 1)
         ks[n] = float(max(np.max(i / s.size - cdf), np.max(cdf - (i - 1) / s.size)))
     secs = perf_counter() - t0

@@ -20,7 +20,7 @@ from starwpn.analytics import (
     noma_metrics_batch,
     perf_report,
 )
-from starwpn.channel import NakagamiParams, gamma_fit, quartic_gain_quantiles, quartic_gain_sf
+from starwpn.channel import NakagamiParams, gamma_fit
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
 
@@ -205,7 +205,7 @@ def test_outage_below_unity_threshold_matches_quadrature():
         return special.gammaincc(fit_r.sum_shape, b) - special.gammaincc(fit_r.sum_shape, a)
 
     lower = g / (c_t * (1.0 - g))
-    assert lower > quartic_gain_quantiles(fit_t)[1]
+    assert lower > fit_t.quantiles()[1]
     overlap = quad_expect(fit_t, both_first, lower, math.inf, [2 * lower], epsabs=0.0)
     assert overlap > 0.25 * (tails - overlap)
     assert abs(perf_report("tep", cfg, TEP).success_prob - (tails - overlap)) < 1e-5 * (tails - overlap)
@@ -272,7 +272,7 @@ def test_survival_table_fallback_matches_adaptive_quadrature():
     fit = cfg.law.fit_t
     assert fit.survival_table.coef is None
     x = np.geomspace(fit.support[0] / 10.0, fit.support[1] * 10.0, 1000)
-    assert fit.survival_table(x).tobytes() == quartic_gain_sf(fit, x).tobytes()
+    assert fit.survival_table(x).tobytes() == fit.sf(x).tobytes()
     cells = [(scheme, make_config(snr_db=float(snr_db), rate=rate, n=200), pol)
              for scheme, pol in (("tep", TEP), ("eep", EEP)) for rate in (0.5, 1.0, 2.0) for snr_db in range(12)]
     for (scheme, c, pol), row in zip(cells, closed_forms(cells).tolist()):
@@ -804,13 +804,14 @@ def test_survival_table_built_once_per_law(monkeypatch):
     # whole GA run share one table per distinct law; a per-call rebuild would
     # cost a table build per call
     builds = []
-    build = channel._build_survival_table
+    build = channel._build_table
 
-    def spy(fit):
-        builds.append(fit)
-        return build(fit)
+    def spy(fit, law, *args, **kwargs):
+        if law == fit.sf:
+            builds.append(fit)
+        return build(fit, law, *args, **kwargs)
 
-    monkeypatch.setattr(channel, "_build_survival_table", spy)
+    monkeypatch.setattr(channel, "_build_table", spy)
     same = make_config(n=12)
     mixed = make_config(n=12, fading_r=NakagamiParams(m=3.0, omega=1.0))
     for config, laws in ((same, 1), (mixed, 2)):
@@ -861,13 +862,14 @@ def test_cdf_table_built_once_per_law(monkeypatch):
     # R = 0.5 and 50 dB the overlap reads r's and the direct deadlock t's, so
     # closed_forms builds one table per distinct law, and a whole GA run one
     builds = []
-    build = channel._build_cdf_table
+    build = channel._build_table
 
-    def spy(fit):
-        builds.append(fit)
-        return build(fit)
+    def spy(fit, law, *args, **kwargs):
+        if law == fit.cdf:
+            builds.append(fit)
+        return build(fit, law, *args, **kwargs)
 
-    monkeypatch.setattr(channel, "_build_cdf_table", spy)
+    monkeypatch.setattr(channel, "_build_table", spy)
     same = make_config(n=12, rate=0.5, snr_db=50.0)
     mixed = make_config(n=12, rate=0.5, snr_db=50.0, fading_r=NakagamiParams(m=3.0, omega=1.0))
     for config, fits in ((same, [same.law.fit_t]), (mixed, [mixed.law.fit_r, mixed.law.fit_t])):

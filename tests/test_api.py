@@ -59,23 +59,59 @@ def test_benchmark_names_resolve():
 # independent oracles that only tests call, kept on purpose: the age
 # simulator, the GA's grid search, the exact mass the law tables are checked
 # against, and the exact cascade sampler
-ORACLES = {"aoi_simulate", "grid_search", "quartic_gain_mass", "combined_gain_sample"}
+ORACLES = {
+    (montecarlo, "aoi_simulate"),
+    (optimizer, "grid_search"),
+    (channel.GammaApprox, "mass"),
+    (channel, "combined_gain_sample"),
+}
+
+
+def test_oracles_resolve():
+    # a renamed or deleted oracle must not linger here as a stale exemption
+    for owner, name in ORACLES:
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
 
 
 def test_public_functions_have_a_caller_in_the_package():
     # code that only tests call is deleted unless it is an oracle: every
     # public function and class of the package's modules is named somewhere
-    # in src/, or is a benchmark name or an oracle
+    # in src/, and every public method of channel's classes (the law's
+    # interface) is read as an attribute (x.name) there, or is a benchmark
+    # name or an oracle
     package = Path(analytics.__file__).resolve().parent
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
     loads = [node for tree in trees for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
-    named = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None) for node in loads}
-    exempt = ORACLES | {name for _, name in BENCHMARK_NAMES}
+    attrs = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    named = attrs | {node.id for node in loads if isinstance(node, ast.Name)}
+    exempt = {name for _, name in ORACLES | BENCHMARK_NAMES.keys()}
     for module in (analytics, channel, cli, montecarlo, optimizer, system):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         public = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         uncalled = [name for name in public if not name.startswith("_") and name not in named | exempt]
         assert not uncalled, f"{module.__name__}: {uncalled} have no caller in src/"
+    tree = ast.parse(Path(channel.__file__).read_text(encoding="utf-8"))
+    methods = [(getattr(channel, cls.name), node.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert (channel.GammaApprox, "cdf") in methods
+    unread = [f"{cls.__name__}.{name}" for cls, name in methods if name not in attrs and (cls, name) not in ORACLES]
+    assert not unread, f"channel: {unread} are never read as an attribute in src/"
+
+
+def test_only_channel_reads_the_fit_or_imports_scipy():
+    # the law of G^4 is GammaApprox's methods: no other module of the package
+    # reads the fit's parameters or calls scipy, so a second law can stand in
+    # for the Gamma fit without touching its callers
+    package = Path(channel.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "channel":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        reads = {node.attr for node in nodes if isinstance(node, ast.Attribute)} & {"k", "theta", "sum_shape"}
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not reads, f"{path.name} reads {sorted(reads)} of the Gamma fit"
+        assert not {name for name in imported if name.split(".")[0] == "scipy"}, f"{path.name} imports scipy"
 
 
 def test_analytics_all_names_resolve():

@@ -15,12 +15,6 @@ from starwpn.channel import (
     combined_gain_sample,
     gamma_fit,
     gauss_hermite_rule,
-    log_quartic_gain_pdf,
-    quartic_gain_cdf,
-    quartic_gain_mass,
-    quartic_gain_quantiles,
-    quartic_gain_sf,
-    quartic_gain_table_mass,
 )
 
 NAK2 = NakagamiParams(m=2.0, omega=1.0)
@@ -125,10 +119,10 @@ def test_gamma_fit_rejects_degenerate():
 
 def test_quartic_cdf_limits_and_monotone():
     fit = gamma_fit(NAK2, NAK2, 30)
-    assert quartic_gain_cdf(fit, 0.0) == 0.0
-    assert quartic_gain_cdf(fit, 1e12) >= 1.0 - 1e-9
+    assert fit.cdf(0.0) == 0.0
+    assert fit.cdf(1e12) >= 1.0 - 1e-9
     grid = np.logspace(-6, 9, 100)
-    vals = quartic_gain_cdf(fit, grid)
+    vals = fit.cdf(grid)
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
@@ -136,7 +130,7 @@ def test_quartic_cdf_limits_and_monotone():
 def test_quartic_cdf_median_of_samples():
     fit = gamma_fit(NAK2, NAK2, 30)
     med = np.median(combined_gain_sample(NAK2, NAK2, 30, 10**6, seed=21) ** 4)
-    assert abs(quartic_gain_cdf(fit, med) - 0.50) < 0.02
+    assert abs(fit.cdf(med) - 0.50) < 0.02
 
 
 def test_quartic_cdf_ks_against_exact_cascade():
@@ -144,7 +138,7 @@ def test_quartic_cdf_ks_against_exact_cascade():
     for n in (1, 2, 5, 10, 30):
         fit = gamma_fit(NAK2, NAK2, n)
         w = combined_gain_sample(NAK2, NAK2, n, 10**6, seed=30 + n) ** 4
-        d = ks_distance(w, lambda x: quartic_gain_cdf(fit, x))
+        d = ks_distance(w, lambda x: fit.cdf(x))
         assert d < 0.02, f"N={n}: KS {d:.4f}"
 
 
@@ -152,12 +146,12 @@ def test_quartic_pdf_normalizes_and_matches_samples():
     fit = gamma_fit(NAK2, NAK2, 30)
     upper = (special.gammainccinv(fit.sum_shape, 1e-12) / fit.theta) ** 4
     total, err = integrate.quad(
-        lambda x: np.exp(log_quartic_gain_pdf(fit, x)), 0.0, upper, limit=400,
+        lambda x: np.exp(fit.log_pdf(x)), 0.0, upper, limit=400,
         points=[(fit.sum_shape / fit.theta) ** 4],
     )
     assert abs(total - 1.0) < 1e-6
     w = combined_gain_sample(NAK2, NAK2, 30, 10**6, seed=77) ** 4
-    d = ks_distance(w, lambda x: quartic_gain_cdf(fit, x))
+    d = ks_distance(w, lambda x: fit.cdf(x))
     assert d < 0.01
 
 
@@ -166,47 +160,47 @@ def test_quartic_pdf_is_cdf_derivative():
     # median-scale point; the CDF and pdf share the continuous shape N*k
     x0 = float(special.gammaincinv(fit.sum_shape, 0.5) / fit.theta) ** 4
     h = 3e-6 * x0
-    deriv = (quartic_gain_cdf(fit, x0 + h) - quartic_gain_cdf(fit, x0 - h)) / (2 * h)
-    pdf = np.exp(log_quartic_gain_pdf(fit, x0))
+    deriv = (fit.cdf(x0 + h) - fit.cdf(x0 - h)) / (2 * h)
+    pdf = np.exp(fit.log_pdf(x0))
     assert abs(deriv - pdf) < 1e-6 * pdf
 
 
 def test_log_pdf_extreme_arguments_finite():
     fit = gamma_fit(NAK2, NAK2, 30)
-    vals = log_quartic_gain_pdf(fit, np.array([1e-280, 1e-12, 1.0, 1e12, 1e280]))
+    vals = fit.log_pdf(np.array([1e-280, 1e-12, 1.0, 1e12, 1e280]))
     assert np.all(np.isfinite(vals))
     assert np.exp(vals[0]) == 0.0 or vals[0] < -500  # deep left tail underflows cleanly
 
 
 @pytest.mark.parametrize("n", [1, 30])
-def test_quartic_gain_survival_and_mass_in_both_tails(n):
+def test_survival_and_mass_in_both_tails(n):
     fit = gamma_fit(NAK2, NAK2, n)
-    x_lo, x_hi = quartic_gain_quantiles(fit, 1e-28)
+    x_lo, x_hi = fit.quantiles(1e-28)
     x = np.geomspace(x_lo / 1e3, x_hi * 16.0, 300)
-    cdf, sf = quartic_gain_cdf(fit, x), quartic_gain_sf(fit, x)
+    cdf, sf = fit.cdf(x), fit.sf(x)
     assert np.all(np.abs(cdf + sf - 1.0) < 1e-14)
     beyond = x > x_hi  # 1 - cdf underflows to 0 there, the survival does not
     assert np.all(1.0 - cdf[beyond] == 0.0) and np.all(sf[beyond] > 0.0)
 
     switch = (fit.sum_shape / fit.theta) ** 4  # the mass is formed from survivals above this
     head, tail = x[x < switch], x[x > switch]
-    np.testing.assert_allclose(quartic_gain_mass(fit, head[:-1], head[1:]),
-                               quartic_gain_cdf(fit, head[1:]) - quartic_gain_cdf(fit, head[:-1]), rtol=1e-12)
-    mass = quartic_gain_mass(fit, tail[:-1], tail[1:])
-    np.testing.assert_allclose(mass, quartic_gain_sf(fit, tail[:-1]) - quartic_gain_sf(fit, tail[1:]), rtol=1e-12)
+    np.testing.assert_allclose(fit.mass(head[:-1], head[1:]),
+                               fit.cdf(head[1:]) - fit.cdf(head[:-1]), rtol=1e-12)
+    mass = fit.mass(tail[:-1], tail[1:])
+    np.testing.assert_allclose(mass, fit.sf(tail[:-1]) - fit.sf(tail[1:]), rtol=1e-12)
     assert np.all(mass[tail[:-1] > x_hi] > 0.0)
 
-    assert np.all(quartic_gain_mass(fit, x, x) == 0.0)
-    assert np.all(quartic_gain_mass(fit, x[1:], x[:-1]) == 0.0)
+    assert np.all(fit.mass(x, x) == 0.0)
+    assert np.all(fit.mass(x[1:], x[:-1]) == 0.0)
     for w1 in (0.0, -1.0):
-        assert np.array_equal(quartic_gain_mass(fit, w1, x), cdf)
+        assert np.array_equal(fit.mass(w1, x), cdf)
 
     for tail_mass in (1e-28, 1e-6, 0.25):
-        q_lo, q_hi = quartic_gain_quantiles(fit, tail_mass)
+        q_lo, q_hi = fit.quantiles(tail_mass)
         assert q_lo < q_hi
-        assert quartic_gain_cdf(fit, q_lo) == pytest.approx(tail_mass, rel=1e-10)
-        assert quartic_gain_sf(fit, q_hi) == pytest.approx(tail_mass, rel=1e-10)
-        assert quartic_gain_mass(fit, q_lo, q_hi) == pytest.approx(1.0 - 2.0 * tail_mass, rel=1e-10)
+        assert fit.cdf(q_lo) == pytest.approx(tail_mass, rel=1e-10)
+        assert fit.sf(q_hi) == pytest.approx(tail_mass, rel=1e-10)
+        assert fit.mass(q_lo, q_hi) == pytest.approx(1.0 - 2.0 * tail_mass, rel=1e-10)
 
 
 @pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 5), (2.0, 30), (4.0, 40), (0.5, 1)])
@@ -222,11 +216,11 @@ def test_survival_table_matches_scipy(m, n):
     assert table.coef is not None  # the bound was met, no fallback to scipy
     segments = table.coef.shape[1]
     assert segments >= 4096 and (segments > 4096 or m != 0.5)
-    assert table.x_lo == quartic_gain_quantiles(fit)[0]
-    assert quartic_gain_sf(fit, table.x_top) == pytest.approx(SF_TABLE_FLOOR, rel=1e-10)
+    assert table.x_lo == fit.quantiles()[0]
+    assert fit.sf(table.x_top) == pytest.approx(SF_TABLE_FLOOR, rel=1e-10)
 
     def check(x):
-        exact, approx = quartic_gain_sf(fit, x), table(x)
+        exact, approx = fit.sf(x), table(x)
         inside = (x >= table.x_lo) & (x <= table.x_top)
         rel = np.abs(approx[inside] / exact[inside] - 1.0)
         assert np.all(rel <= np.where(exact[inside] >= 1e-30, 1e-12, 1e-10))
@@ -258,9 +252,9 @@ def test_survival_table_doubling_reuses_every_value(monkeypatch, m, n):
             return law(fit, x)
         return spy
 
-    monkeypatch.setattr(channel, "quartic_gain_sf", counted("sf", channel.quartic_gain_sf))
-    monkeypatch.setattr(channel, "log_quartic_gain_pdf", counted("pdf", channel.log_quartic_gain_pdf))
-    table = channel._build_survival_table(fit)
+    monkeypatch.setattr(GammaApprox, "sf", counted("sf", GammaApprox.sf))
+    monkeypatch.setattr(GammaApprox, "log_pdf", counted("pdf", GammaApprox.log_pdf))
+    table = fit.survival_table
     monkeypatch.undo()
     segments = table.coef.shape[1]
     assert segments > 4096  # at least one doubling
@@ -270,8 +264,8 @@ def test_survival_table_doubling_reuses_every_value(monkeypatch, m, n):
     assert table.step == step
     u = table.u0 + step * np.arange(segments + 1)
     x = np.exp(u)
-    log_q = np.log(quartic_gain_sf(fit, x))
-    d = -step * np.exp(u + log_quartic_gain_pdf(fit, x) - log_q)
+    log_q = np.log(fit.sf(x))
+    d = -step * np.exp(u + fit.log_pdf(x) - log_q)
     dq = np.diff(log_q)
     coef = np.stack((log_q[:-1], d[:-1], 3.0 * dq - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dq))
     assert np.array_equal(table.coef, coef)
@@ -289,11 +283,11 @@ def test_cdf_table_matches_scipy(m, n):
     assert table.coef is not None  # the bound was met, no fallback to scipy
     segments = table.coef.shape[1]
     assert segments >= 4096
-    assert table.x_lo == quartic_gain_quantiles(fit)[0]
+    assert table.x_lo == fit.quantiles()[0]
     assert table.x_top == pytest.approx((fit.sum_shape / fit.theta) ** 4, rel=1e-15)
 
     def check(x):
-        exact, approx = quartic_gain_cdf(fit, x), table(x)
+        exact, approx = fit.cdf(x), table(x)
         inside = (x >= table.x_lo) & (x <= table.x_top)
         assert np.all(np.abs(approx[inside] / exact[inside] - 1.0) <= 1e-12)
         assert np.array_equal(approx[~inside], exact[~inside])
@@ -308,7 +302,7 @@ def test_cdf_table_matches_scipy(m, n):
 
 @pytest.mark.parametrize("m, n", [(2.0, 1), (2.0, 30), (0.5, 1)])
 def test_table_mass_matches_exact_mass(m, n):
-    # the windows' mass from the two tables against quartic_gain_mass: windows
+    # the windows' mass from the two tables against the exact mass: windows
     # left of the mode, right of it and across it, with ends below the lower
     # quantile, at or below 0 and past the survival table's top, and empty ones
     link = NakagamiParams(m=m, omega=1.0)
@@ -335,16 +329,16 @@ def test_table_mass_matches_exact_mass(m, n):
     )
     w1, w2 = (np.concatenate([block[i] for block in blocks]) for i in (0, 1))
     scipy_only = np.concatenate([np.full(w.size, only) for w, _, only in blocks])
-    exact, table = quartic_gain_mass(fit, w1, w2), quartic_gain_table_mass(fit, w1, w2)
+    exact, table = fit.mass(w1, w2), fit.table_mass(w1, w2)
     # the tables' relative error on each term of the difference: 1e-12, and
     # 1e-10 where the survival is below 1e-30
-    terms = np.where(w1 > x_mode, quartic_gain_sf(fit, w1), quartic_gain_cdf(fit, w2))
+    terms = np.where(w1 > x_mode, fit.sf(w1), fit.cdf(w2))
     assert np.all(np.abs(table - exact) <= np.where(terms >= 1e-30, 2e-12, 2e-10) * terms)
     assert np.all(table >= 0.0) and np.all(exact[(w1 < w2) & ~scipy_only] > 0.0)
     assert np.array_equal(table[scipy_only], exact[scipy_only])
     for a, b in ((w1, w1), (np.maximum(w1, w2), np.minimum(w1, w2))):  # empty windows
-        assert np.all(quartic_gain_table_mass(fit, a, b) == 0.0)
-    assert np.array_equal(quartic_gain_table_mass(fit, 0.0, left[1]), fit.cdf_table(left[1]))
+        assert np.all(fit.table_mass(a, b) == 0.0)
+    assert np.array_equal(fit.table_mass(0.0, left[1]), fit.cdf_table(left[1]))
 
 
 def test_gauss_hermite_rule_basics():

@@ -58,6 +58,14 @@ def test_gaconfig_validation():
     GaConfig(penalty_coef=1e290)
     with pytest.raises(ValueError):
         GaConfig(population=10, elitism=10)
+    # a float or bool count or seed is refused up front, not left to fail
+    # inside numpy or to run as 1 (True); numpy's integers are taken
+    for name, bad in (("population", 4.5), ("generations", 2.5), ("bits_per_var", 8.5), ("elitism", 1.5),
+                      ("seed", 1.5), ("generations", True), ("population", 12.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GaConfig(**{name: bad})
+    GaConfig(population=np.int64(12), generations=np.int32(3), bits_per_var=np.int16(8), elitism=np.uint8(1),
+             seed=np.uint32(1))
     GaConfig(population=10, elitism=9)
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from starwpn.channel import ChannelLaw, NakagamiParams, cascade_moment
+from starwpn.channel import ChannelLaw, NakagamiParams, cascade_moment, gamma_fit
 from starwpn.system import (
     EepPolicy,
     SystemConfig,
@@ -52,6 +52,21 @@ def test_snr_threshold_tracks_rate():
     assert make_config(rate=1.0).snr_threshold == 1.0
     assert make_config(rate=2.0).snr_threshold == 3.0
     assert abs(make_config(rate=0.5).snr_threshold - (2**0.5 - 1.0)) < 1e-15
+
+
+def test_n_elements_must_be_an_integer():
+    # N counts surface elements: a float, even a whole one, or a bool is
+    # refused by the law's fit, so the closed forms never price a surface
+    # that Monte Carlo cannot draw; numpy's integers are taken
+    for bad in (30.5, 30.0, True, "30"):
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            make_config(n_elements=bad)
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            gamma_fit(NAK2, NAK2, bad)
+    config = make_config(n_elements=np.int64(30))
+    assert config.law.fit_t.n_elements == 30 and config.law.fit_t.sum_shape == make_config().law.fit_t.sum_shape
+    with pytest.raises(ValueError, match="n_elements must be >= 1, got 0"):
+        make_config(n_elements=0)
 
 
 def test_config_validation():
