@@ -34,9 +34,10 @@ H_r, and the deadlock is 1 - (H_t + T_t) - (H_r + T_r) + overlap.
 Both users' decodable-first passes run as one stacked pass over 2 x rows:
 the rows on r's gain, split at g/c_r, then the rows on t's gain, split at
 g/c_t.  So the panel layout, the table lookup and the G7/K15 contraction run
-once per call.  The law's methods that the pass calls (sf and isf, which end
-the tail, log_pdf, and the survival table) run once per distinct fit
-(_by_fit, which selects them by name): once in all when both users share one
+once per call.  The law's methods that the pass calls (the survival table,
+which gives the survival at a tail's start, table_isf, which ends the tail,
+and log_pdf) run once per distinct fit (_by_fit, which is handed how to
+read them off a fit): once in all when both users share one
 fit, as system.SystemConfig arranges for equal laws, and once per half
 otherwise.  Every array op is elementwise or reduces within a row, so a
 row's values are those of a pass that ran each user on its own.
@@ -57,7 +58,9 @@ survival table, and the overlap and deadlock windows read their mass from
 the fit's CDF and survival tables (GammaApprox.table_mass), so no
 incomplete gamma function is evaluated at a kernel node unless a window
 end lies below the lower quantile or past the survival table's top.  The
-panel layout calls the exact law.  The G7/K15 check below cannot see the
+panel layout reads the survival table too, and inverts it for a tail's top,
+so no pass iterates an incomplete gamma function or its inverse unless a
+tail starts past the table's top.  The G7/K15 check below cannot see the
 tables' interpolation error, since both rules read the same table values;
 the tables' build checks bound it (1e-12 relative where the law is at
 least 1e-30, 1e-10 down to 1e-300).  A window's mass is a difference of
@@ -176,14 +179,14 @@ _ROW_BLOCK = 64  # NOMA rows per kernel call; bounds the working memory
 
 
 def _by_fit(law, fits, x):
-    """The method or table named law of each fit at x, the rows of x in len(fits) equal blocks, block i under fits[i].
+    """law(fit), a method or table of the fit, at the rows of x in len(fits) equal blocks, block i under fits[i].
 
     A single call over all rows when every block has the same fit, one call
     per block otherwise.
     """
     if all(fit is fits[0] for fit in fits):
-        return getattr(fits[0], law)(x)
-    return np.concatenate([getattr(fit, law)(part) for fit, part in zip(fits, np.split(x, len(fits)))])
+        return law(fits[0])(x)
+    return np.concatenate([law(fit)(part) for fit, part in zip(fits, np.split(x, len(fits)))])
 
 
 def _panels(fits, start, npanel, head=True, stop=np.inf):
@@ -193,7 +196,9 @@ def _panels(fits, start, npanel, head=True, stop=np.inf):
     Gamma fit is fits[i].  The tail [start, top] is raised to y_lo at its
     start and ends at stop or where TAIL_MASS of the density's mass above
     start remains, whichever comes first, so that a tail from near or past
-    y_hi is not cut off (top = start where that mass underflows).  With
+    y_hi is not cut off (top = start where that mass underflows); both
+    masses come from the survival table, its value at start and its cubic
+    inverted for top (GammaApprox.table_isf).  With
     head, the head (0, min(start, y_hi)) comes first, as a panel on [0, lo],
     lo = min(max(y_lo, y_hi * 2^-96), start), and log-uniform panels on
     [lo, min(start, y_hi)]; head and tail share the other npanel - 1 panels
@@ -207,8 +212,8 @@ def _panels(fits, start, npanel, head=True, stop=np.inf):
     rows = start.size
     y_lo, y_hi = np.repeat(np.array([fit.support for fit in fits]).T, rows // len(fits), axis=1)
     start = np.maximum(start, y_lo)
-    beyond = TAIL_MASS * _by_fit("sf", fits, start)
-    top = np.where(beyond > 0.0, _by_fit("isf", fits, beyond), start)
+    beyond = TAIL_MASS * _by_fit(lambda fit: fit.survival_table, fits, start)
+    top = np.where(beyond > 0.0, _by_fit(lambda fit: fit.table_isf, fits, beyond), start)
     u_start = np.log(start)
     u_tail = np.log(np.maximum(np.minimum(top, stop), start)) - u_start
     n = npanel - 1 if head else npanel
@@ -231,7 +236,7 @@ def _panels(fits, start, npanel, head=True, stop=np.inf):
         w = np.concatenate(((0.5 * lo)[:, None, None] * _GK_WEIGHTS[:, None, None, :], w), axis=2)
         n_head = n_head + 1
     y = y.reshape(rows, -1)
-    return y, w.reshape(2, rows, -1) * np.exp(_by_fit("log_pdf", fits, y)), n_head[:, None]
+    return y, w.reshape(2, rows, -1) * np.exp(_by_fit(lambda fit: fit.log_pdf, fits, y)), n_head[:, None]
 
 
 def _first_int(fits_q, cq, cp, g, y, wf, n_head):
@@ -244,7 +249,7 @@ def _first_int(fits_q, cq, cp, g, y, wf, n_head):
     Both are sums of non-negative terms.
     """
     b = g[:, None] * (cp[:, None] * y + 1.0) / cq[:, None]
-    kern = _by_fit("survival_table", fits_q, b)
+    kern = _by_fit(lambda fit: fit.survival_table, fits_q, b)
     panels = (kern * wf).reshape(2, g.size, -1, _GK_NODES.size).sum(axis=-1)
     head = np.arange(panels.shape[-1]) < n_head
     return np.where(head, panels, 0.0).sum(axis=-1), np.where(head, 0.0, panels).sum(axis=-1)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import traceback
 import warnings
 from pathlib import Path
@@ -344,9 +346,9 @@ engine = both
 # CSV bytes of the analytic-only presets; a change that moves closed-form
 # numbers on purpose re-pins these and says why
 ANALYTIC_PRESET_SHA256 = {
-    "fig7": "c5ba533fb3de35336f9244eb6e77c48defd9c02e9c5ac950bb0227f0a54dbe43",
-    "fig8": "ef507fd0a7d5a9410f4614857b2ed7ff43afe3e81c6e17cc1984c4732f860535",
-    "fig10": "740beb3bfb69160db9a812e37fecdba85adbc309f488b4b31fb39fa9b6d467dc",
+    "fig7": "ef7c4a8781304c7774d97bcddbf7b4938f37a30b1079dcd043b262a952c1c329",
+    "fig8": "79d8996e6861cd80caf58599fcbf983e617d33bbf5567329ac707ffc0b60f5d8",
+    "fig10": "fdc51502be88e726266b335872016bc3f7077be68140cd02c08c2ef5942a7f2b",
 }
 
 
@@ -360,9 +362,11 @@ def test_analytic_preset_bytes_are_pinned(tmp_path, preset):
 # CSV bytes of a preset with Monte Carlo rows; the Monte Carlo stream is part
 # of the package version, so its rows move only with a version change.  fig4's
 # analytic rows moved when the SIC windows began to read the CDF and survival
-# tables: 14 outage fields, by at most 1.2e-13 relative, no Monte Carlo field
+# tables: 14 outage fields, by at most 1.2e-13 relative, no Monte Carlo field;
+# and again when channel's own incomplete gamma routines replaced scipy's: by
+# at most 3.8e-11 relative, every Monte Carlo row byte for byte the same
 MC_PRESET_SHA256 = {
-    "fig4": "b5d955945e39c9822d5e9175df8491ecb30a2c78980ea9c21c56f4c94896978b",
+    "fig4": "c92e3f4b86866629ad013303642197250ca32c54c7a85198bb7ca82ac2fd5f27",
 }
 
 
@@ -378,20 +382,20 @@ def test_mc_preset_bytes_are_pinned(tmp_path, preset):
 # and of the GA preset, each as (argv, output file, sha256)
 OTHER_PRESET_SHA256 = {
     "fig5": (("run", "--preset", "fig5", "--set", "experiment.engine=analytic"), "fig5.csv",
-             "ff2c43ce047e1bbdf4e2b6ed4d70a51212c5817cfa1fe845fc949fd20709f307"),
+             "899e56f8af4d7d54d44a1bf0941d2e996772afc7c2a0efe918901e8b70220389"),
     "fig6": (("run", "--preset", "fig6", "--set", "experiment.engine=analytic"), "fig6.csv",
-             "d3cf1f0a9e356e65d6b742e5766ce6631575d3906958bcf8a6a274968ecd08d1"),
+             "77e087f8ddebb45bc12b539d3807f1a252aee5f0b1142f4667e03547144471e7"),
     "fig9": (("run", "--preset", "fig9", "--set", "experiment.engine=analytic"), "fig9.csv",
-             "8e40066af6ba5786093b161e5a250545a0b92ce18d76882319b1cd971c23ce11"),
+             "3b6d6b0ba389604e1b876ad2a914f194406654f4be8393b3f444dadb843c3d40"),
     "fig7-n_elements": (("run", "--preset", "fig7", "--set", "experiment.sweep=n_elements",
                          "--set", "experiment.grid=5,10,15"), "fig7.csv",
-                        "2008c2c43088b64c4ef5e61ccb10d5c70ec54f48ea80c0a429a13341e17b2cf2"),
+                        "97a964038ddf108e6d7a5d00abe068d220c5e8fac5f1d6f8e4d69985bfc55d35"),
     "fig11": (("optimize", "--preset", "fig11"), "fig11_optimize.csv",
-              "91fe6f6fe78be7305896bcb46e1982a22554e0e0faebc26f6e730e6338fd8a81"),
+              "fb96d1e486c4faf3ec99c7b50e2e787e4e35d2c02fb3aa40a74d92fbd4e3d7de"),
     # no N = 10 row meets an age ceiling of 1.5, so the GA returns the least violation; both N = 30 rows meet it
     "fig11-infeasible": (("optimize", "--preset", "fig11", "--seed", "5", "--set", "ga.delta_th=1.5",
                           "--set", "ga.n_grid=10,30"), "fig11_optimize.csv",
-                         "37851876c2e682f29a0125969fb3dc213aa955609d1a81fec352562aaf732602"),
+                         "d706455ad2233a263886a98db17f79c482c31a9c4cd3f898fa3aa2a334e42807"),
 }
 
 
@@ -744,6 +748,33 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "numerical convergence failure" in err and "after panel doubling" in err
+
+
+def test_main_exits_3_when_the_incomplete_gamma_function_misses_its_tolerance(tmp_path, monkeypatch, capsys):
+    # a continued fraction cut short raises instead of returning a truncated
+    # value, and the CLI reports it as a numerical failure
+    monkeypatch.setattr(channel, "_TERMS", 4)
+    assert main(["run", write_ini(tmp_path), "--out", str(tmp_path / "z")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical convergence failure" in err and "incomplete gamma" in err
+    assert not (tmp_path / "z").exists()
+
+
+def test_run_and_optimize_never_load_scipy(tmp_path):
+    # the default paths evaluate the law with channel's own routines; a fresh
+    # interpreter runs both presets and lists no scipy module afterwards
+    script = (
+        "import sys\n"
+        "from starwpn.cli import main\n"
+        f"assert main(['run', '--preset', 'fig7', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert main(['optimize', '--preset', 'fig11', '--out', {str(tmp_path / 'opt')!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(starwpn.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_csv_numbers_round_trip():
